@@ -1,9 +1,9 @@
 """fairlens: a Gaussian insurance-pricing model with group-fairness audits.
 
 The package implements a three-covariate Gaussian portfolio model whose
-response depends only on the non-protected covariates, the four pricing
-functionals for it (best-estimate, unawareness, discrimination-free,
-null, plus covariate-subset prices), statistical checkers for the three
+response depends only on the non-protected covariates, its pricing
+functionals (best-estimate, unawareness, discrimination-free, null and
+covariate-subset prices, each of which equals x1 or 0), statistical checkers for the three
 group-fairness axioms (statistical parity, equalized odds, predictive
 parity), and the closed-form oracles that decide each axiom analytically
 as a function of the covariance parameters (rho1, rho2).
@@ -14,15 +14,12 @@ from .errors import (ConfigError, DimensionMismatch, EmptyBin, FairlensError,
                      OutOfRange, QuadratureError, TooFewSamples)
 from .fairness import (Axiom, FairnessVerdict, TestConfig, check_independence,
                        check_separation, check_sufficiency,
-                       combine_pvalues_fisher, distance_correlation,
-                       permutation_pvalue)
-from .gaussian import (CholeskyFactor, GaussianDistribution, condition,
-                       log_density, make_gaussian, sample)
+                       combine_pvalues_fisher)
+from .gaussian import GaussianDistribution, condition, make_gaussian, sample
 from .harness import (AuditReport, AxiomOutcome, RunConfig, VERSION, cmd_audit,
                       cmd_reproduce_separation, cmd_table, emit_report)
-from .model import (PortfolioModel, PricingFunctional, SimulatedDataset,
-                    discrimination_free_price_general, make_example_model,
-                    make_functional, price, read_csv, simulate, write_csv)
+from .model import (PortfolioModel, SimulatedDataset, make_example_model,
+                    read_csv, simulate, write_csv)
 from .oracles import (MomentEstimate, ScalarGaussian, analytic_axiom_verdict,
                       second_moment_x1_given_y0_d0, var_y_given_price,
                       var_y_given_price_and_d, x1_given_y0_x2_d0,
@@ -31,18 +28,16 @@ from .oracles import (MomentEstimate, ScalarGaussian, analytic_axiom_verdict,
 __version__ = VERSION
 
 __all__ = [
-    "Axiom", "AuditReport", "AxiomOutcome", "CholeskyFactor", "ConfigError",
+    "Axiom", "AuditReport", "AxiomOutcome", "ConfigError",
     "DimensionMismatch", "EmptyBin", "FairlensError", "FairnessVerdict",
     "GaussianDistribution", "LengthMismatch", "MomentEstimate",
     "NotPositiveDefinite", "NotSymmetric", "OutOfRange", "PortfolioModel",
-    "PricingFunctional", "QuadratureError", "RunConfig", "ScalarGaussian",
+    "QuadratureError", "RunConfig", "ScalarGaussian",
     "SimulatedDataset", "TestConfig", "TooFewSamples", "VERSION",
     "analytic_axiom_verdict", "check_independence", "check_separation",
     "check_sufficiency", "cmd_audit", "cmd_reproduce_separation", "cmd_table",
-    "combine_pvalues_fisher", "condition", "discrimination_free_price_general",
-    "distance_correlation", "emit_report", "log_density", "make_example_model",
-    "make_functional", "make_gaussian", "permutation_pvalue", "price",
-    "read_csv", "sample", "second_moment_x1_given_y0_d0", "simulate",
-    "var_y_given_price", "var_y_given_price_and_d", "write_csv",
+    "combine_pvalues_fisher", "condition", "emit_report", "make_example_model",
+    "make_gaussian", "read_csv", "sample", "second_moment_x1_given_y0_d0",
+    "simulate", "var_y_given_price", "var_y_given_price_and_d", "write_csv",
     "x1_given_y0_x2_d0", "x2_unnormalized_density_y0_d0", "__version__",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import harness
 from .errors import ConfigError, FairlensError
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--test-seed", type=int, dest="test_seed")
     audit.add_argument("--functional", choices=harness.FUNCTIONALS)
     audit.add_argument("--out", dest="output_path")
-    audit.add_argument("--format", dest="output_format", choices=["csv", "json"])
+    audit.add_argument("--format", dest="output_format", choices=harness.OUTPUT_FORMATS)
 
     reproduce = sub.add_parser("reproduce", help="reproduce reported numbers")
     rsub = reproduce.add_subparsers(dest="target", required=True)
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="n_permutations")
     table.add_argument("--out", dest="output_path")
     table.add_argument("--format", dest="output_format",
-                       choices=["csv", "json"], default="csv")
+                       choices=harness.OUTPUT_FORMATS, default="csv")
     return parser
 
 
@@ -72,7 +73,7 @@ def _audit_config(args) -> harness.RunConfig:
     raw = {}
     if args.config:
         try:
-            raw = json.loads(open(args.config).read())
+            raw = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import stats as sps
@@ -42,6 +42,7 @@ from .streams import generator, normal_ppf
 POWER_GUARD_N = 100_000  # HOLDS requires at least this many observations
 
 MIN_BIN_COUNT = 30
+N_LEVELS = 64  # quantile levels per variable; conditional bins use half
 
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
@@ -56,7 +57,6 @@ AXIOM_KINDS = (INDEPENDENCE, SEPARATION, SUFFICIENCY)
 # not depend on scheduling; the two conditional checkers share the same
 # streams, which makes the separation/sufficiency role exchange an exact
 # identity on the same inputs
-_STREAM_GENERIC = 0xFA00
 _STREAM_INDEPENDENCE = 0xFA01
 _STREAM_BIN_BASE = 0xFB00
 
@@ -76,19 +76,14 @@ class TestConfig:
 
     alpha and the permutation budget follow the usual trade-off; the
     permutation RNG is keyed by `seed` only, independent of the seeds
-    that generated the data.  n_levels bounds the quantile
-    discretization of the test statistic; rank_transform runs the test
-    on copula scale (invariant under monotone re-parameterizations of
-    prices); residualize toggles the within-bin detrending.
+    that generated the data.  n_bins_y is the number of
+    equal-probability bins of the conditioning variable.
     """
 
     alpha: float = 0.01
     n_permutations: int = 999
     n_bins_y: int = 20
     seed: int = 0
-    rank_transform: bool = True
-    n_levels: int = 64
-    residualize: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5:
@@ -97,8 +92,6 @@ class TestConfig:
             raise ConfigError("n_permutations must be >= 99")
         if self.n_bins_y < 5:
             raise ConfigError("n_bins_y must be >= 5")
-        if self.n_levels < 4:
-            raise ConfigError("n_levels must be >= 4")
 
 
 @dataclass(frozen=True)
@@ -159,12 +152,11 @@ def _quantile_level_ids(x: np.ndarray, n_levels: int):
     return np.searchsorted(edges, x, side="right"), edges.shape[0] + 1
 
 
-def _level_table(a, b, n_levels, copula_positions):
+def _level_table(a, b, n_levels):
     """Contingency table of quantile levels plus centered distance parts.
 
     Returns (N, At, Bt, dvar_a, dvar_b).  Level positions are copula
-    midranks when copula_positions is set, otherwise within-level means
-    of the raw values.
+    midranks, so the table depends on the order of the values only.
     """
     ga, na = _quantile_level_ids(a, n_levels)
     gb, nb = _quantile_level_ids(b, n_levels)
@@ -173,12 +165,8 @@ def _level_table(a, b, n_levels, copula_positions):
     n = a.shape[0]
     pa = N.sum(axis=1) / n
     pb = N.sum(axis=0) / n
-    if copula_positions:
-        va = np.cumsum(pa) - pa / 2.0
-        vb = np.cumsum(pb) - pb / 2.0
-    else:
-        va = np.bincount(ga, weights=a, minlength=na) / np.maximum(N.sum(axis=1), 1.0)
-        vb = np.bincount(gb, weights=b, minlength=nb) / np.maximum(N.sum(axis=0), 1.0)
+    va = np.cumsum(pa) - pa / 2.0
+    vb = np.cumsum(pb) - pb / 2.0
     At = _centered_level_distances(va, pa)
     Bt = _centered_level_distances(vb, pb)
     dvar_a = float(pa @ (At * At) @ pa)
@@ -211,9 +199,9 @@ def _null_dcov_draws(N, At, Bt, n, n_draws, rng):
     return np.einsum("bij,bij->b", tables, inner) / n**2
 
 
-def _table_permutation_test(a, b, n_levels, n_permutations, rng, copula_positions):
+def _table_permutation_test(a, b, n_levels, n_permutations, rng):
     """(dcor, exact p, mid p) for the discretized permutation test."""
-    N, At, Bt, dva, dvb = _level_table(a, b, n_levels, copula_positions)
+    N, At, Bt, dva, dvb = _level_table(a, b, n_levels)
     n = a.shape[0]
     if dva <= 0.0 or dvb <= 0.0:
         # a constant side is independent of anything
@@ -228,66 +216,8 @@ def _table_permutation_test(a, b, n_levels, n_permutations, rng, copula_position
 
 
 # ---------------------------------------------------------------------------
-# public statistic / combination primitives
+# p-value combination and axiom checkers
 # ---------------------------------------------------------------------------
-
-def distance_correlation(a, b) -> float:
-    """Empirical distance correlation of two 1-d samples, in [0, 1].
-
-    The plain V-statistic with double centering, evaluated exactly in
-    row chunks so no n x n matrix is materialized.
-    """
-    a, b = _as_columns(a, b)
-    n = a.shape[0]
-    if n < 4:
-        raise LengthMismatch("need at least 4 observations")
-    row_a = _abs_row_means(a)
-    row_b = _abs_row_means(b)
-    mu_a = float(row_a.mean())
-    mu_b = float(row_b.mean())
-    s_ab = s_aa = s_bb = 0.0
-    chunk = max(1, (1 << 22) // n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        A = (np.abs(a[lo:hi, None] - a[None, :])
-             - row_a[lo:hi, None] - row_a[None, :] + mu_a)
-        B = (np.abs(b[lo:hi, None] - b[None, :])
-             - row_b[lo:hi, None] - row_b[None, :] + mu_b)
-        s_ab += float(np.vdot(A, B))
-        s_aa += float(np.vdot(A, A))
-        s_bb += float(np.vdot(B, B))
-    return _dcor_from_parts(s_ab / n**2, s_aa / n**2, s_bb / n**2)
-
-
-def _abs_row_means(x: np.ndarray) -> np.ndarray:
-    """Row means of the pairwise |x_i - x_j| matrix, via sorting."""
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    csum = np.cumsum(xs)
-    ranks = np.arange(1, n + 1)
-    sums_sorted = xs * (2 * ranks - n) - 2 * csum + csum[-1]
-    out = np.empty(n)
-    out[order] = sums_sorted / n
-    return out
-
-
-def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
-                       seed: int) -> float:
-    """p = (1 + #{permuted statistic >= observed}) / (n_permutations + 1).
-
-    Permutations are applied to b only; deterministic in seed.
-    """
-    if n_permutations < 99:
-        raise ConfigError("n_permutations must be >= 99")
-    a, b = _as_columns(a, b)
-    observed = statistic_fn(a, b)
-    rng = generator(seed, _STREAM_GENERIC)
-    exceed = 0
-    for _ in range(n_permutations):
-        exceed += statistic_fn(a, b[rng.permutation(b.shape[0])]) >= observed
-    return (1 + exceed) / (n_permutations + 1)
-
 
 def combine_pvalues_fisher(pvals) -> float:
     """Fisher's method: -2 sum(log p) against chi-square with 2k df."""
@@ -299,25 +229,20 @@ def combine_pvalues_fisher(pvals) -> float:
     stat = -2.0 * float(np.sum(np.log(p)))
     return float(sps.chi2.sf(stat, 2 * p.size))
 
-
-# ---------------------------------------------------------------------------
-# axiom checkers
-# ---------------------------------------------------------------------------
-
 def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
-    """Statistical parity: price independent of the protected coordinate."""
+    """Statistical parity: price independent of the protected coordinate.
+
+    The level table depends on the order of the values only, so the
+    test runs on the raw columns and is still rank-invariant.
+    """
     prices, d = _as_columns(prices, d)
     n = prices.shape[0]
     if n < 100:
         raise TooFewSamples(f"need >= 100 observations, got {n}")
-    if cfg.rank_transform:
-        a, b = _copula_ranks(prices), _copula_ranks(d)
-    else:
-        a, b = prices, d
-    levels = max(4, min(cfg.n_levels, n // 16))
+    levels = max(4, min(N_LEVELS, n // 16))
     rng = generator(cfg.seed, _STREAM_INDEPENDENCE)
     dcor, p_exact, _ = _table_permutation_test(
-        a, b, levels, cfg.n_permutations, rng, cfg.rank_transform)
+        prices, d, levels, cfg.n_permutations, rng)
     return FairnessVerdict(
         axiom=Axiom(INDEPENDENCE), statistic=dcor, p_value=p_exact,
         analytic_criterion=None,
@@ -353,10 +278,9 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
     if n < 100 * cfg.n_bins_y:
         raise TooFewSamples(
             f"need >= {100 * cfg.n_bins_y} observations for {cfg.n_bins_y} bins, got {n}")
-    if cfg.rank_transform:
-        a = normal_ppf(_copula_ranks(a))
-        b = normal_ppf(_copula_ranks(b))
-        given = normal_ppf(_copula_ranks(given))
+    a = normal_ppf(_copula_ranks(a))
+    b = normal_ppf(_copula_ranks(b))
+    given = normal_ppf(_copula_ranks(given))
     bin_ids, n_bins = _quantile_level_ids(given, cfg.n_bins_y)
     # ties can leave quantile bins with no points at all; those are a
     # degenerate-edge artifact and collapse away, while nonempty bins
@@ -371,14 +295,13 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
     mid_ps = np.empty(n_bins)
     for k in range(n_bins):
         sel = bin_ids == k
-        ak, bk, gk = a[sel], b[sel], given[sel]
-        if cfg.residualize:
-            ak = _residualize(ak, gk)
-            bk = _residualize(bk, gk)
-        levels = max(2, min(cfg.n_levels // 2, int(counts[k]) // 16))
+        gk = given[sel]
+        ak = _residualize(a[sel], gk)
+        bk = _residualize(b[sel], gk)
+        levels = max(2, min(N_LEVELS // 2, int(counts[k]) // 16))
         rng = generator(cfg.seed, _STREAM_BIN_BASE + k)
         _, _, p_mid = _table_permutation_test(
-            ak, bk, levels, cfg.n_permutations, rng, cfg.rank_transform)
+            ak, bk, levels, cfg.n_permutations, rng)
         mid_ps[k] = p_mid
     stat = -2.0 * float(np.sum(np.log(mid_ps)))
     p_comb = float(sps.chi2.sf(stat, 2 * n_bins))

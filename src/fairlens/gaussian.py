@@ -17,28 +17,17 @@ from .streams import standard_normals
 
 SYMMETRY_TOL = 1e-12
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass(frozen=True, eq=False)
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the covariance."""
-
-    lower: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64)
-        lower.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianDistribution:
-    """Validated multivariate normal with a cached Cholesky factor."""
+    """Validated multivariate normal with a cached Cholesky factor.
+
+    chol is the read-only lower-triangular L with L @ L.T == cov.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: CholeskyFactor = field(repr=False, default=None)
+    chol: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -81,7 +70,8 @@ def make_gaussian(mean, cov) -> GaussianDistribution:
     mean.setflags(write=False)
     cov = cov.copy()
     cov.setflags(write=False)
-    return GaussianDistribution(mean=mean, cov=cov, chol=CholeskyFactor(lower))
+    lower.setflags(write=False)
+    return GaussianDistribution(mean=mean, cov=cov, chol=lower)
 
 
 def sample(dist: GaussianDistribution, n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -95,7 +85,7 @@ def sample(dist: GaussianDistribution, n: int, seed: int, stream: int = 0) -> np
         raise ValueError("n must be >= 1")
     k = dist.dim
     z = standard_normals(n * k, seed, stream).reshape(n, k)
-    return dist.mean + z @ dist.chol.lower.T
+    return dist.mean + z @ dist.chol.T
 
 
 def condition(dist: GaussianDistribution, observed_indices, observed_values) -> GaussianDistribution:
@@ -137,13 +127,3 @@ def condition(dist: GaussianDistribution, observed_indices, observed_values) -> 
     new_cov = (new_cov + new_cov.T) / 2.0
     return make_gaussian(new_mean, new_cov)
 
-
-def log_density(dist: GaussianDistribution, point) -> float:
-    """Exact multivariate normal log density at the point."""
-    x = np.atleast_1d(np.asarray(point, dtype=np.float64))
-    if x.shape[0] != dist.dim:
-        raise DimensionMismatch(f"point length {x.shape[0]} != dimension {dist.dim}")
-    lower = dist.chol.lower
-    u = np.linalg.solve(lower, x - dist.mean)
-    half_logdet = float(np.sum(np.log(np.diag(lower))))
-    return float(-0.5 * dist.dim * _LOG_2PI - half_logdet - 0.5 * u @ u)

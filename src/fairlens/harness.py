@@ -20,13 +20,12 @@ import numpy as np
 
 from . import fairness, model, oracles
 from .errors import ConfigError, EmptyBin, TooFewSamples
-from .fairness import (HOLDS, INCONCLUSIVE, VIOLATED, Axiom, FairnessVerdict,
-                       TestConfig)
+from .fairness import (AXIOM_KINDS, HOLDS, INCONCLUSIVE, VIOLATED, Axiom,
+                       FairnessVerdict, TestConfig)
+from .model import FLOAT_FMT
 from .oracles import MomentEstimate
 
 VERSION = "0.1.0"
-
-FLOAT_FMT = "%.17g"
 
 CSV_HEADER = ("axiom,verdict_statistical,verdict_analytic,statistic,"
               "p_value,analytic_criterion,alpha,n,seed")
@@ -35,8 +34,9 @@ TABLE_CSV_HEADER = "rho1,rho2,axiom,analytic,statistical,agree,tag"
 
 DEFAULT_TABLE_PAIRS = ((0.3, 0.5), (0.3, 0.0), (0.0, 0.5), (0.0, 0.0))
 
-FUNCTIONALS = ("best_estimate", "unawareness", "discrimination_free", "null",
-               "subset:x1", "subset:x2", "subset:x1,x2")
+FUNCTIONALS = tuple(model.PRICE_IS_X1)
+
+OUTPUT_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -51,23 +51,15 @@ class RunConfig:
     functional: str = "unawareness"
 
     def __post_init__(self):
-        if not 1.0 - self.rho1**2 - self.rho2**2 > 0.0:
+        if not model.valid_rho_pair(self.rho1, self.rho2):
             raise ConfigError(
                 f"(rho1, rho2)=({self.rho1}, {self.rho2}) is not a valid pair")
         if self.n < 10**3:
             raise ConfigError(f"n must be >= 1000, got {self.n}")
-        if self.output_format not in ("csv", "json"):
+        if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
         if self.functional not in FUNCTIONALS:
             raise ConfigError(f"functional must be one of {FUNCTIONALS}")
-
-
-def _parse_functional(name: str) -> model.PricingFunctional:
-    if name.startswith("subset:"):
-        indices = frozenset(0 if tok == "x1" else 1
-                            for tok in name.split(":", 1)[1].split(","))
-        return model.make_functional("subset", indices)
-    return model.make_functional(name)
 
 
 @dataclass(frozen=True)
@@ -112,8 +104,7 @@ def _utc_now() -> str:
         "+00:00", "Z")
 
 
-def _analytic_verdict(axiom: str, cfg: RunConfig,
-                      functional: model.PricingFunctional) -> FairnessVerdict:
+def _analytic_verdict(axiom: str, cfg: RunConfig, price_is_x1: bool) -> FairnessVerdict:
     """Closed-form verdict for the configured pricing functional.
 
     Functionals that reduce to x1 follow the (rho1, rho2) criteria of
@@ -126,7 +117,7 @@ def _analytic_verdict(axiom: str, cfg: RunConfig,
     independence of Y and D, which holds iff rho1 and rho2 both vanish
     (the criterion rho1^2 + rho2^2 is zero iff so).
     """
-    if functional.uses_x1:
+    if price_is_x1:
         r1, r2 = abs(cfg.rho1), abs(cfg.rho2)
         verdict = oracles.analytic_axiom_verdict(axiom, r1, r2)
         criterion = oracles.analytic_criterion(axiom, r1, r2)
@@ -164,11 +155,11 @@ def cmd_audit(cfg: RunConfig) -> AuditReport:
     """
     portfolio = model.make_example_model(cfg.rho1, cfg.rho2)
     data = model.simulate(portfolio, cfg.n, cfg.seed)
-    functional = _parse_functional(cfg.functional)
-    prices = functional.evaluate(data.x1, data.x2, data.d)
+    price_is_x1 = model.PRICE_IS_X1[cfg.functional]
+    prices = data.x1 if price_is_x1 else np.zeros(cfg.n)
 
     outcomes = []
-    for axiom in oracles.AXIOMS:
+    for axiom in AXIOM_KINDS:
         try:
             if axiom == fairness.INDEPENDENCE:
                 stat = fairness.check_independence(prices, data.d, cfg.test)
@@ -178,9 +169,9 @@ def cmd_audit(cfg: RunConfig) -> AuditReport:
                 stat = fairness.check_sufficiency(data.y, data.d, prices, cfg.test)
         except (TooFewSamples, EmptyBin):
             stat = _inconclusive(axiom, cfg, cfg.n)
-        analytic = _analytic_verdict(axiom, cfg, functional)
+        analytic = _analytic_verdict(axiom, cfg, price_is_x1)
         tag = (oracles.CONJECTURE_NUMERIC_TAG
-               if functional.uses_x1 and oracles.is_conjecture_numeric(
+               if price_is_x1 and oracles.is_conjecture_numeric(
                    axiom, cfg.rho1, cfg.rho2) else "")
         outcomes.append(AxiomOutcome(axiom=axiom, statistical=stat,
                                      analytic=analytic, tag=tag))
@@ -266,7 +257,7 @@ def format_table(cells: list[dict]) -> str:
         row = {c["axiom"]: c for c in cells
                if (c["rho1"], c["rho2"]) == (rho1, rho2)}
         entries = []
-        for axiom in oracles.AXIOMS:
+        for axiom in AXIOM_KINDS:
             cell = row[axiom]
             text = f"{cell['analytic']}/{cell['statistical']}"
             if not cell["agree"]:
@@ -294,36 +285,55 @@ def _config_to_dict(cfg: RunConfig) -> dict:
         "rho1": cfg.rho1, "rho2": cfg.rho2, "n": cfg.n, "seed": cfg.seed,
         "alpha": t.alpha, "n_permutations": t.n_permutations,
         "n_bins_y": t.n_bins_y, "test_seed": t.seed,
-        "rank_transform": t.rank_transform, "n_levels": t.n_levels,
-        "residualize": t.residualize,
         "output_path": cfg.output_path, "output_format": cfg.output_format,
         "functional": cfg.functional,
     }
 
 
+def _number(raw: dict, key: str, default):
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(raw: dict, key: str, default: int) -> int:
+    """An int, or an integral float such as 1e6."""
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from the flat JSON mapping used by --config."""
+    """Build a RunConfig from the flat JSON mapping used by --config.
+
+    Every value is type-checked, so a mistyped file is a ConfigError;
+    RunConfig admits only the listed names for the two string keys.
+    """
     allowed = {"rho1", "rho2", "n", "seed", "alpha", "n_permutations",
-               "n_bins_y", "test_seed", "rank_transform", "n_levels",
-               "residualize", "output_path", "output_format", "functional"}
+               "n_bins_y", "test_seed", "output_path", "output_format",
+               "functional"}
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "rho1" not in raw or "rho2" not in raw:
         raise ConfigError("config requires rho1 and rho2")
+    output_path = raw.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError(f"output_path must be a string or null, got {output_path!r}")
     test = TestConfig(
-        alpha=raw.get("alpha", 0.01),
-        n_permutations=raw.get("n_permutations", 999),
-        n_bins_y=raw.get("n_bins_y", 20),
-        seed=raw.get("test_seed", 0),
-        rank_transform=raw.get("rank_transform", True),
-        n_levels=raw.get("n_levels", 64),
-        residualize=raw.get("residualize", True),
+        alpha=_number(raw, "alpha", 0.01),
+        n_permutations=_integer(raw, "n_permutations", 999),
+        n_bins_y=_integer(raw, "n_bins_y", 20),
+        seed=_integer(raw, "test_seed", 0),
     )
     return RunConfig(
-        rho1=float(raw["rho1"]), rho2=float(raw["rho2"]),
-        n=int(raw.get("n", 10**6)), seed=int(raw.get("seed", 42)), test=test,
-        output_path=raw.get("output_path"),
+        rho1=_number(raw, "rho1", None), rho2=_number(raw, "rho2", None),
+        n=_integer(raw, "n", 10**6), seed=_integer(raw, "seed", 42), test=test,
+        output_path=output_path,
         output_format=raw.get("output_format", "json"),
         functional=raw.get("functional", "unawareness"),
     )

@@ -4,13 +4,12 @@ Covariates (X1, X2, D) are centered Gaussian with unit variances,
 Cov(X1, X2) = 0 and Cov(Xi, D) = rho_i; the response is
 Y | (X, D) ~ N(X1, 1 + X2^2), so the protected coordinate D carries no
 information about Y beyond X.  All pricing functionals for this model
-have closed forms (the conditional mean is X1), so prices are computed
-exactly rather than fitted.
+have closed forms (the conditional mean is X1), so every price is
+either x1 or 0 and is computed exactly rather than fitted.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,20 +25,37 @@ FLOAT_FMT = "%.17g"
 _COVARIATE_STREAM = 0
 _RESPONSE_STREAM = 1  # separate sub-stream: adding columns never perturbs others
 
+# Whether each named pricing functional evaluates to x1 (else to 0).
+# The conditional mean of Y is X1, so best_estimate, unawareness and
+# discrimination_free all equal x1; the null price is E[Y] = 0; subset
+# prices are E[Y | selected covariates], i.e. x1 when X1 is selected
+# and 0 otherwise (X1 and X2 are independent).  No price depends on d.
+PRICE_IS_X1 = {
+    "best_estimate": True,
+    "unawareness": True,
+    "discrimination_free": True,
+    "null": False,
+    "subset:x1": True,
+    "subset:x2": False,
+    "subset:x1,x2": True,
+}
+
+
+def valid_rho_pair(rho1: float, rho2: float) -> bool:
+    """1 - rho1^2 - rho2^2 > 0: the covariance is positive definite.
+
+    Implies |rho1|, |rho2| < 1; NaN fails the comparison.
+    """
+    return 1.0 - rho1**2 - rho2**2 > 0.0
+
 
 @dataclass(frozen=True)
 class PortfolioModel:
-    """Gaussian covariates plus the heteroskedastic response law."""
+    """Gaussian covariates; simulate adds the response law."""
 
     covariates: GaussianDistribution
     rho1: float
     rho2: float
-
-    def response_mean(self, x1, x2):
-        return np.asarray(x1, dtype=np.float64)
-
-    def response_var(self, x1, x2):
-        return 1.0 + np.asarray(x2, dtype=np.float64) ** 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +77,7 @@ class SimulatedDataset:
                 raise DimensionMismatch("dataset columns have unequal lengths")
         if n < 1:
             raise ValueError("dataset must hold at least one row")
-        if not 1.0 - self.rho1**2 - self.rho2**2 > 0.0:
+        if not valid_rho_pair(self.rho1, self.rho2):
             raise NotPositiveDefinite("stored (rho1, rho2) are invalid")
 
     @property
@@ -90,86 +106,16 @@ def simulate(model: PortfolioModel, n: int, seed: int) -> SimulatedDataset:
                             seed=seed, rho1=model.rho1, rho2=model.rho2)
 
 
-KINDS = ("best_estimate", "unawareness", "discrimination_free", "null", "subset")
-
-
-@dataclass(frozen=True)
-class PricingFunctional:
-    """A pricing rule for the example model, with its closed form.
-
-    For the running example the conditional mean of Y is X1, so
-    best_estimate, unawareness and discrimination_free all evaluate to
-    x1; the null price is E[Y] = 0; subset prices are E[Y | selected
-    covariates], i.e. x1 when X1 is selected and 0 otherwise (X1 and
-    X2 are independent).  Every kind except best_estimate ignores d.
-    """
-
-    kind: str
-    subset_indices: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind == "subset":
-            if not self.subset_indices or not self.subset_indices <= {0, 1}:
-                raise ValueError("subset indices must be a nonempty subset of {0, 1}")
-
-    def evaluate(self, x1, x2, d):
-        """Vectorized price; broadcasts over numpy inputs."""
-        x1 = np.asarray(x1, dtype=np.float64)
-        if self.kind in ("best_estimate", "unawareness", "discrimination_free"):
-            return x1 + 0.0
-        if self.kind == "null":
-            return np.zeros_like(x1)
-        if 0 in self.subset_indices:
-            return x1 + 0.0
-        return np.zeros_like(x1)
-
-    @property
-    def uses_x1(self) -> bool:
-        if self.kind == "null":
-            return False
-        if self.kind == "subset":
-            return 0 in self.subset_indices
-        return True
-
-
-def make_functional(kind: str, subset_indices=None) -> PricingFunctional:
-    return PricingFunctional(kind=kind,
-                             subset_indices=frozenset(subset_indices or ()))
-
-
-def price(functional: PricingFunctional, x1: float, x2: float, d: float) -> float:
-    """Scalar price at a covariate record."""
-    return float(functional.evaluate(x1, x2, d))
-
-
-def discrimination_free_price_general(best_estimate, d_marginal_samples):
-    """Average a best-estimate price over marginal draws of D.
-
-    best_estimate(x, d) must broadcast over a vector of d values; the
-    returned callable maps x to the sample average of best_estimate(x, d)
-    over the provided marginal draws (not the conditional law of D
-    given x, which is what removes the proxy-inference channel).
-    """
-    d_samples = np.asarray(d_marginal_samples, dtype=np.float64)
-    if d_samples.size == 0:
-        raise ValueError("d_marginal_samples must be nonempty")
-
-    def averaged(x):
-        return float(np.mean(best_estimate(x, d_samples)))
-
-    return averaged
-
-
 def write_csv(dataset: SimulatedDataset, path) -> None:
-    """CSV with header x1,x2,d,y plus a {path}.meta.json sidecar."""
+    """CSV with header x1,x2,d,y plus a {path}.meta.json sidecar.
+
+    CRLF line ends and %.17g values, so every float reads back exactly.
+    """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "d", "y"])
-        for row in zip(dataset.x1, dataset.x2, dataset.d, dataset.y):
-            writer.writerow([FLOAT_FMT % v for v in row])
+    columns = np.column_stack([dataset.x1, dataset.x2, dataset.d, dataset.y])
+    with path.open("w", newline="") as fh:  # no newline translation
+        np.savetxt(fh, columns, fmt=FLOAT_FMT, delimiter=",", header="x1,x2,d,y",
+                   comments="", newline="\r\n")
     meta = {"n": dataset.n, "seed": dataset.seed,
             "rho1": dataset.rho1, "rho2": dataset.rho2}
     Path(str(path) + ".meta.json").write_text(json.dumps(meta) + "\n")
@@ -178,8 +124,7 @@ def write_csv(dataset: SimulatedDataset, path) -> None:
 def read_csv(path) -> SimulatedDataset:
     """Inverse of write_csv."""
     path = Path(path)
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    x1, x2, d, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
     meta = json.loads(Path(str(path) + ".meta.json").read_text())
-    cols = {name: np.atleast_1d(data[name]) for name in ("x1", "x2", "d", "y")}
-    return SimulatedDataset(seed=int(meta["seed"]), rho1=float(meta["rho1"]),
-                            rho2=float(meta["rho2"]), **cols)
+    return SimulatedDataset(x1=x1, x2=x2, d=d, y=y, seed=int(meta["seed"]),
+                            rho1=float(meta["rho1"]), rho2=float(meta["rho2"]))

@@ -6,9 +6,7 @@ given (Y=0, X2, D=0), the unnormalized X2 posterior under the same
 conditioning, the ratio-of-expectations estimator for
 E[X1^2 | Y=0, D=0] (Monte Carlo and quadrature routes), the two
 variance decompositions, and the analytic verdict for each fairness
-axiom as a function of (rho1, rho2).  Independent brute-force oracles
-(grid integration, slice rejection) used to cross-validate the closed
-forms live here as well.
+axiom as a function of (rho1, rho2).
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NotPositiveDefinite, OutOfRange, QuadratureError
+from .model import valid_rho_pair
 from .streams import standard_normals
 
 MC_CHUNK = 1 << 20
@@ -35,7 +34,7 @@ _QUAD_MAX_PANELS = 4096
 
 
 def _check_rhos(rho1: float, rho2: float) -> None:
-    if not (abs(rho1) < 1.0 and abs(rho2) < 1.0 and 1.0 - rho1**2 - rho2**2 > 0.0):
+    if not valid_rho_pair(rho1, rho2):
         raise NotPositiveDefinite(
             f"(rho1, rho2)=({rho1}, {rho2}) violates 1 - rho1^2 - rho2^2 > 0")
 
@@ -212,8 +211,6 @@ def var_y_given_price_and_d(rho1: float, rho2: float, x1: float, d: float) -> fl
 
 SEPARATION_QUAD_TOL = 1e-8
 
-AXIOMS = ("independence", "separation", "sufficiency")
-
 # separation verdicts away from the all-zero regime are decided
 # numerically, not by a closed-form proof
 CONJECTURE_NUMERIC_TAG = "conjecture_numeric"
@@ -274,71 +271,3 @@ def is_conjecture_numeric(axiom: str, rho1: float, rho2: float) -> bool:
     one_nonzero = (rho1 != 0.0) != (rho2 != 0.0)
     return axiom == "separation" and one_nonzero
 
-
-# ---------------------------------------------------------------------------
-# brute-force oracles: grid integration and slice rejection
-# ---------------------------------------------------------------------------
-
-def grid_moments(density_fn, lo: float, hi: float, n_points: int = 4001):
-    """Mean and variance of an unnormalized 1-d density on a Simpson grid."""
-    if n_points % 2 == 0:
-        n_points += 1
-    x = np.linspace(lo, hi, n_points)
-    f = density_fn(x)
-    mass = _simpson(f, x)
-    mean = _simpson(f * x, x) / mass
-    var = _simpson(f * (x - mean) ** 2, x) / mass
-    return float(mean), float(var), float(mass)
-
-
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    h = x[1] - x[0]
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
-
-
-@dataclass(frozen=True)
-class SliceEstimate:
-    """Conditional moments of a slice-rejection sample."""
-
-    mean: float
-    var: float
-    se_mean: float
-    se_var: float
-    n_accepted: int
-
-
-def slice_rejection_moments(draws_fn, slice_columns, slice_values, target_column,
-                            half_width: float = 0.025, min_accepted: int = 10**4,
-                            max_rounds: int = 256, block: int = 1 << 22) -> SliceEstimate:
-    """Conditional moments of a column near a slice, by rejection.
-
-    draws_fn(n, round_index) must return a (n, k) matrix of independent
-    draws; rounds are keyed so the budget auto-expands deterministically
-    until min_accepted samples fall inside every +-half_width window.
-    """
-    slice_columns = list(slice_columns)
-    slice_values = np.asarray(slice_values, dtype=np.float64)
-    kept = []
-    total = 0
-    for rnd in range(max_rounds):
-        x = draws_fn(block, rnd)
-        mask = np.ones(x.shape[0], dtype=bool)
-        for col, val in zip(slice_columns, slice_values):
-            mask &= np.abs(x[:, col] - val) < half_width
-        kept.append(x[mask, target_column])
-        total += int(mask.sum())
-        if total >= min_accepted:
-            break
-    else:
-        raise RuntimeError(
-            f"slice acceptance too low: {total} accepted after {max_rounds} rounds")
-    vals = np.concatenate(kept)
-    n = vals.size
-    mean = float(vals.mean())
-    var = float(vals.var())
-    centered = vals - mean
-    m4 = float(np.mean(centered**4))
-    se_mean = float(vals.std(ddof=1) / np.sqrt(n))
-    se_var = float(np.sqrt(max(m4 - var**2, 0.0) / n))
-    return SliceEstimate(mean=mean, var=var, se_mean=se_mean, se_var=se_var,
-                         n_accepted=int(n))

@@ -1,0 +1,187 @@
+"""Brute-force oracles that cross-check the package's closed forms.
+
+None of these is on the audit path: they are the independent
+references (grid integration, slice rejection, the exact O(n^2)
+distance correlation, the generic permutation p-value, the Gaussian
+log density and the general discrimination-free average) that the
+tests hold the fast code against.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from fairlens.errors import ConfigError, DimensionMismatch, LengthMismatch
+from fairlens.fairness import _as_columns, _dcor_from_parts
+from fairlens.gaussian import GaussianDistribution
+from fairlens.streams import generator
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+# permutation sub-stream of permutation_pvalue, apart from the checkers'
+_STREAM_GENERIC = 0xFA00
+
+
+# ---------------------------------------------------------------------------
+# grid integration and slice rejection
+# ---------------------------------------------------------------------------
+
+def grid_moments(density_fn, lo: float, hi: float, n_points: int = 4001):
+    """Mean and variance of an unnormalized 1-d density on a Simpson grid."""
+    if n_points % 2 == 0:
+        n_points += 1
+    x = np.linspace(lo, hi, n_points)
+    f = density_fn(x)
+    mass = _simpson(f, x)
+    mean = _simpson(f * x, x) / mass
+    var = _simpson(f * (x - mean) ** 2, x) / mass
+    return float(mean), float(var), float(mass)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    h = x[1] - x[0]
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+
+
+@dataclass(frozen=True)
+class SliceEstimate:
+    """Conditional moments of a slice-rejection sample."""
+
+    mean: float
+    var: float
+    se_mean: float
+    se_var: float
+    n_accepted: int
+
+
+def slice_rejection_moments(draws_fn, slice_columns, slice_values, target_column,
+                            half_width: float = 0.025, min_accepted: int = 10**4,
+                            max_rounds: int = 256, block: int = 1 << 22) -> SliceEstimate:
+    """Conditional moments of a column near a slice, by rejection.
+
+    draws_fn(n, round_index) must return a (n, k) matrix of independent
+    draws; rounds are keyed so the budget auto-expands deterministically
+    until min_accepted samples fall inside every +-half_width window.
+    """
+    slice_columns = list(slice_columns)
+    slice_values = np.asarray(slice_values, dtype=np.float64)
+    kept = []
+    total = 0
+    for rnd in range(max_rounds):
+        x = draws_fn(block, rnd)
+        mask = np.ones(x.shape[0], dtype=bool)
+        for col, val in zip(slice_columns, slice_values):
+            mask &= np.abs(x[:, col] - val) < half_width
+        kept.append(x[mask, target_column])
+        total += int(mask.sum())
+        if total >= min_accepted:
+            break
+    else:
+        raise RuntimeError(
+            f"slice acceptance too low: {total} accepted after {max_rounds} rounds")
+    vals = np.concatenate(kept)
+    n = vals.size
+    mean = float(vals.mean())
+    var = float(vals.var())
+    centered = vals - mean
+    m4 = float(np.mean(centered**4))
+    se_mean = float(vals.std(ddof=1) / np.sqrt(n))
+    se_var = float(np.sqrt(max(m4 - var**2, 0.0) / n))
+    return SliceEstimate(mean=mean, var=var, se_mean=se_mean, se_var=se_var,
+                         n_accepted=int(n))
+
+
+# ---------------------------------------------------------------------------
+# exact distance correlation and the generic permutation p-value
+# ---------------------------------------------------------------------------
+
+def distance_correlation(a, b) -> float:
+    """Empirical distance correlation of two 1-d samples, in [0, 1].
+
+    The plain V-statistic with double centering, evaluated exactly in
+    row chunks so no n x n matrix is materialized.
+    """
+    a, b = _as_columns(a, b)
+    n = a.shape[0]
+    if n < 4:
+        raise LengthMismatch("need at least 4 observations")
+    row_a = _abs_row_means(a)
+    row_b = _abs_row_means(b)
+    mu_a = float(row_a.mean())
+    mu_b = float(row_b.mean())
+    s_ab = s_aa = s_bb = 0.0
+    chunk = max(1, (1 << 22) // n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        A = (np.abs(a[lo:hi, None] - a[None, :])
+             - row_a[lo:hi, None] - row_a[None, :] + mu_a)
+        B = (np.abs(b[lo:hi, None] - b[None, :])
+             - row_b[lo:hi, None] - row_b[None, :] + mu_b)
+        s_ab += float(np.vdot(A, B))
+        s_aa += float(np.vdot(A, A))
+        s_bb += float(np.vdot(B, B))
+    return _dcor_from_parts(s_ab / n**2, s_aa / n**2, s_bb / n**2)
+
+
+def _abs_row_means(x: np.ndarray) -> np.ndarray:
+    """Row means of the pairwise |x_i - x_j| matrix, via sorting."""
+    n = x.shape[0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    csum = np.cumsum(xs)
+    ranks = np.arange(1, n + 1)
+    sums_sorted = xs * (2 * ranks - n) - 2 * csum + csum[-1]
+    out = np.empty(n)
+    out[order] = sums_sorted / n
+    return out
+
+
+def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
+                       seed: int) -> float:
+    """p = (1 + #{permuted statistic >= observed}) / (n_permutations + 1).
+
+    Permutations are applied to b only; deterministic in seed.
+    """
+    if n_permutations < 99:
+        raise ConfigError("n_permutations must be >= 99")
+    a, b = _as_columns(a, b)
+    observed = statistic_fn(a, b)
+    rng = generator(seed, _STREAM_GENERIC)
+    exceed = 0
+    for _ in range(n_permutations):
+        exceed += statistic_fn(a, b[rng.permutation(b.shape[0])]) >= observed
+    return (1 + exceed) / (n_permutations + 1)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian log density and the general discrimination-free price
+# ---------------------------------------------------------------------------
+
+def log_density(dist: GaussianDistribution, point) -> float:
+    """Exact multivariate normal log density at the point."""
+    x = np.atleast_1d(np.asarray(point, dtype=np.float64))
+    if x.shape[0] != dist.dim:
+        raise DimensionMismatch(f"point length {x.shape[0]} != dimension {dist.dim}")
+    lower = dist.chol
+    u = np.linalg.solve(lower, x - dist.mean)
+    half_logdet = float(np.sum(np.log(np.diag(lower))))
+    return float(-0.5 * dist.dim * _LOG_2PI - half_logdet - 0.5 * u @ u)
+
+
+def discrimination_free_price_general(best_estimate, d_marginal_samples):
+    """Average a best-estimate price over marginal draws of D.
+
+    best_estimate(x, d) must broadcast over a vector of d values; the
+    returned callable maps x to the sample average of best_estimate(x, d)
+    over the provided marginal draws (not the conditional law of D
+    given x, which is what removes the proxy-inference channel).
+    """
+    d_samples = np.asarray(d_marginal_samples, dtype=np.float64)
+    if d_samples.size == 0:
+        raise ValueError("d_marginal_samples must be nonempty")
+
+    def averaged(x):
+        return float(np.mean(best_estimate(x, d_samples)))
+
+    return averaged

@@ -1,5 +1,7 @@
 """Distance correlation, permutation machinery, axiom checkers."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,10 @@ from scipy import stats as sps
 from fairlens import (ConfigError, EmptyBin, LengthMismatch, TestConfig,
                       TooFewSamples, check_independence, check_separation,
                       check_sufficiency, combine_pvalues_fisher,
-                      distance_correlation, make_example_model,
-                      permutation_pvalue, simulate)
+                      make_example_model, simulate)
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
+
+from brute_force import distance_correlation, permutation_pvalue
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
 
@@ -39,11 +42,13 @@ class TestTestConfig:
     def test_defaults(self):
         cfg = TestConfig()
         assert (cfg.alpha, cfg.n_permutations, cfg.n_bins_y) == (0.01, 999, 20)
-        assert cfg.rank_transform and cfg.residualize
+        # ranks, detrending and the level count are fixed, not options
+        assert [f.name for f in fields(cfg)] == [
+            "alpha", "n_permutations", "n_bins_y", "seed"]
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 0.5}, {"n_permutations": 50},
-        {"n_bins_y": 4}, {"n_levels": 3},
+        {"n_bins_y": 4}, {"n_permutations": 98},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -235,8 +240,7 @@ class TestConditionalCheckers:
                                 rng.uniform(1.0, 2.0, size=75)])
         a = rng.normal(size=given.size)
         b = rng.normal(size=given.size)
-        cfg = TestConfig(n_bins_y=20, n_permutations=99, seed=1,
-                         rank_transform=False)
+        cfg = TestConfig(n_bins_y=20, n_permutations=99, seed=1)
         with pytest.raises(EmptyBin):
             check_separation(a, b, given, cfg)
 

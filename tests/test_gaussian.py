@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairlens import (DimensionMismatch, NotPositiveDefinite, NotSymmetric,
-                      condition, log_density, make_gaussian, sample)
-from fairlens.oracles import slice_rejection_moments
+                      condition, make_gaussian, sample)
+
+from brute_force import log_density, slice_rejection_moments
 
 REFERENCE_COV = [[1.0, 0.0, 0.1], [0.0, 1.0, 0.9], [0.1, 0.9, 1.0]]
 
@@ -33,7 +34,7 @@ class TestConstruction:
 
     def test_identity_is_valid(self):
         dist = make_gaussian(np.zeros(3), np.eye(3))
-        np.testing.assert_array_equal(dist.chol.lower, np.eye(3))
+        np.testing.assert_array_equal(dist.chol, np.eye(3))
 
     def test_invalid_rho_pair_rejected(self):
         # 1 - 0.25 - 0.81 = -0.06 < 0
@@ -169,7 +170,7 @@ class TestCholeskyInvariants:
     def test_round_trip_and_positive_diagonal(self, seed):
         rng = np.random.default_rng(seed)
         dist = random_pd_instance(rng)
-        lower = dist.chol.lower
+        lower = dist.chol
         assert np.max(np.abs(lower @ lower.T - dist.cov)) < 1e-10
         assert np.all(np.diag(lower) > 0.0)
         assert np.max(np.abs(np.triu(lower, 1))) == 0.0
@@ -198,8 +199,8 @@ class TestLogDensity:
         xx, yy = np.meshgrid(g, g, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         delta = pts - dist2.mean
-        u = np.linalg.solve(dist2.chol.lower, delta.T)
-        logdet = np.sum(np.log(np.diag(dist2.chol.lower)))
+        u = np.linalg.solve(dist2.chol, delta.T)
+        logdet = np.sum(np.log(np.diag(dist2.chol)))
         vals = np.exp(-np.log(2 * np.pi) - logdet - 0.5 * np.sum(u * u, axis=0))
         total = np.trapezoid(np.trapezoid(vals.reshape(xx.shape), g, axis=1), g)
         assert total == pytest.approx(1.0, abs=1e-3)

@@ -40,8 +40,10 @@ class TestRunConfig:
             RunConfig(rho1=0.1, rho2=0.9, functional="fitted")
 
     def test_config_from_dict_unknown_key(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"rho1": 0.1, "rho2": 0.9, "bogus": 1})
+        # the checker's ranks, detrending and level count are not options
+        for key in ("bogus", "rank_transform", "n_levels", "residualize"):
+            with pytest.raises(ConfigError):
+                config_from_dict({"rho1": 0.1, "rho2": 0.9, key: 1})
 
     def test_config_from_dict_requires_rhos(self):
         with pytest.raises(ConfigError):
@@ -51,6 +53,18 @@ class TestRunConfig:
         cfg = quick_config()
         from fairlens.harness import _config_to_dict
         assert config_from_dict(_config_to_dict(cfg)) == cfg
+
+    def test_config_from_dict_type_checks(self):
+        cfg = config_from_dict({"rho1": 0, "rho2": 0.5, "n": 1e6,
+                                "n_permutations": 199.0})
+        assert (cfg.rho1, cfg.n, cfg.test.n_permutations) == (0.0, 10**6, 199)
+        assert type(cfg.n) is int and type(cfg.rho1) is float
+        for bad in ({"rho2": "0.9"}, {"alpha": True}, {"n": 1500.5},
+                    {"seed": "42"}, {"test_seed": True}, {"n_bins_y": None},
+                    {"functional": ["null"]}, {"output_format": "xml"},
+                    {"output_path": 3}):
+            with pytest.raises(ConfigError):
+                config_from_dict({"rho1": 0.1, "rho2": 0.9, **bad})
 
 
 class TestCmdAudit:
@@ -232,6 +246,16 @@ class TestCli:
         assert main(["audit", "--rho1", "0.9", "--rho2", "0.9"]) == 2
         assert main(["audit", "--rho1", "0.1", "--rho2", "0.9",
                      "--n", "10"]) == 2
+
+    @pytest.mark.parametrize("raw", [
+        {"rho1": 0.1, "rho2": "x"},
+        {"rho1": 0.1, "rho2": 0.9, "n_permutations": "999"},
+    ])
+    def test_mistyped_config_file_exits_two(self, tmp_path, capsys, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["audit", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file_exits_two(self):
         assert main(["audit", "--config", "/nonexistent/cfg.json"]) == 2

@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fairlens import (NotPositiveDefinite, discrimination_free_price_general,
-                      make_example_model, make_functional, price, simulate)
-from fairlens.model import read_csv, write_csv
+from fairlens import (ConfigError, NotPositiveDefinite, RunConfig, TestConfig,
+                      cmd_audit, make_example_model, simulate)
+from fairlens.harness import report_to_dict
+from fairlens.model import PRICE_IS_X1, SimulatedDataset, read_csv, write_csv
+
+from brute_force import discrimination_free_price_general
 
 
 class TestModelConstruction:
@@ -27,12 +28,6 @@ class TestModelConstruction:
     def test_invalid_pair_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             make_example_model(0.7, 0.8)  # 1 - 0.49 - 0.64 < 0
-
-    def test_response_law_accessors(self):
-        m = make_example_model(0.1, 0.9)
-        assert m.response_mean(1.3, -5.0) == 1.3
-        assert m.response_var(1.3, -2.0) == 5.0
-        assert np.all(m.response_var(0.0, np.linspace(-3, 3, 7)) >= 1.0)
 
 
 class TestSimulate:
@@ -100,18 +95,14 @@ class TestSimulate:
 
 class TestPricing:
     def test_best_estimate_is_x1(self):
-        f = make_functional("best_estimate")
-        assert price(f, 1.7, -3.0, 2.0) == 1.7
+        assert PRICE_IS_X1["best_estimate"]
 
     def test_null_price_is_zero(self):
-        f = make_functional("null")
-        for args in [(0.0, 0.0, 0.0), (5.0, -1.0, 3.0)]:
-            assert price(f, *args) == 0.0
+        assert not PRICE_IS_X1["null"]
 
     def test_subset_x2_price_is_zero(self):
         # E[Y | X2] = E[X1 | X2] = 0 because Cov(X1, X2) = 0
-        f = make_functional("subset", {1})
-        assert price(f, 5.0, 0.4, 1.0) == 0.0
+        assert not PRICE_IS_X1["subset:x2"]
 
     def test_subset_x2_price_zero_confirmed_by_simulation(self):
         m = make_example_model(0.1, 0.9)
@@ -121,38 +112,27 @@ class TestPricing:
         assert abs(ds.y[sel].mean()) < 3 * se
 
     def test_subset_x1_equals_unawareness(self):
-        f = make_functional("subset", {0})
-        g = make_functional("unawareness")
-        assert price(f, 0.3, 9.9, -2.0) == price(g, 0.3, 1.1, 0.5) == 0.3
+        assert PRICE_IS_X1["subset:x1"] and PRICE_IS_X1["unawareness"]
 
     def test_coincidence_identity_on_random_points(self):
         """Best-estimate, unawareness and discrimination-free prices are
-        exactly equal on random covariate points."""
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(10**4, 3))
-        fs = [make_functional(k) for k in
-              ("best_estimate", "unawareness", "discrimination_free")]
-        prices = [f.evaluate(pts[:, 0], pts[:, 1], pts[:, 2]) for f in fs]
-        assert np.array_equal(prices[0], prices[1])
-        assert np.array_equal(prices[0], prices[2])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(-10, 10, allow_nan=False), st.floats(-10, 10),
-           st.floats(-10, 10), st.floats(-10, 10))
-    def test_measurability_in_x_only(self, x1, x2, d, d_other):
-        """Perturbing d leaves every non-best-estimate price bit-identical."""
-        for kind in ("unawareness", "discrimination_free", "null"):
-            f = make_functional(kind)
-            assert price(f, x1, x2, d) == price(f, x1, x2, d_other)
-        for subset in ({0}, {1}, {0, 1}):
-            f = make_functional("subset", subset)
-            assert price(f, x1, x2, d) == price(f, x1, x2, d_other)
+        exactly equal, so their audits of one simulated portfolio agree
+        bit for bit apart from the functional's name."""
+        bodies = set()
+        for kind in ("best_estimate", "unawareness", "discrimination_free"):
+            cfg = RunConfig(rho1=0.1, rho2=0.9, n=5000, seed=7, functional=kind,
+                            test=TestConfig(n_permutations=99, seed=1))
+            raw = report_to_dict(cmd_audit(cfg))
+            raw.pop("timestamp")
+            raw["config"].pop("functional")
+            bodies.add(json.dumps(raw, sort_keys=True))
+        assert len(bodies) == 1
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_functional("fitted")
-        with pytest.raises(ValueError):
-            make_functional("subset", {2})
+        with pytest.raises(ConfigError):
+            RunConfig(rho1=0.1, rho2=0.9, functional="fitted")
+        with pytest.raises(ConfigError):
+            RunConfig(rho1=0.1, rho2=0.9, functional="subset:x3")
 
 
 class TestDiscriminationFreeGeneral:
@@ -191,3 +171,21 @@ class TestSerialization:
         for name in ("x1", "x2", "d", "y"):
             np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
         assert (back.seed, back.rho1, back.rho2) == (77, 0.1, 0.9)
+
+    def test_csv_golden_bytes(self, tmp_path):
+        """The exact file bytes: header, CRLF rows, %.17g values."""
+        ds = SimulatedDataset(
+            x1=np.array([0.1, -1.5, 2.0]), x2=np.array([1e-300, 0.0, -0.0]),
+            d=np.array([1.0 / 3.0, 12345.678, -2.5e10]),
+            y=np.array([np.pi, -np.e, 7.0]), seed=3, rho1=0.1, rho2=0.9)
+        path = tmp_path / "golden.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == (
+            b"x1,x2,d,y\r\n"
+            b"0.10000000000000001,1e-300,"
+            b"0.33333333333333331,3.1415926535897931\r\n"
+            b"-1.5,0,12345.678,-2.7182818284590451\r\n"
+            b"2,-0,-25000000000,7\r\n")
+        back = read_csv(path)
+        for name in ("x1", "x2", "d", "y"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()

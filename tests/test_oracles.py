@@ -10,10 +10,9 @@ from fairlens import (MomentEstimate, NotPositiveDefinite, OutOfRange,
                       var_y_given_price_and_d, x1_given_y0_x2_d0,
                       x2_unnormalized_density_y0_d0)
 from fairlens.errors import QuadratureError
-from fairlens.oracles import (grid_moments, is_conjecture_numeric,
-                              second_moment_x1_given_y0_d0_quad,
-                              slice_rejection_moments)
+from fairlens.oracles import is_conjecture_numeric
 
+from brute_force import grid_moments, slice_rejection_moments
 from conftest import response_log_density, trivariate_log_density
 
 
