@@ -80,22 +80,14 @@ def _audit_config(args) -> harness.RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-    overrides = {
-        "rho1": args.rho1, "rho2": args.rho2, "n": args.n, "seed": args.seed,
-        "alpha": args.alpha, "n_permutations": args.n_permutations,
-        "n_bins_y": args.n_bins_y, "test_seed": args.test_seed,
-        "functional": args.functional, "output_path": args.output_path,
-        "output_format": args.output_format,
-    }
-    raw.update({k: v for k, v in overrides.items() if v is not None})
+    raw.update({key: value for key, value in vars(args).items()
+                if key in harness.CONFIG_KEYS and value is not None})
     return harness.config_from_dict(raw)
 
 
 def _run_audit(args) -> int:
     cfg = _audit_config(args)
     report = harness.cmd_audit(cfg)
-    payload = (harness.report_csv_text(report) if cfg.output_format == "csv"
-               else harness.report_json_bytes(report).decode())
     if cfg.output_path:
         try:
             harness.emit_report(report, cfg.output_format, cfg.output_path)
@@ -103,7 +95,7 @@ def _run_audit(args) -> int:
             print(f"fairlens: cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(harness.render_report(report, cfg.output_format))
     for outcome in report.verdicts:
         print(f"{outcome.axiom}: statistical={outcome.statistical.verdict} "
               f"analytic={outcome.analytic.verdict}"

@@ -30,7 +30,7 @@ chi-square reference despite the permutation p-value grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,17 +110,13 @@ class FairnessVerdict:
     source: str = "statistical"
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom.kind,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "analytic_criterion": self.analytic_criterion,
-            "verdict": self.verdict,
-            "alpha": self.alpha,
-            "n_used": self.n_used,
-            "seed": self.seed,
-            "source": self.source,
-        }
+        """The fields in declaration order, the axiom as its kind."""
+        return {**asdict(self), "axiom": self.axiom.kind}
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> FairnessVerdict:
+        """Inverse of to_dict."""
+        return cls(**{**raw, "axiom": Axiom(raw["axiom"])})
 
 
 def _verdict_from_p(p: float, alpha: float, n_used: int) -> str:

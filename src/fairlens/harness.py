@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -37,6 +37,14 @@ DEFAULT_TABLE_PAIRS = ((0.3, 0.5), (0.3, 0.0), (0.0, 0.5), (0.0, 0.0))
 FUNCTIONALS = tuple(model.PRICE_IS_X1)
 
 OUTPUT_FORMATS = ("csv", "json")
+
+# the flat --config keys, in report order: test_seed is TestConfig.seed,
+# alpha, n_permutations and n_bins_y are the other TestConfig fields,
+# and the rest are RunConfig fields; the CLI's audit flags use the same
+# names as their argparse dests
+CONFIG_KEYS = ("rho1", "rho2", "n", "seed", "alpha", "n_permutations",
+               "n_bins_y", "test_seed", "output_path", "output_format",
+               "functional")
 
 
 @dataclass(frozen=True)
@@ -104,35 +112,6 @@ def _utc_now() -> str:
         "+00:00", "Z")
 
 
-def _analytic_verdict(axiom: str, cfg: RunConfig, price_is_x1: bool) -> FairnessVerdict:
-    """Closed-form verdict for the configured pricing functional.
-
-    Functionals that reduce to x1 follow the (rho1, rho2) criteria of
-    the oracle module; negative correlations are bridged through
-    absolute values, since flipping the sign of D or X2 is a
-    measure-preserving relabeling that maps (rho1, rho2) to any sign
-    combination while leaving all three axioms untouched.  Constant
-    prices (null, subset:x2) satisfy the two price-side axioms
-    trivially; their sufficiency reduces to the unconditional
-    independence of Y and D, which holds iff rho1 and rho2 both vanish
-    (the criterion rho1^2 + rho2^2 is zero iff so).
-    """
-    if price_is_x1:
-        r1, r2 = abs(cfg.rho1), abs(cfg.rho2)
-        verdict = oracles.analytic_axiom_verdict(axiom, r1, r2)
-        criterion = oracles.analytic_criterion(axiom, r1, r2)
-    else:
-        if axiom in (fairness.INDEPENDENCE, fairness.SEPARATION):
-            verdict, criterion = HOLDS, 0.0
-        else:
-            criterion = cfg.rho1**2 + cfg.rho2**2
-            verdict = HOLDS if criterion == 0.0 else VIOLATED
-    return FairnessVerdict(
-        axiom=Axiom(axiom), statistic=criterion, p_value=None,
-        analytic_criterion=criterion, verdict=verdict,
-        alpha=cfg.test.alpha, n_used=0, seed=cfg.seed, source="analytic")
-
-
 def _inconclusive(axiom: str, cfg: RunConfig, n: int) -> FairnessVerdict:
     return FairnessVerdict(
         axiom=Axiom(axiom), statistic=0.0, p_value=None, analytic_criterion=None,
@@ -169,10 +148,12 @@ def cmd_audit(cfg: RunConfig) -> AuditReport:
                 stat = fairness.check_sufficiency(data.y, data.d, prices, cfg.test)
         except (TooFewSamples, EmptyBin):
             stat = _inconclusive(axiom, cfg, cfg.n)
-        analytic = _analytic_verdict(axiom, cfg, price_is_x1)
-        tag = (oracles.CONJECTURE_NUMERIC_TAG
-               if price_is_x1 and oracles.is_conjecture_numeric(
-                   axiom, cfg.rho1, cfg.rho2) else "")
+        criterion, verdict, tag = oracles.analytic_verdict(
+            axiom, cfg.rho1, cfg.rho2, price_is_x1)
+        analytic = FairnessVerdict(
+            axiom=Axiom(axiom), statistic=criterion, p_value=None,
+            analytic_criterion=criterion, verdict=verdict,
+            alpha=cfg.test.alpha, n_used=0, seed=cfg.seed, source="analytic")
         outcomes.append(AxiomOutcome(axiom=axiom, statistical=stat,
                                      analytic=analytic, tag=tag))
 
@@ -274,20 +255,11 @@ def format_table(cells: list[dict]) -> str:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _moment_to_dict(m: MomentEstimate) -> dict:
-    return {"value": m.value, "std_error": m.std_error, "n": m.n,
-            "method": m.method}
-
-
 def _config_to_dict(cfg: RunConfig) -> dict:
-    t = cfg.test
-    return {
-        "rho1": cfg.rho1, "rho2": cfg.rho2, "n": cfg.n, "seed": cfg.seed,
-        "alpha": t.alpha, "n_permutations": t.n_permutations,
-        "n_bins_y": t.n_bins_y, "test_seed": t.seed,
-        "output_path": cfg.output_path, "output_format": cfg.output_format,
-        "functional": cfg.functional,
-    }
+    test = asdict(cfg.test)
+    test["test_seed"] = test.pop("seed")
+    return {key: test[key] if key in test else getattr(cfg, key)
+            for key in CONFIG_KEYS}
 
 
 def _number(raw: dict, key: str, default):
@@ -313,10 +285,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     Every value is type-checked, so a mistyped file is a ConfigError;
     RunConfig admits only the listed names for the two string keys.
     """
-    allowed = {"rho1", "rho2", "n", "seed", "alpha", "n_permutations",
-               "n_bins_y", "test_seed", "output_path", "output_format",
-               "functional"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "rho1" not in raw or "rho2" not in raw:
@@ -353,28 +322,19 @@ def report_to_dict(report: AuditReport) -> dict:
             for v in report.verdicts
         ],
         "reproduction_numbers": {
-            name: _moment_to_dict(m)
-            for name, m in report.reproduction_numbers.items()
+            name: asdict(m) for name, m in report.reproduction_numbers.items()
         },
         "timestamp": report.timestamp,
         "version": report.version,
     }
 
 
-def _verdict_from_dict(raw: dict) -> FairnessVerdict:
-    return FairnessVerdict(
-        axiom=Axiom(raw["axiom"]), statistic=raw["statistic"],
-        p_value=raw["p_value"], analytic_criterion=raw["analytic_criterion"],
-        verdict=raw["verdict"], alpha=raw["alpha"], n_used=raw["n_used"],
-        seed=raw["seed"], source=raw["source"])
-
-
 def report_from_dict(raw: dict) -> AuditReport:
     """Inverse of report_to_dict; exact round trip."""
     verdicts = tuple(
         AxiomOutcome(axiom=v["axiom"],
-                     statistical=_verdict_from_dict(v["statistical"]),
-                     analytic=_verdict_from_dict(v["analytic"]),
+                     statistical=FairnessVerdict.from_dict(v["statistical"]),
+                     analytic=FairnessVerdict.from_dict(v["analytic"]),
                      tag=v["tag"])
         for v in raw["verdicts"])
     reproduction = {
@@ -407,15 +367,18 @@ def report_csv_text(report: AuditReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: AuditReport, output_format: str, path) -> None:
-    """Write the report as CSV or JSON with deterministic field order."""
-    path = Path(path)
+def render_report(report: AuditReport, output_format: str) -> str:
+    """The report as CSV or JSON text with deterministic field order."""
     if output_format == "json":
-        path.write_bytes(report_json_bytes(report))
-    elif output_format == "csv":
-        path.write_text(report_csv_text(report))
-    else:
-        raise ConfigError(f"unknown output format {output_format!r}")
+        return report_json_bytes(report).decode()
+    if output_format == "csv":
+        return report_csv_text(report)
+    raise ConfigError(f"unknown output format {output_format!r}")
+
+
+def emit_report(report: AuditReport, output_format: str, path) -> None:
+    """Write render_report's text to path, byte for byte."""
+    Path(path).write_bytes(render_report(report, output_format).encode())
 
 
 def table_csv_text(cells: list[dict]) -> str:

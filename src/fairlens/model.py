@@ -97,8 +97,6 @@ def make_example_model(rho1: float, rho2: float) -> PortfolioModel:
 
 def simulate(model: PortfolioModel, n: int, seed: int) -> SimulatedDataset:
     """n i.i.d. draws of (x1, x2, d, y), deterministic in (model, n, seed)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     x = sample(model.covariates, n, seed, stream=_COVARIATE_STREAM)
     z = standard_normals(n, seed, stream=_RESPONSE_STREAM)
     y = x[:, 0] + np.sqrt(1.0 + x[:, 1] ** 2) * z

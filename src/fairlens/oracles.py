@@ -6,7 +6,7 @@ given (Y=0, X2, D=0), the unnormalized X2 posterior under the same
 conditioning, the ratio-of-expectations estimator for
 E[X1^2 | Y=0, D=0] (Monte Carlo and quadrature routes), the two
 variance decompositions, and the analytic verdict for each fairness
-axiom as a function of (rho1, rho2).
+axiom as a function of (rho1, rho2), for the x1 and the constant price.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NotPositiveDefinite, OutOfRange, QuadratureError
+from .fairness import (AXIOM_KINDS, HOLDS, INDEPENDENCE, SUFFICIENCY,
+                       VIOLATED)
 from .model import valid_rho_pair
 from .streams import standard_normals
 
@@ -216,54 +218,60 @@ SEPARATION_QUAD_TOL = 1e-8
 CONJECTURE_NUMERIC_TAG = "conjecture_numeric"
 
 
-def analytic_axiom_verdict(axiom: str, rho1: float, rho2: float) -> str:
-    """HOLDS/VIOLATED for the x1 price, from the closed-form criteria.
+def analytic_verdict(axiom: str, rho1: float, rho2: float,
+                     price_is_x1: bool) -> tuple[float, str, str]:
+    """(criterion, HOLDS/VIOLATED, tag) for the x1 or the constant price.
 
-    independence: Cov(price, D) = rho1, so HOLDS iff rho1 = 0 (joint
-    Gaussianity upgrades zero covariance to independence).
+    Any valid signed pair is accepted: flipping the sign of D or X2 is a
+    measure-preserving relabeling that maps (rho1, rho2) to any sign
+    combination and leaves all three axioms untouched, so the x1 rules
+    read |rho1| and |rho2|.
+
+    x1 price. independence: Cov(price, D) = rho1, so HOLDS iff rho1 = 0
+    (joint Gaussianity upgrades zero covariance to independence).
     sufficiency: Var(Y | X1, D) is constant in (X1, D) iff rho2 = 0.
     separation: HOLDS at rho1 = rho2 = 0 by full independence; else
-    decided by the conditional-second-moment discrepancy
-    |ratio(rho1, rho2) - ratio(0, 0)| beyond 10x the quadrature tol.
+    decided by the gap |E[X1^2 | Y=0, D=0] - E[X1^2 | Y=0]| beyond 10x
+    the quadrature tol, and tagged conjecture_numeric in the
+    single-zero regimes.  The second moment without D equals the
+    (0, 0)-parameter ratio for any (rho1, rho2), because (X1, X2) is
+    standard bivariate normal marginally and the response law does not
+    involve D.
+
+    Constant price. The two price-side axioms hold trivially;
+    sufficiency reduces to the independence of Y and D, which holds iff
+    rho1 = rho2 = 0, reported with criterion rho1^2 + rho2^2.
     """
+    _check_rhos(rho1, rho2)
+    if axiom not in AXIOM_KINDS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    if not price_is_x1:
+        if axiom == SUFFICIENCY:
+            verdict = HOLDS if rho1 == 0.0 and rho2 == 0.0 else VIOLATED
+            return rho1**2 + rho2**2, verdict, ""
+        return 0.0, HOLDS, ""
+    r1, r2 = abs(rho1), abs(rho2)
+    if axiom == INDEPENDENCE:
+        return float(r1), HOLDS if r1 == 0.0 else VIOLATED, ""
+    if axiom == SUFFICIENCY:
+        return float(r2), HOLDS if r2 == 0.0 else VIOLATED, ""
+    if r1 == 0.0 and r2 == 0.0:
+        return 0.0, HOLDS, ""
+    with_d = second_moment_x1_given_y0_d0_quad(r1, r2, SEPARATION_QUAD_TOL).value
+    without_d = second_moment_x1_given_y0_d0_quad(0.0, 0.0, SEPARATION_QUAD_TOL).value
+    gap = abs(with_d - without_d)
+    verdict = VIOLATED if gap > 10.0 * SEPARATION_QUAD_TOL else HOLDS
+    tag = CONJECTURE_NUMERIC_TAG if is_conjecture_numeric(axiom, r1, r2) else ""
+    return gap, verdict, tag
+
+
+def analytic_axiom_verdict(axiom: str, rho1: float, rho2: float) -> str:
+    """HOLDS/VIOLATED for the x1 price on the verdict table's quadrant
+    rho1, rho2 >= 0; the rules are those of analytic_verdict."""
     _check_rhos(rho1, rho2)
     if rho1 < 0.0 or rho2 < 0.0:
         raise OutOfRange("the verdict table covers rho1, rho2 >= 0")
-    if axiom == "independence":
-        return "HOLDS" if rho1 == 0.0 else "VIOLATED"
-    if axiom == "sufficiency":
-        return "HOLDS" if rho2 == 0.0 else "VIOLATED"
-    if axiom == "separation":
-        if rho1 == 0.0 and rho2 == 0.0:
-            return "HOLDS"
-        gap = separation_criterion(rho1, rho2)
-        return "VIOLATED" if gap > 10.0 * SEPARATION_QUAD_TOL else "HOLDS"
-    raise ValueError(f"unknown axiom {axiom!r}")
-
-
-def analytic_criterion(axiom: str, rho1: float, rho2: float) -> float:
-    """The number the analytic verdict is decided on."""
-    if axiom == "independence":
-        return float(rho1)
-    if axiom == "sufficiency":
-        return float(rho2)
-    if axiom == "separation":
-        if rho1 == 0.0 and rho2 == 0.0:
-            return 0.0
-        return separation_criterion(rho1, rho2)
-    raise ValueError(f"unknown axiom {axiom!r}")
-
-
-def separation_criterion(rho1: float, rho2: float) -> float:
-    """|E[X1^2 | Y=0, D=0] - E[X1^2 | Y=0]| by quadrature.
-
-    The second term equals the (0, 0)-parameter ratio for any
-    (rho1, rho2) because (X1, X2) is standard bivariate normal
-    marginally and the response law does not involve D.
-    """
-    with_d = second_moment_x1_given_y0_d0_quad(rho1, rho2, SEPARATION_QUAD_TOL).value
-    without_d = second_moment_x1_given_y0_d0_quad(0.0, 0.0, SEPARATION_QUAD_TOL).value
-    return abs(with_d - without_d)
+    return analytic_verdict(axiom, rho1, rho2, price_is_x1=True)[1]
 
 
 def is_conjecture_numeric(axiom: str, rho1: float, rho2: float) -> bool:

@@ -1,6 +1,7 @@
 """Audit orchestration, report emission, CLI behavior."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,15 @@ class TestCmdAudit:
         assert report.verdict_for("sufficiency").analytic.verdict == HOLDS
         assert report.verdict_for("separation").tag == "conjecture_numeric"
 
+    def test_constant_price_sufficiency_when_rho_squares_underflow(self):
+        """rho1**2 underflows to 0, yet Cov(Y, D) = rho1 != 0, so Y and D
+        are dependent and the constant price violates sufficiency."""
+        cfg = RunConfig(rho1=1e-200, rho2=0.0, n=10**3, functional="null",
+                        test=QUICK_TEST)
+        suf = cmd_audit(cfg).verdict_for("sufficiency").analytic
+        assert suf.verdict == VIOLATED
+        assert suf.analytic_criterion == 0.0
+
 
 class TestGoldenPanelAgreement:
     def test_independent_model_zero_disagreements(self):
@@ -241,6 +251,39 @@ class TestCli:
         parsed = json.loads(out.read_text())
         assert parsed["config"]["rho1"] == 0.1  # flag beats file
         assert parsed["config"]["n"] == 20000   # file value kept
+
+    CONFIG_FILE = {"rho1": 0.1, "rho2": 0.9, "n": 10000, "seed": 1,
+                   "alpha": 0.01, "n_permutations": 99, "n_bins_y": 5,
+                   "test_seed": 0, "functional": "unawareness",
+                   "output_format": "json", "output_path": "from_file.json"}
+    # (flag, config key, flag text, value in the report)
+    FLAG_CASES = [
+        ("--rho1", "rho1", "0.2", 0.2),
+        ("--rho2", "rho2", "0.8", 0.8),
+        ("--n", "n", "12000", 12000),
+        ("--seed", "seed", "9", 9),
+        ("--alpha", "alpha", "0.02", 0.02),
+        ("--permutations", "n_permutations", "199", 199),
+        ("--bins", "n_bins_y", "6", 6),
+        ("--test-seed", "test_seed", "5", 5),
+        ("--functional", "functional", "null", "null"),
+        ("--format", "output_format", "json", "json"),
+        ("--out", "output_path", "from_flag.json", "from_flag.json"),
+    ]
+
+    @pytest.mark.parametrize("flag,key,text,value", FLAG_CASES,
+                             ids=[case[0] for case in FLAG_CASES])
+    def test_audit_flag_beats_config_file(self, tmp_path, monkeypatch,
+                                          flag, key, text, value):
+        monkeypatch.chdir(tmp_path)
+        from_file = dict(self.CONFIG_FILE)
+        if key == "output_format":  # CSV reports carry no config block
+            from_file["output_format"] = "csv"
+        Path("cfg.json").write_text(json.dumps(from_file))
+        assert main(["audit", "--config", "cfg.json", flag, text]) == 0
+        want = {**from_file, key: value}
+        parsed = json.loads(Path(want["output_path"]).read_text())
+        assert parsed["config"] == want
 
     def test_bad_config_exits_two(self):
         assert main(["audit", "--rho1", "0.9", "--rho2", "0.9"]) == 2

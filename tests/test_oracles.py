@@ -10,7 +10,7 @@ from fairlens import (MomentEstimate, NotPositiveDefinite, OutOfRange,
                       var_y_given_price_and_d, x1_given_y0_x2_d0,
                       x2_unnormalized_density_y0_d0)
 from fairlens.errors import QuadratureError
-from fairlens.oracles import is_conjecture_numeric
+from fairlens.oracles import analytic_verdict, is_conjecture_numeric
 
 from brute_force import grid_moments, slice_rejection_moments
 from conftest import response_log_density, trivariate_log_density
@@ -228,6 +228,24 @@ class TestAnalyticVerdicts:
 
     def test_sufficiency_holds_when_variance_constant(self):
         assert analytic_axiom_verdict("sufficiency", 0.3, 0.0) == "HOLDS"
+
+    def test_signed_pairs_and_constant_price(self):
+        axioms = ("independence", "separation", "sufficiency")
+        for axiom in axioms:
+            want = analytic_verdict(axiom, 0.3, 0.5, price_is_x1=True)
+            for rho1, rho2 in ((-0.3, 0.5), (0.3, -0.5), (-0.3, -0.5)):
+                assert analytic_verdict(axiom, rho1, rho2, price_is_x1=True) == want
+        assert analytic_verdict("separation", -0.3, 0.0, price_is_x1=True)[2] == \
+            "conjecture_numeric"
+        for rho1, rho2, sufficiency in ((0.0, 0.0, "HOLDS"),
+                                        (-0.3, 0.0, "VIOLATED"),
+                                        (0.0, 0.5, "VIOLATED"),
+                                        (1e-200, 0.0, "VIOLATED")):
+            got = [analytic_verdict(a, rho1, rho2, price_is_x1=False)[1]
+                   for a in axioms]
+            assert got == ["HOLDS", "HOLDS", sufficiency], (rho1, rho2)
+        assert analytic_verdict("sufficiency", -0.3, 0.4, price_is_x1=False)[0] == \
+            pytest.approx(0.25)
 
     def test_conjecture_numeric_tagging(self):
         assert is_conjecture_numeric("separation", 0.3, 0.0)
