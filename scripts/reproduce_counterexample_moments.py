@@ -6,8 +6,8 @@ strict ordering against 1, and the quadrature values for comparison.
 
 import sys
 
-from fairlens import second_moment_x1_given_y0_d0
 from fairlens.harness import cmd_reproduce_separation
+from fairlens.oracles import second_moment_x1_given_y0_d0_quad
 
 
 def main() -> int:
@@ -21,7 +21,7 @@ def main() -> int:
     print(f"ordering < 1 holds: {frag['ordering_ok']} "
           f"(margins {frag['gap_margin_se']:.0f} / {frag['unit_margin_se']:.0f} se)")
     for rho1, rho2 in ((0.1, 0.9), (0.0, 0.0)):
-        quad = second_moment_x1_given_y0_d0(rho1, rho2, "quadrature")
+        quad = second_moment_x1_given_y0_d0_quad(rho1, rho2)
         print(f"quadrature ({rho1}, {rho2}): {quad.value:.8f}")
     return 0
 

@@ -20,8 +20,7 @@ from .harness import (AuditReport, AxiomOutcome, RunConfig, VERSION, cmd_audit,
                       cmd_reproduce_separation, cmd_table, emit_report)
 from .model import (PortfolioModel, SimulatedDataset, make_example_model,
                     read_csv, simulate, write_csv)
-from .oracles import (MomentEstimate, ScalarGaussian, analytic_axiom_verdict,
-                      second_moment_x1_given_y0_d0, var_y_given_price,
+from .oracles import (MomentEstimate, ScalarGaussian, var_y_given_price,
                       var_y_given_price_and_d, x1_given_y0_x2_d0,
                       x2_unnormalized_density_y0_d0)
 
@@ -34,10 +33,10 @@ __all__ = [
     "NotPositiveDefinite", "NotSymmetric", "OutOfRange", "PortfolioModel",
     "QuadratureError", "RunConfig", "ScalarGaussian",
     "SimulatedDataset", "TestConfig", "TooFewSamples", "VERSION",
-    "analytic_axiom_verdict", "check_independence", "check_separation",
-    "check_sufficiency", "cmd_audit", "cmd_reproduce_separation", "cmd_table",
+    "check_independence", "check_separation", "check_sufficiency",
+    "cmd_audit", "cmd_reproduce_separation", "cmd_table",
     "combine_pvalues_fisher", "condition", "emit_report", "make_example_model",
-    "make_gaussian", "read_csv", "sample", "second_moment_x1_given_y0_d0",
-    "simulate", "var_y_given_price", "var_y_given_price_and_d", "write_csv",
-    "x1_given_y0_x2_d0", "x2_unnormalized_density_y0_d0", "__version__",
+    "make_gaussian", "read_csv", "sample", "simulate", "var_y_given_price",
+    "var_y_given_price_and_d", "write_csv", "x1_given_y0_x2_d0",
+    "x2_unnormalized_density_y0_d0", "__version__",
 ]

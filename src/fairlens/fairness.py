@@ -215,15 +215,18 @@ def _table_permutation_test(a, b, n_levels, n_permutations, rng):
 # p-value combination and axiom checkers
 # ---------------------------------------------------------------------------
 
-def combine_pvalues_fisher(pvals) -> float:
-    """Fisher's method: -2 sum(log p) against chi-square with 2k df."""
+def combine_pvalues_fisher(pvals) -> tuple[float, float]:
+    """Fisher's method: (statistic -2 sum(log p), its p-value against
+    chi-square with 2k df)."""
     p = np.asarray(pvals, dtype=np.float64).ravel()
     if p.size == 0:
         raise OutOfRange("need at least one p-value")
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise OutOfRange("p-values must lie in (0, 1]")
-    stat = -2.0 * float(np.sum(np.log(p)))
-    return float(sps.chi2.sf(stat, 2 * p.size))
+    # + 0.0 turns the -0.0 of all-ones inputs into 0.0
+    stat = -2.0 * float(np.sum(np.log(p))) + 0.0
+    return stat, float(sps.chi2.sf(stat, 2 * p.size))
+
 
 def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
     """Statistical parity: price independent of the protected coordinate.
@@ -299,8 +302,7 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
         _, _, p_mid = _table_permutation_test(
             ak, bk, levels, cfg.n_permutations, rng)
         mid_ps[k] = p_mid
-    stat = -2.0 * float(np.sum(np.log(mid_ps)))
-    p_comb = float(sps.chi2.sf(stat, 2 * n_bins))
+    stat, p_comb = combine_pvalues_fisher(mid_ps)
     return FairnessVerdict(
         axiom=Axiom(axiom), statistic=stat, p_value=p_comb,
         analytic_criterion=None,

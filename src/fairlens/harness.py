@@ -176,10 +176,8 @@ def cmd_reproduce_separation(n: int, seed: int) -> dict:
     """
     if n < 10**6:
         raise ConfigError("reproduction requires n >= 1e6")
-    with_d = oracles.second_moment_x1_given_y0_d0(
-        0.1, 0.9, method="monte_carlo", n=n, seed=seed)
-    without_d = oracles.second_moment_x1_given_y0_d0(
-        0.0, 0.0, method="monte_carlo", n=n, seed=seed)
+    with_d = oracles.second_moment_x1_given_y0_d0_mc(0.1, 0.9, n, seed)
+    without_d = oracles.second_moment_x1_given_y0_d0_mc(0.0, 0.0, n, seed)
     gap_se = float(np.hypot(with_d.std_error, without_d.std_error))
     return {
         "e_x1sq_given_y0_d0": with_d,
@@ -262,16 +260,14 @@ def _config_to_dict(cfg: RunConfig) -> dict:
             for key in CONFIG_KEYS}
 
 
-def _number(raw: dict, key: str, default):
-    value = raw.get(key, default)
+def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _integer(raw: dict, key: str, default: int) -> int:
+def _integer(key: str, value) -> int:
     """An int, or an integral float such as 1e6."""
-    value = raw.get(key, default)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -284,28 +280,27 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     Every value is type-checked, so a mistyped file is a ConfigError;
     RunConfig admits only the listed names for the two string keys.
+    Keys the file leaves out take the dataclass defaults.
     """
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "rho1" not in raw or "rho2" not in raw:
         raise ConfigError("config requires rho1 and rho2")
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError(f"output_path must be a string or null, got {output_path!r}")
-    test = TestConfig(
-        alpha=_number(raw, "alpha", 0.01),
-        n_permutations=_integer(raw, "n_permutations", 999),
-        n_bins_y=_integer(raw, "n_bins_y", 20),
-        seed=_integer(raw, "test_seed", 0),
-    )
-    return RunConfig(
-        rho1=_number(raw, "rho1", None), rho2=_number(raw, "rho2", None),
-        n=_integer(raw, "n", 10**6), seed=_integer(raw, "seed", 42), test=test,
-        output_path=output_path,
-        output_format=raw.get("output_format", "json"),
-        functional=raw.get("functional", "unawareness"),
-    )
+    values = {}
+    for key, value in raw.items():
+        if key in ("rho1", "rho2", "alpha"):
+            value = _number(key, value)
+        elif key == "output_path":
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"output_path must be a string or null, got {value!r}")
+        elif key not in ("output_format", "functional"):
+            value = _integer(key, value)
+        values[key] = value
+    test = {("seed" if key == "test_seed" else key): values.pop(key)
+            for key in ("alpha", "n_permutations", "n_bins_y", "test_seed")
+            if key in values}
+    return RunConfig(test=TestConfig(**test), **values)
 
 
 def report_to_dict(report: AuditReport) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NotPositiveDefinite, OutOfRange, QuadratureError
+from .errors import NotPositiveDefinite, QuadratureError
 from .fairness import (AXIOM_KINDS, HOLDS, INDEPENDENCE, SUFFICIENCY,
                        VIOLATED)
 from .model import valid_rho_pair
@@ -69,43 +69,37 @@ class MomentEstimate:
             raise ValueError("zero std_error is reserved for quadrature")
 
 
-def x1_given_y0_x2_d0(rho1: float, rho2: float, x2: float) -> ScalarGaussian:
-    """Law of X1 given (Y=0, X2=x2, D=0) for the portfolio model."""
-    _check_rhos(rho1, rho2)
-    den = (2.0 + x2**2) * (1.0 - rho2**2) - rho1**2
-    mean = -rho1 * rho2 * x2 * (1.0 + x2**2) / den
-    var = (1.0 + x2**2) * (1.0 - rho1**2 - rho2**2) / den
-    return ScalarGaussian(mean=mean, variance=var)
-
-
-def x2_unnormalized_density_y0_d0(rho1: float, rho2: float, x2) -> np.ndarray | float:
-    """Unnormalized density of X2 given (Y=0, D=0); even in x2.
-
-    The leading 1/sqrt(1+x2^2) factor cancels against sqrt(1+x2^2)
-    inside the square root, so the value reduces at rho1=rho2=0 to
-    (2+x2^2)^(-1/2) * exp(-x2^2/2).
-    """
-    _check_rhos(rho1, rho2)
-    x2 = np.asarray(x2, dtype=np.float64)
-    den = (2.0 + x2**2) * (1.0 - rho2**2) - rho1**2
-    core = (1.0 / np.sqrt(1.0 + x2**2)
-            * np.sqrt((1.0 + x2**2) * (1.0 - rho1**2 - rho2**2)) / np.sqrt(den)
-            * np.exp(-0.5 * x2**2 * (2.0 + x2**2) * rho2**2 / den)
-            * np.exp(-0.5 * x2**2))
-    return core if core.ndim else float(core)
-
-
-def _ratio_weight_and_integrand(x: np.ndarray, rho1: float, rho2: float):
-    """Weight w and integrand w*v of the E[X1^2 | Y=0, D=0] ratio.
-
-    w is the x2-posterior weight relative to the standard normal
-    density; v is the conditional variance from x1_given_y0_x2_d0.
+def _posterior_weight_and_variance(x, rho1: float, rho2: float):
+    """(w, v) at X2 = x: w is the X2-posterior weight given (Y=0, D=0)
+    relative to the standard normal density, v = Var(X1 | Y=0, X2=x, D=0).
     """
     den = (2.0 + x**2) * (1.0 - rho2**2) - rho1**2
     w = (np.sqrt((1.0 - rho1**2 - rho2**2) / den)
          * np.exp(-0.5 * x**2 * (2.0 + x**2) * rho2**2 / den))
     v = (1.0 + x**2) * (1.0 - rho1**2 - rho2**2) / den
-    return w, w * v
+    return w, v
+
+
+def x1_given_y0_x2_d0(rho1: float, rho2: float, x2: float) -> ScalarGaussian:
+    """Law of X1 given (Y=0, X2=x2, D=0) for the portfolio model."""
+    _check_rhos(rho1, rho2)
+    _, v = _posterior_weight_and_variance(x2, rho1, rho2)
+    mean = -rho1 * rho2 * x2 * v / (1.0 - rho1**2 - rho2**2)
+    return ScalarGaussian(mean=float(mean), variance=float(v))
+
+
+def x2_unnormalized_density_y0_d0(rho1: float, rho2: float, x2) -> np.ndarray | float:
+    """Unnormalized density of X2 given (Y=0, D=0); even in x2.
+
+    A leading 1/sqrt(1+x2^2) factor cancels against sqrt(1+x2^2)
+    inside the square root, which leaves the posterior weight times
+    exp(-x2^2/2); at rho1=rho2=0 that is (2+x2^2)^(-1/2) * exp(-x2^2/2).
+    """
+    _check_rhos(rho1, rho2)
+    x2 = np.asarray(x2, dtype=np.float64)
+    w, _ = _posterior_weight_and_variance(x2, rho1, rho2)
+    core = w * np.exp(-0.5 * x2**2)
+    return core if core.ndim else float(core)
 
 
 def _ratio_with_delta_se(num, den, num2, den2, cross, n):
@@ -136,7 +130,9 @@ def second_moment_x1_given_y0_d0_mc(rho1: float, rho2: float, n: int,
     while done < n:
         take = min(MC_CHUNK, n - done)
         x = standard_normals(take, seed, stream=_MC_STREAM_BASE + block)
-        w, wv = _ratio_weight_and_integrand(x, rho1, rho2)
+        # v becomes w*v in place, so only w and w*v stay alive per chunk
+        w, wv = _posterior_weight_and_variance(x, rho1, rho2)
+        wv *= w
         sums += (wv.sum(), w.sum(), (wv * wv).sum(), (w * w).sum(), (wv * w).sum())
         done += take
         block += 1
@@ -175,26 +171,14 @@ def second_moment_x1_given_y0_d0_quad(rho1: float, rho2: float,
     def phi(x):
         return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
-    num = _adaptive_even_quadrature(
-        lambda x: _ratio_weight_and_integrand(x, rho1, rho2)[1] * phi(x), tol)
+    def numerator(x):
+        w, v = _posterior_weight_and_variance(x, rho1, rho2)
+        return w * v * phi(x)
+
+    num = _adaptive_even_quadrature(numerator, tol)
     den = _adaptive_even_quadrature(
-        lambda x: _ratio_weight_and_integrand(x, rho1, rho2)[0] * phi(x), tol)
+        lambda x: _posterior_weight_and_variance(x, rho1, rho2)[0] * phi(x), tol)
     return MomentEstimate(value=num / den, std_error=0.0, n=0, method="quadrature")
-
-
-def second_moment_x1_given_y0_d0(rho1: float, rho2: float, method: str = "quadrature",
-                                 n: int = 10**7, seed: int = 0,
-                                 tol: float = 1e-8) -> MomentEstimate:
-    """E[X1^2 | Y=0, D=0] as a ratio of Gaussian expectations.
-
-    method "monte_carlo" uses n pseudo-random standard normals under
-    the given seed; "quadrature" integrates the same ratio.
-    """
-    if method == "monte_carlo":
-        return second_moment_x1_given_y0_d0_mc(rho1, rho2, n, seed)
-    if method == "quadrature":
-        return second_moment_x1_given_y0_d0_quad(rho1, rho2, tol)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def var_y_given_price(rho1: float, rho2: float) -> float:
@@ -261,21 +245,5 @@ def analytic_verdict(axiom: str, rho1: float, rho2: float,
     without_d = second_moment_x1_given_y0_d0_quad(0.0, 0.0, SEPARATION_QUAD_TOL).value
     gap = abs(with_d - without_d)
     verdict = VIOLATED if gap > 10.0 * SEPARATION_QUAD_TOL else HOLDS
-    tag = CONJECTURE_NUMERIC_TAG if is_conjecture_numeric(axiom, r1, r2) else ""
+    tag = CONJECTURE_NUMERIC_TAG if r1 == 0.0 or r2 == 0.0 else ""
     return gap, verdict, tag
-
-
-def analytic_axiom_verdict(axiom: str, rho1: float, rho2: float) -> str:
-    """HOLDS/VIOLATED for the x1 price on the verdict table's quadrant
-    rho1, rho2 >= 0; the rules are those of analytic_verdict."""
-    _check_rhos(rho1, rho2)
-    if rho1 < 0.0 or rho2 < 0.0:
-        raise OutOfRange("the verdict table covers rho1, rho2 >= 0")
-    return analytic_verdict(axiom, rho1, rho2, price_is_x1=True)[1]
-
-
-def is_conjecture_numeric(axiom: str, rho1: float, rho2: float) -> bool:
-    """True for separation cells in the single-zero (rho1, rho2) regimes."""
-    one_nonzero = (rho1 != 0.0) != (rho2 != 0.0)
-    return axiom == "separation" and one_nonzero
-

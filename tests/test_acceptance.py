@@ -22,7 +22,8 @@ from fairlens.harness import (cmd_reproduce_separation, cmd_table,
                               determinism_digest, report_json_bytes,
                               report_to_dict)
 from fairlens.model import PRICE_IS_X1
-from fairlens.oracles import second_moment_x1_given_y0_d0
+from fairlens.oracles import (second_moment_x1_given_y0_d0_mc,
+                              second_moment_x1_given_y0_d0_quad)
 
 from brute_force import grid_moments, slice_rejection_moments
 from conftest import (PANEL_SEEDS, native_draws_fn, response_log_density,
@@ -55,12 +56,11 @@ def test_criterion_02_quadrature_cross_check():
     """Quadrature is self-consistent to 4 decimals and matches MC."""
     pairs = [(0.1, 0.9), (0.0, 0.0)]
     for rho1, rho2 in pairs:
-        tight = second_moment_x1_given_y0_d0(rho1, rho2, "quadrature", tol=1e-8)
-        tighter = second_moment_x1_given_y0_d0(rho1, rho2, "quadrature", tol=1e-10)
+        tight = second_moment_x1_given_y0_d0_quad(rho1, rho2, tol=1e-8)
+        tighter = second_moment_x1_given_y0_d0_quad(rho1, rho2, tol=1e-10)
         assert round(tight.value, 4) == round(tighter.value, 4)
         assert abs(tight.value - tighter.value) < 1e-6
-        mc = second_moment_x1_given_y0_d0(rho1, rho2, "monte_carlo",
-                                          n=10**7, seed=1)
+        mc = second_moment_x1_given_y0_d0_mc(rho1, rho2, n=10**7, seed=1)
         assert abs(tight.value - mc.value) <= 3.0 * mc.std_error
     announce("2", "both moments, 4-decimal self-consistency, |quad-mc| < 3 se")
 

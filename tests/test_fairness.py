@@ -1,5 +1,6 @@
 """Distance correlation, permutation machinery, axiom checkers."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -128,11 +129,13 @@ class TestPermutationPvalue:
 
 class TestFisherCombination:
     def test_single_value_identity(self):
-        assert combine_pvalues_fisher([0.5]) == pytest.approx(0.5, abs=1e-12)
-        assert combine_pvalues_fisher([0.07]) == pytest.approx(0.07, abs=1e-12)
+        assert combine_pvalues_fisher([0.5])[1] == pytest.approx(0.5, abs=1e-12)
+        assert combine_pvalues_fisher([0.07])[1] == pytest.approx(0.07, abs=1e-12)
 
     def test_all_ones(self):
-        assert combine_pvalues_fisher([1.0, 1.0, 1.0]) == 1.0
+        stat, p = combine_pvalues_fisher([1.0, 1.0, 1.0])
+        assert p == 1.0
+        assert stat == 0.0 and math.copysign(1.0, stat) == 1.0
 
     def test_out_of_range(self):
         for bad in ([0.0, 0.5], [0.5, 1.2], [-0.1], []):
@@ -143,7 +146,7 @@ class TestFisherCombination:
         """KS distance of combined p-values from U(0,1) over 2000 reps."""
         rng = np.random.default_rng(20)
         combined = np.array([
-            combine_pvalues_fisher(rng.uniform(size=20)) for _ in range(2000)])
+            combine_pvalues_fisher(rng.uniform(size=20))[1] for _ in range(2000)])
         ks = sps.kstest(combined, "uniform").statistic
         assert ks < 0.05
 

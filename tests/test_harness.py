@@ -54,6 +54,8 @@ class TestRunConfig:
         cfg = quick_config()
         from fairlens.harness import _config_to_dict
         assert config_from_dict(_config_to_dict(cfg)) == cfg
+        assert config_from_dict({"rho1": 0.1, "rho2": 0.9}) == \
+            RunConfig(rho1=0.1, rho2=0.9)
 
     def test_config_from_dict_type_checks(self):
         cfg = config_from_dict({"rho1": 0, "rho2": 0.5, "n": 1e6,

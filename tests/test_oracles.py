@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fairlens import (MomentEstimate, NotPositiveDefinite, OutOfRange,
-                      ScalarGaussian, analytic_axiom_verdict,
-                      second_moment_x1_given_y0_d0, var_y_given_price,
-                      var_y_given_price_and_d, x1_given_y0_x2_d0,
-                      x2_unnormalized_density_y0_d0)
+from fairlens import (MomentEstimate, NotPositiveDefinite, ScalarGaussian,
+                      var_y_given_price, var_y_given_price_and_d,
+                      x1_given_y0_x2_d0, x2_unnormalized_density_y0_d0)
 from fairlens.errors import QuadratureError
-from fairlens.oracles import analytic_verdict, is_conjecture_numeric
+from fairlens.oracles import (analytic_verdict, second_moment_x1_given_y0_d0_mc,
+                              second_moment_x1_given_y0_d0_quad)
 
 from brute_force import grid_moments, slice_rejection_moments
 from conftest import response_log_density, trivariate_log_density
@@ -105,7 +104,7 @@ def scipy_ratio_oracle(rho1, rho2):
 class TestSecondMoment:
     def test_quadrature_matches_independent_integrator(self):
         for rho1, rho2 in [(0.1, 0.9), (0.0, 0.0), (0.3, 0.5)]:
-            got = second_moment_x1_given_y0_d0(rho1, rho2, method="quadrature")
+            got = second_moment_x1_given_y0_d0_quad(rho1, rho2)
             assert got.value == pytest.approx(
                 scipy_ratio_oracle(rho1, rho2), abs=1e-9)
             assert got.std_error == 0.0
@@ -118,34 +117,32 @@ class TestSecondMoment:
         num = integrate.quad(
             lambda x: (1 + x**2) * (2 + x**2) ** -1.5 * phi(x), -12, 12)[0]
         den = integrate.quad(lambda x: (2 + x**2) ** -0.5 * phi(x), -12, 12)[0]
-        got = second_moment_x1_given_y0_d0(0.0, 0.0, method="quadrature")
+        got = second_moment_x1_given_y0_d0_quad(0.0, 0.0)
         assert got.value == pytest.approx(num / den, abs=1e-9)
         assert got.value == pytest.approx(0.604, abs=0.01)
 
     def test_monte_carlo_agrees_with_quadrature(self):
-        mc = second_moment_x1_given_y0_d0(
-            0.1, 0.9, method="monte_carlo", n=10**6, seed=8)
-        quad = second_moment_x1_given_y0_d0(0.1, 0.9, method="quadrature")
+        mc = second_moment_x1_given_y0_d0_mc(0.1, 0.9, n=10**6, seed=8)
+        quad = second_moment_x1_given_y0_d0_quad(0.1, 0.9)
         assert abs(mc.value - quad.value) < 3 * mc.std_error
         assert mc.method == "monte_carlo"
         assert mc.n == 10**6
 
     def test_monte_carlo_deterministic(self):
-        a = second_moment_x1_given_y0_d0(0.1, 0.9, "monte_carlo", n=10**5, seed=4)
-        b = second_moment_x1_given_y0_d0(0.1, 0.9, "monte_carlo", n=10**5, seed=4)
+        a = second_moment_x1_given_y0_d0_mc(0.1, 0.9, n=10**5, seed=4)
+        b = second_moment_x1_given_y0_d0_mc(0.1, 0.9, n=10**5, seed=4)
         assert a == b
 
     def test_ordering_strict(self):
-        with_d = second_moment_x1_given_y0_d0(0.1, 0.9, "quadrature").value
-        without_d = second_moment_x1_given_y0_d0(0.0, 0.0, "quadrature").value
+        with_d = second_moment_x1_given_y0_d0_quad(0.1, 0.9).value
+        without_d = second_moment_x1_given_y0_d0_quad(0.0, 0.0).value
         assert with_d < without_d < 1.0
 
     @pytest.mark.parametrize("rho1,rho2", [
         (0.1, 0.9), (0.0, 0.0), (0.3, 0.5), (0.0, 0.7), (0.45, 0.2)])
     def test_quadrature_monte_carlo_agreement_grid(self, rho1, rho2):
-        mc = second_moment_x1_given_y0_d0(rho1, rho2, "monte_carlo",
-                                          n=10**6, seed=16)
-        quad = second_moment_x1_given_y0_d0(rho1, rho2, "quadrature")
+        mc = second_moment_x1_given_y0_d0_mc(rho1, rho2, n=10**6, seed=16)
+        quad = second_moment_x1_given_y0_d0_quad(rho1, rho2)
         assert abs(mc.value - quad.value) < 3 * mc.std_error
 
     def test_posterior_weighted_conditional_mean_is_zero(self):
@@ -161,11 +158,9 @@ class TestSecondMoment:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            second_moment_x1_given_y0_d0(0.1, 0.9, "monte_carlo", n=100)
+            second_moment_x1_given_y0_d0_mc(0.1, 0.9, n=100, seed=0)
         with pytest.raises(NotPositiveDefinite):
-            second_moment_x1_given_y0_d0(0.9, 0.9, "quadrature")
-        with pytest.raises(ValueError):
-            second_moment_x1_given_y0_d0(0.1, 0.9, "bisection")
+            second_moment_x1_given_y0_d0_quad(0.9, 0.9)
 
     def test_quadrature_nonconvergence_raises(self):
         from fairlens.oracles import _adaptive_even_quadrature
@@ -210,9 +205,14 @@ class TestVarianceDecompositions:
         assert abs(var - 2.0) < 3 * se
 
 
+def x1_verdict(axiom, rho1, rho2):
+    """The analytic HOLDS/VIOLATED of the x1 price."""
+    return analytic_verdict(axiom, rho1, rho2, price_is_x1=True)[1]
+
+
 class TestAnalyticVerdicts:
     def test_independence_violated_at_reference_parameters(self):
-        assert analytic_axiom_verdict("independence", 0.1, 0.9) == "VIOLATED"
+        assert x1_verdict("independence", 0.1, 0.9) == "VIOLATED"
 
     def test_full_regime_table(self):
         want = {
@@ -222,12 +222,12 @@ class TestAnalyticVerdicts:
             (0.0, 0.0): ("HOLDS", "HOLDS", "HOLDS"),
         }
         for (rho1, rho2), expected in want.items():
-            got = tuple(analytic_axiom_verdict(a, rho1, rho2)
+            got = tuple(x1_verdict(a, rho1, rho2)
                         for a in ("independence", "separation", "sufficiency"))
             assert got == expected, (rho1, rho2)
 
     def test_sufficiency_holds_when_variance_constant(self):
-        assert analytic_axiom_verdict("sufficiency", 0.3, 0.0) == "HOLDS"
+        assert x1_verdict("sufficiency", 0.3, 0.0) == "HOLDS"
 
     def test_signed_pairs_and_constant_price(self):
         axioms = ("independence", "separation", "sufficiency")
@@ -248,19 +248,20 @@ class TestAnalyticVerdicts:
             pytest.approx(0.25)
 
     def test_conjecture_numeric_tagging(self):
-        assert is_conjecture_numeric("separation", 0.3, 0.0)
-        assert is_conjecture_numeric("separation", 0.0, 0.5)
-        assert not is_conjecture_numeric("separation", 0.3, 0.5)
-        assert not is_conjecture_numeric("separation", 0.0, 0.0)
-        assert not is_conjecture_numeric("sufficiency", 0.3, 0.0)
+        def tag(axiom, rho1, rho2):
+            return analytic_verdict(axiom, rho1, rho2, price_is_x1=True)[2]
+
+        assert tag("separation", 0.3, 0.0) == "conjecture_numeric"
+        assert tag("separation", 0.0, 0.5) == "conjecture_numeric"
+        assert tag("separation", 0.3, 0.5) == ""
+        assert tag("separation", 0.0, 0.0) == ""
+        assert tag("sufficiency", 0.3, 0.0) == ""
 
     def test_parameter_validation(self):
-        with pytest.raises(OutOfRange):
-            analytic_axiom_verdict("independence", -0.1, 0.5)
         with pytest.raises(NotPositiveDefinite):
-            analytic_axiom_verdict("separation", 0.9, 0.9)
+            x1_verdict("separation", 0.9, 0.9)
         with pytest.raises(ValueError):
-            analytic_axiom_verdict("equal_opportunity", 0.1, 0.2)
+            x1_verdict("equal_opportunity", 0.1, 0.2)
 
 
 class TestSliceRejection:
