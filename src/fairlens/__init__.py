@@ -9,13 +9,12 @@ parity), and the closed-form oracles that decide each axiom analytically
 as a function of the covariance parameters (rho1, rho2).
 """
 
-from .errors import (ConfigError, DimensionMismatch, EmptyBin, FairlensError,
-                     LengthMismatch, NotPositiveDefinite, NotSymmetric,
-                     OutOfRange, QuadratureError, TooFewSamples)
+from .errors import (ConfigError, EmptyBin, FairlensError, LengthMismatch,
+                     NotPositiveDefinite, OutOfRange, QuadratureError,
+                     TooFewSamples)
 from .fairness import (Axiom, FairnessVerdict, TestConfig, check_independence,
                        check_separation, check_sufficiency,
                        combine_pvalues_fisher)
-from .gaussian import GaussianDistribution, condition, make_gaussian, sample
 from .harness import (AuditReport, AxiomOutcome, RunConfig, VERSION, cmd_audit,
                       cmd_reproduce_separation, cmd_table, emit_report)
 from .model import (PortfolioModel, SimulatedDataset, make_example_model,
@@ -27,16 +26,15 @@ from .oracles import (MomentEstimate, ScalarGaussian, var_y_given_price,
 __version__ = VERSION
 
 __all__ = [
-    "Axiom", "AuditReport", "AxiomOutcome", "ConfigError",
-    "DimensionMismatch", "EmptyBin", "FairlensError", "FairnessVerdict",
-    "GaussianDistribution", "LengthMismatch", "MomentEstimate",
-    "NotPositiveDefinite", "NotSymmetric", "OutOfRange", "PortfolioModel",
+    "Axiom", "AuditReport", "AxiomOutcome", "ConfigError", "EmptyBin",
+    "FairlensError", "FairnessVerdict", "LengthMismatch", "MomentEstimate",
+    "NotPositiveDefinite", "OutOfRange", "PortfolioModel",
     "QuadratureError", "RunConfig", "ScalarGaussian",
     "SimulatedDataset", "TestConfig", "TooFewSamples", "VERSION",
     "check_independence", "check_separation", "check_sufficiency",
     "cmd_audit", "cmd_reproduce_separation", "cmd_table",
-    "combine_pvalues_fisher", "condition", "emit_report", "make_example_model",
-    "make_gaussian", "read_csv", "sample", "simulate", "var_y_given_price",
+    "combine_pvalues_fisher", "emit_report", "make_example_model",
+    "read_csv", "simulate", "var_y_given_price",
     "var_y_given_price_and_d", "write_csv", "x1_given_y0_x2_d0",
     "x2_unnormalized_density_y0_d0", "__version__",
 ]

@@ -6,15 +6,7 @@ class FairlensError(Exception):
 
 
 class NotPositiveDefinite(FairlensError):
-    """Covariance matrix has no Cholesky factorization."""
-
-
-class NotSymmetric(FairlensError):
-    """Covariance matrix is asymmetric beyond tolerance."""
-
-
-class DimensionMismatch(FairlensError):
-    """Vector/matrix dimensions are inconsistent."""
+    """(rho1, rho2) give no positive-definite covariance."""
 
 
 class LengthMismatch(FairlensError):

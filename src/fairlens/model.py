@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
-from .gaussian import GaussianDistribution, make_gaussian, sample
+from .errors import LengthMismatch, NotPositiveDefinite
+from .gaussian import sample
 from .streams import standard_normals
 
 FLOAT_FMT = "%.17g"
@@ -44,18 +44,23 @@ PRICE_IS_X1 = {
 def valid_rho_pair(rho1: float, rho2: float) -> bool:
     """1 - rho1^2 - rho2^2 > 0: the covariance is positive definite.
 
-    Implies |rho1|, |rho2| < 1; NaN fails the comparison.
+    Implies |rho1|, |rho2| < 1; NaN fails the comparison.  The one
+    validity rule for the config, the model, the dataset and the oracles.
     """
     return 1.0 - rho1**2 - rho2**2 > 0.0
 
 
 @dataclass(frozen=True)
 class PortfolioModel:
-    """Gaussian covariates; simulate adds the response law."""
+    """Cov(X1, D) = rho1 and Cov(X2, D) = rho2; simulate adds the response law."""
 
-    covariates: GaussianDistribution
     rho1: float
     rho2: float
+
+    def __post_init__(self):
+        if not valid_rho_pair(self.rho1, self.rho2):
+            raise NotPositiveDefinite(f"(rho1, rho2)=({self.rho1}, {self.rho2}) "
+                                      "violates 1 - rho1^2 - rho2^2 > 0")
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ class SimulatedDataset:
         n = self.x1.shape[0]
         for name in ("x2", "d", "y"):
             if getattr(self, name).shape[0] != n:
-                raise DimensionMismatch("dataset columns have unequal lengths")
+                raise LengthMismatch("dataset columns have unequal lengths")
         if n < 1:
             raise ValueError("dataset must hold at least one row")
         if not valid_rho_pair(self.rho1, self.rho2):
@@ -88,16 +93,14 @@ class SimulatedDataset:
 def make_example_model(rho1: float, rho2: float) -> PortfolioModel:
     """The portfolio model with Sigma = [[1,0,r1],[0,1,r2],[r1,r2,1]].
 
-    Raises NotPositiveDefinite when 1 - rho1^2 - rho2^2 <= 0.
+    Raises NotPositiveDefinite unless 1 - rho1^2 - rho2^2 > 0.
     """
-    cov = [[1.0, 0.0, rho1], [0.0, 1.0, rho2], [rho1, rho2, 1.0]]
-    dist = make_gaussian(np.zeros(3), cov)
-    return PortfolioModel(covariates=dist, rho1=float(rho1), rho2=float(rho2))
+    return PortfolioModel(rho1=float(rho1), rho2=float(rho2))
 
 
 def simulate(model: PortfolioModel, n: int, seed: int) -> SimulatedDataset:
     """n i.i.d. draws of (x1, x2, d, y), deterministic in (model, n, seed)."""
-    x = sample(model.covariates, n, seed, stream=_COVARIATE_STREAM)
+    x = sample(model.rho1, model.rho2, n, seed, stream=_COVARIATE_STREAM)
     z = standard_normals(n, seed, stream=_RESPONSE_STREAM)
     y = x[:, 0] + np.sqrt(1.0 + x[:, 1] ** 2) * z
     return SimulatedDataset(x1=x[:, 0], x2=x[:, 1], d=x[:, 2], y=y,

@@ -1,4 +1,4 @@
-"""Counter-based random streams with platform-independent normal draws.
+"""Counter-based random streams and their deterministic normal draws.
 
 Every draw in the package is keyed by a 64-bit user seed plus a 64-bit
 stream id fed into a Philox counter-based generator.  Long outputs are
@@ -6,8 +6,10 @@ produced in fixed-size blocks, each block keyed by (seed, stream, block
 index), so the result is byte-identical no matter how the work is
 scheduled or chunked by callers.  Standard normals come from the Wichura
 AS 241 rational approximation of the inverse normal CDF applied to
-open-interval uniforms, which keeps the output identical across
-platforms (no rejection sampling, no libm-dependent consumption).
+open-interval uniforms: no rejection sampling, so the number of uniforms
+consumed never depends on their values.  The tails call np.log, whose
+SIMD kernel numpy picks per CPU, so across CPUs about 1 in 10^5 normals
+can differ in its last few ulps.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
 distance correlation, the generic permutation p-value, the Gaussian
-log density and the general discrimination-free average) that the
-tests hold the fast code against.
+log density and Schur-complement conditioning, and the general
+discrimination-free average) that the tests hold the fast code against.
 """
 
 from dataclasses import dataclass
@@ -12,9 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from fairlens.errors import ConfigError, DimensionMismatch, LengthMismatch
+from fairlens.errors import ConfigError, LengthMismatch
 from fairlens.fairness import _as_columns, _dcor_from_parts
-from fairlens.gaussian import GaussianDistribution
 from fairlens.streams import generator
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -155,18 +154,41 @@ def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian log density and the general discrimination-free price
+# Gaussian log density and conditioning, the general discrimination-free price
 # ---------------------------------------------------------------------------
 
-def log_density(dist: GaussianDistribution, point) -> float:
+def log_density(mean, cov, point) -> float:
     """Exact multivariate normal log density at the point."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     x = np.atleast_1d(np.asarray(point, dtype=np.float64))
-    if x.shape[0] != dist.dim:
-        raise DimensionMismatch(f"point length {x.shape[0]} != dimension {dist.dim}")
-    lower = dist.chol
-    u = np.linalg.solve(lower, x - dist.mean)
+    lower = np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
+    u = np.linalg.solve(lower, x - mean)
     half_logdet = float(np.sum(np.log(np.diag(lower))))
-    return float(-0.5 * dist.dim * _LOG_2PI - half_logdet - 0.5 * u @ u)
+    return float(-0.5 * mean.shape[0] * _LOG_2PI - half_logdet - 0.5 * u @ u)
+
+
+def condition(mean, cov, observed_indices, observed_values):
+    """Exact conditional (mean, cov) of the remaining coordinates.
+
+    The Schur complement; the conditional covariance does not depend on
+    observed_values.
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    cov = np.asarray(cov, dtype=np.float64)
+    obs = np.asarray(sorted(set(int(i) for i in np.atleast_1d(observed_indices))))
+    vals = np.atleast_1d(np.asarray(observed_values, dtype=np.float64))
+    rest = np.setdiff1d(np.arange(mean.shape[0]), obs)
+
+    s_oo = cov[np.ix_(obs, obs)]
+    s_ro = cov[np.ix_(rest, obs)]
+    s_rr = cov[np.ix_(rest, rest)]
+    l_oo = np.linalg.cholesky(s_oo)
+    # gain = s_ro @ inv(s_oo) via two triangular solves
+    tmp = np.linalg.solve(l_oo, s_ro.T)
+    gain = np.linalg.solve(l_oo.T, tmp).T
+    new_mean = mean[rest] + gain @ (vals - mean[obs])
+    new_cov = s_rr - gain @ s_ro.T
+    return new_mean, (new_cov + new_cov.T) / 2.0
 
 
 def discrimination_free_price_general(best_estimate, d_marginal_samples):

@@ -8,7 +8,10 @@ to alter the reports, with
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import ctypes
+import glob
 import json
+import os
 import re
 from pathlib import Path
 
@@ -45,17 +48,34 @@ def render(case: str) -> tuple[bytes, bytes]:
     return json_bytes, report_csv_text(report).encode()
 
 
+def _openblas_core():
+    """The kernel of the OpenBLAS bundled with numpy (its matmuls differ
+    in the last digits between kernels), or None where it cannot be asked."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for lib in libs:
+        fn = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes = []
+            fn.restype = ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
 def _versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "openblas_core": _openblas_core()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_golden(case):
     json_bytes, csv_bytes = render(case)
     written = json.loads(VERSIONS.read_text())
+    now = _versions()
     where = (f"golden files written with numpy {written['numpy']}, scipy "
-             f"{written['scipy']}; this run has numpy {np.__version__}, "
-             f"scipy {scipy.__version__}")
+             f"{written['scipy']}, OpenBLAS core {written['openblas_core']}; "
+             f"this run has numpy {now['numpy']}, scipy {now['scipy']}, "
+             f"OpenBLAS core {now['openblas_core']}")
     assert json_bytes == (DATA / f"golden_{case}.json").read_bytes(), where
     assert csv_bytes == (DATA / f"golden_{case}.csv").read_bytes(), where
 

@@ -240,6 +240,11 @@ class TestCli:
         parsed = json.loads(out.read_text())
         assert {v["axiom"] for v in parsed["verdicts"]} == {
             "independence", "separation", "sufficiency"}
+        # valid by 1 - rho1^2 - rho2^2 > 0 (1.0e-17), though a Cholesky
+        # factorization of the covariance matrix rejects the pair
+        assert main(["audit", "--rho1", "0.997209935789211",
+                     "--rho2", "0.07464813435898883", "--n", "1000",
+                     "--format", "csv", "--out", str(tmp_path / "edge.csv")]) == 0
 
     def test_audit_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,12 +1,18 @@
 """Generative model, pricing functionals, dataset serialization."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairlens import (ConfigError, NotPositiveDefinite, RunConfig, TestConfig,
-                      cmd_audit, make_example_model, simulate)
+import fairlens
+from fairlens import (ConfigError, LengthMismatch, NotPositiveDefinite, RunConfig,
+                      TestConfig, cmd_audit, make_example_model, simulate)
 from fairlens.harness import report_to_dict
 from fairlens.model import PRICE_IS_X1, SimulatedDataset, read_csv, write_csv
 
@@ -16,18 +22,28 @@ from brute_force import discrimination_free_price_general
 class TestModelConstruction:
     def test_reference_parameters(self):
         m = make_example_model(0.1, 0.9)
+        assert (m.rho1, m.rho2) == (0.1, 0.9)
+        ds = simulate(m, 10**5, seed=20)
+        # the sampled covariance has a zero (X1, X2) entry up to noise
         np.testing.assert_allclose(
-            m.covariates.cov,
-            [[1, 0, 0.1], [0, 1, 0.9], [0.1, 0.9, 1]])
-        assert m.covariates.cov[0, 1] == 0.0
+            np.cov([ds.x1, ds.x2, ds.d]),
+            [[1, 0, 0.1], [0, 1, 0.9], [0.1, 0.9, 1]], atol=0.02)
 
     def test_independent_case(self):
-        m = make_example_model(0.0, 0.0)
-        np.testing.assert_array_equal(m.covariates.cov, np.eye(3))
+        ds = simulate(make_example_model(0.0, 0.0), 10**5, seed=20)
+        np.testing.assert_allclose(np.cov([ds.x1, ds.x2, ds.d]), np.eye(3),
+                                   atol=0.02)
 
     def test_invalid_pair_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            make_example_model(0.7, 0.8)  # 1 - 0.49 - 0.64 < 0
+        for rho1, rho2 in [
+            (0.7, 0.8),  # 1 - 0.49 - 0.64 < 0
+            # 1 - rho1^2 - rho2^2 evaluates to 0.0, yet a Cholesky
+            # factorization of the covariance matrix accepts this pair
+            (0.2699624701089316, 0.9628708453020499),
+            (math.nan, 0.0),
+        ]:
+            with pytest.raises(NotPositiveDefinite):
+                make_example_model(rho1, rho2)
 
 
 class TestSimulate:
@@ -50,6 +66,34 @@ class TestSimulate:
         b = simulate(m, 2000, seed=5)
         for name in ("x1", "x2", "d", "y"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_unequal_column_lengths_rejected(self):
+        with pytest.raises(LengthMismatch):
+            SimulatedDataset(x1=np.zeros(3), x2=np.zeros(3), d=np.zeros(2),
+                             y=np.zeros(3), seed=0, rho1=0.1, rho2=0.9)
+
+    def test_columns_independent_of_blas_kernel(self):
+        """The draws have the same bytes under two OpenBLAS kernels, one
+        with fused multiply-adds (Haswell) and one without (SandyBridge).
+        Where OPENBLAS_CORETYPE is ignored the two runs agree trivially."""
+        script = (
+            "import hashlib\n"
+            "from fairlens import make_example_model, simulate\n"
+            "ds = simulate(make_example_model(0.1, 0.9), 20000, 11)\n"
+            "h = hashlib.sha256()\n"
+            "for col in (ds.x1, ds.x2, ds.d, ds.y):\n"
+            "    h.update(col.tobytes())\n"
+            "print(h.hexdigest())\n")
+        src = str(Path(fairlens.__file__).resolve().parents[1])
+        digests = set()
+        for core in ("Haswell", "SandyBridge"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
 
     def test_response_stream_separate_from_covariates(self):
         """The covariate draws do not move when only n changes the
