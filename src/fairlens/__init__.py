@@ -19,9 +19,8 @@ from .harness import (AuditReport, AxiomOutcome, RunConfig, VERSION, cmd_audit,
                       cmd_reproduce_separation, cmd_table, emit_report)
 from .model import (PortfolioModel, SimulatedDataset, make_example_model,
                     read_csv, simulate, write_csv)
-from .oracles import (MomentEstimate, ScalarGaussian, var_y_given_price,
-                      var_y_given_price_and_d, x1_given_y0_x2_d0,
-                      x2_unnormalized_density_y0_d0)
+from .oracles import (MomentEstimate, var_y_given_price_and_d,
+                      x1_given_y0_x2_d0, x2_unnormalized_density_y0_d0)
 
 __version__ = VERSION
 
@@ -29,12 +28,11 @@ __all__ = [
     "Axiom", "AuditReport", "AxiomOutcome", "ConfigError", "EmptyBin",
     "FairlensError", "FairnessVerdict", "LengthMismatch", "MomentEstimate",
     "NotPositiveDefinite", "OutOfRange", "PortfolioModel",
-    "QuadratureError", "RunConfig", "ScalarGaussian",
-    "SimulatedDataset", "TestConfig", "TooFewSamples", "VERSION",
-    "check_independence", "check_separation", "check_sufficiency",
-    "cmd_audit", "cmd_reproduce_separation", "cmd_table",
-    "combine_pvalues_fisher", "emit_report", "make_example_model",
-    "read_csv", "simulate", "var_y_given_price",
+    "QuadratureError", "RunConfig", "SimulatedDataset", "TestConfig",
+    "TooFewSamples", "check_independence", "check_separation",
+    "check_sufficiency", "cmd_audit", "cmd_reproduce_separation",
+    "cmd_table", "combine_pvalues_fisher", "emit_report",
+    "make_example_model", "read_csv", "simulate",
     "var_y_given_price_and_d", "write_csv", "x1_given_y0_x2_d0",
     "x2_unnormalized_density_y0_d0", "__version__",
 ]

@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--n", type=int, default=10**7)
     sep.add_argument("--seed", type=int, default=1)
 
-    table = sub.add_parser("table", help="conjecture-table verification grid")
+    table = sub.add_parser("table", help="regime grid verification")
     table.add_argument("--pairs",
                        help="semicolon-separated rho pairs, e.g. '0.3,0.5;0,0'")
     table.add_argument("--n", type=int, default=10**6)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: audits, reproductions, the conjecture table.
+"""Experiment orchestration: audits, reproductions, the regime grid.
 
 A run simulates the portfolio model, prices it, applies the three
 statistical checkers, pairs each with the analytic verdict for the same
@@ -30,7 +30,7 @@ VERSION = "0.1.0"
 CSV_HEADER = ("axiom,verdict_statistical,verdict_analytic,statistic,"
               "p_value,analytic_criterion,alpha,n,seed")
 
-TABLE_CSV_HEADER = "rho1,rho2,axiom,analytic,statistical,agree,tag"
+TABLE_CSV_HEADER = "rho1,rho2,axiom,analytic,statistical,agree"
 
 DEFAULT_TABLE_PAIRS = ((0.3, 0.5), (0.3, 0.0), (0.0, 0.5), (0.0, 0.0))
 
@@ -77,7 +77,6 @@ class AxiomOutcome:
     axiom: str
     statistical: FairnessVerdict
     analytic: FairnessVerdict
-    tag: str = ""
 
     @property
     def agree(self) -> bool:
@@ -148,14 +147,14 @@ def cmd_audit(cfg: RunConfig) -> AuditReport:
                 stat = fairness.check_sufficiency(data.y, data.d, prices, cfg.test)
         except (TooFewSamples, EmptyBin):
             stat = _inconclusive(axiom, cfg, cfg.n)
-        criterion, verdict, tag = oracles.analytic_verdict(
+        criterion, verdict = oracles.analytic_verdict(
             axiom, cfg.rho1, cfg.rho2, price_is_x1)
         analytic = FairnessVerdict(
             axiom=Axiom(axiom), statistic=criterion, p_value=None,
             analytic_criterion=criterion, verdict=verdict,
             alpha=cfg.test.alpha, n_used=0, seed=cfg.seed, source="analytic")
         outcomes.append(AxiomOutcome(axiom=axiom, statistical=stat,
-                                     analytic=analytic, tag=tag))
+                                     analytic=analytic))
 
     x1d = (data.x1 - data.x1.mean()) * (data.d - data.d.mean())
     reproduction = {
@@ -190,12 +189,10 @@ def cmd_reproduce_separation(n: int, seed: int) -> dict:
 
 def cmd_table(rho_pairs=None, n: int = 10**6, seed: int = 7,
               test: TestConfig | None = None) -> list[dict]:
-    """YES/NO grid over (rho1, rho2) regimes, analytic and statistical.
+    """The regime grid: YES/NO over (rho1, rho2), analytic and statistical.
 
     One row per (pair, axiom): the analytic verdict, the statistical
-    verdict from an audit at sample size n, an agreement flag, and the
-    conjecture_numeric tag on the separation cells of the single-zero
-    regimes.
+    verdict from an audit at sample size n, and an agreement flag.
     """
     pairs = tuple(rho_pairs) if rho_pairs is not None else DEFAULT_TABLE_PAIRS
     cells = []
@@ -211,7 +208,6 @@ def cmd_table(rho_pairs=None, n: int = 10**6, seed: int = 7,
                 "analytic": _yes_no(outcome.analytic.verdict),
                 "statistical": _yes_no(outcome.statistical.verdict),
                 "agree": outcome.agree,
-                "tag": outcome.tag,
             })
     return cells
 
@@ -241,11 +237,9 @@ def format_table(cells: list[dict]) -> str:
             text = f"{cell['analytic']}/{cell['statistical']}"
             if not cell["agree"]:
                 text += "!"
-            if cell["tag"]:
-                text += "*"
             entries.append(f"{text:>12s}")
         lines.append(f"({rho1:.2f}, {rho2:.2f})  " + "  ".join(entries))
-    lines.append("legend: analytic/statistical; * conjecture_numeric; ! disagreement")
+    lines.append("legend: analytic/statistical; ! disagreement")
     return "\n".join(lines)
 
 
@@ -311,7 +305,6 @@ def report_to_dict(report: AuditReport) -> dict:
                 "axiom": v.axiom,
                 "statistical": v.statistical.to_dict(),
                 "analytic": v.analytic.to_dict(),
-                "tag": v.tag,
                 "agree": v.agree,
             }
             for v in report.verdicts
@@ -325,12 +318,15 @@ def report_to_dict(report: AuditReport) -> dict:
 
 
 def report_from_dict(raw: dict) -> AuditReport:
-    """Inverse of report_to_dict; exact round trip."""
+    """Inverse of report_to_dict; exact round trip.
+
+    Verdicts are built from named keys, so keys this version no longer
+    writes (the "tag" of older reports) are ignored.
+    """
     verdicts = tuple(
         AxiomOutcome(axiom=v["axiom"],
                      statistical=FairnessVerdict.from_dict(v["statistical"]),
-                     analytic=FairnessVerdict.from_dict(v["analytic"]),
-                     tag=v["tag"])
+                     analytic=FairnessVerdict.from_dict(v["analytic"]))
         for v in raw["verdicts"])
     reproduction = {
         name: MomentEstimate(**m)
@@ -381,7 +377,7 @@ def table_csv_text(cells: list[dict]) -> str:
     for c in cells:
         lines.append(",".join([
             FLOAT_FMT % c["rho1"], FLOAT_FMT % c["rho2"], c["axiom"],
-            c["analytic"], c["statistical"], str(c["agree"]).lower(), c["tag"]]))
+            c["analytic"], c["statistical"], str(c["agree"]).lower()]))
     return "\n".join(lines) + "\n"
 
 

@@ -50,6 +50,13 @@ def valid_rho_pair(rho1: float, rho2: float) -> bool:
     return 1.0 - rho1**2 - rho2**2 > 0.0
 
 
+def require_valid_rho_pair(rho1: float, rho2: float) -> None:
+    """Raise NotPositiveDefinite unless valid_rho_pair(rho1, rho2)."""
+    if not valid_rho_pair(rho1, rho2):
+        raise NotPositiveDefinite(
+            f"(rho1, rho2)=({rho1}, {rho2}) violates 1 - rho1^2 - rho2^2 > 0")
+
+
 @dataclass(frozen=True)
 class PortfolioModel:
     """Cov(X1, D) = rho1 and Cov(X2, D) = rho2; simulate adds the response law."""
@@ -58,9 +65,7 @@ class PortfolioModel:
     rho2: float
 
     def __post_init__(self):
-        if not valid_rho_pair(self.rho1, self.rho2):
-            raise NotPositiveDefinite(f"(rho1, rho2)=({self.rho1}, {self.rho2}) "
-                                      "violates 1 - rho1^2 - rho2^2 > 0")
+        require_valid_rho_pair(self.rho1, self.rho2)
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,7 @@ class SimulatedDataset:
                 raise LengthMismatch("dataset columns have unequal lengths")
         if n < 1:
             raise ValueError("dataset must hold at least one row")
-        if not valid_rho_pair(self.rho1, self.rho2):
-            raise NotPositiveDefinite("stored (rho1, rho2) are invalid")
+        require_valid_rho_pair(self.rho1, self.rho2)
 
     @property
     def n(self) -> int:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NotPositiveDefinite, QuadratureError
+from .errors import QuadratureError
 from .fairness import (AXIOM_KINDS, HOLDS, INDEPENDENCE, SUFFICIENCY,
                        VIOLATED)
-from .model import valid_rho_pair
+from .model import require_valid_rho_pair
 from .streams import standard_normals
 
 MC_CHUNK = 1 << 20
@@ -33,24 +33,6 @@ _MC_STREAM_BASE = 0x200
 QUAD_HALF_RANGE = 12.0
 _QUAD_NODES = 24
 _QUAD_MAX_PANELS = 4096
-
-
-def _check_rhos(rho1: float, rho2: float) -> None:
-    if not valid_rho_pair(rho1, rho2):
-        raise NotPositiveDefinite(
-            f"(rho1, rho2)=({rho1}, {rho2}) violates 1 - rho1^2 - rho2^2 > 0")
-
-
-@dataclass(frozen=True)
-class ScalarGaussian:
-    """One-dimensional normal law."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +62,14 @@ def _posterior_weight_and_variance(x, rho1: float, rho2: float):
     return w, v
 
 
-def x1_given_y0_x2_d0(rho1: float, rho2: float, x2: float) -> ScalarGaussian:
-    """Law of X1 given (Y=0, X2=x2, D=0) for the portfolio model."""
-    _check_rhos(rho1, rho2)
+def x1_given_y0_x2_d0(rho1: float, rho2: float, x2: float) -> tuple[float, float]:
+    """(mean, variance) of the normal law of X1 given (Y=0, X2=x2, D=0)."""
+    require_valid_rho_pair(rho1, rho2)
+    if not np.isfinite(x2):
+        raise ValueError(f"x2 must be finite, got {x2}")
     _, v = _posterior_weight_and_variance(x2, rho1, rho2)
     mean = -rho1 * rho2 * x2 * v / (1.0 - rho1**2 - rho2**2)
-    return ScalarGaussian(mean=float(mean), variance=float(v))
+    return float(mean), float(v)
 
 
 def x2_unnormalized_density_y0_d0(rho1: float, rho2: float, x2) -> np.ndarray | float:
@@ -95,7 +79,7 @@ def x2_unnormalized_density_y0_d0(rho1: float, rho2: float, x2) -> np.ndarray | 
     inside the square root, which leaves the posterior weight times
     exp(-x2^2/2); at rho1=rho2=0 that is (2+x2^2)^(-1/2) * exp(-x2^2/2).
     """
-    _check_rhos(rho1, rho2)
+    require_valid_rho_pair(rho1, rho2)
     x2 = np.asarray(x2, dtype=np.float64)
     w, _ = _posterior_weight_and_variance(x2, rho1, rho2)
     core = w * np.exp(-0.5 * x2**2)
@@ -121,7 +105,7 @@ def second_moment_x1_given_y0_d0_mc(rho1: float, rho2: float, n: int,
     Chunked accumulation with a fixed block size keeps the result
     deterministic in (n, seed) regardless of how callers schedule it.
     """
-    _check_rhos(rho1, rho2)
+    require_valid_rho_pair(rho1, rho2)
     if n < 10**4:
         raise ValueError("monte_carlo requires n >= 1e4")
     sums = np.zeros(5)  # num, den, num^2, den^2, num*den
@@ -166,7 +150,7 @@ def _adaptive_even_quadrature(f, tol: float) -> float:
 def second_moment_x1_given_y0_d0_quad(rho1: float, rho2: float,
                                       tol: float = 1e-8) -> MomentEstimate:
     """Quadrature route for the same ratio, with adaptive error control."""
-    _check_rhos(rho1, rho2)
+    require_valid_rho_pair(rho1, rho2)
 
     def phi(x):
         return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
@@ -181,15 +165,9 @@ def second_moment_x1_given_y0_d0_quad(rho1: float, rho2: float,
     return MomentEstimate(value=num / den, std_error=0.0, n=0, method="quadrature")
 
 
-def var_y_given_price(rho1: float, rho2: float) -> float:
-    """Var(Y | X1): 0 + 1 + Var(X2) = 2, for every valid (rho1, rho2)."""
-    _check_rhos(rho1, rho2)
-    return 2.0
-
-
 def var_y_given_price_and_d(rho1: float, rho2: float, x1: float, d: float) -> float:
     """Var(Y | X1=x1, D=d) = 1 + m^2 + v via the X2 | (X1, D) conditional."""
-    _check_rhos(rho1, rho2)
+    require_valid_rho_pair(rho1, rho2)
     m = rho2 / (1.0 - rho1**2) * (d - rho1 * x1)
     v = (1.0 - rho1**2 - rho2**2) / (1.0 - rho1**2)
     return 1.0 + m * m + v
@@ -197,14 +175,10 @@ def var_y_given_price_and_d(rho1: float, rho2: float, x1: float, d: float) -> fl
 
 SEPARATION_QUAD_TOL = 1e-8
 
-# separation verdicts away from the all-zero regime are decided
-# numerically, not by a closed-form proof
-CONJECTURE_NUMERIC_TAG = "conjecture_numeric"
-
 
 def analytic_verdict(axiom: str, rho1: float, rho2: float,
-                     price_is_x1: bool) -> tuple[float, str, str]:
-    """(criterion, HOLDS/VIOLATED, tag) for the x1 or the constant price.
+                     price_is_x1: bool) -> tuple[float, str]:
+    """(criterion, HOLDS/VIOLATED) for the x1 or the constant price.
 
     Any valid signed pair is accepted: flipping the sign of D or X2 is a
     measure-preserving relabeling that maps (rho1, rho2) to any sign
@@ -214,36 +188,47 @@ def analytic_verdict(axiom: str, rho1: float, rho2: float,
     x1 price. independence: Cov(price, D) = rho1, so HOLDS iff rho1 = 0
     (joint Gaussianity upgrades zero covariance to independence).
     sufficiency: Var(Y | X1, D) is constant in (X1, D) iff rho2 = 0.
-    separation: HOLDS at rho1 = rho2 = 0 by full independence; else
-    decided by the gap |E[X1^2 | Y=0, D=0] - E[X1^2 | Y=0]| beyond 10x
-    the quadrature tol, and tagged conjecture_numeric in the
-    single-zero regimes.  The second moment without D equals the
-    (0, 0)-parameter ratio for any (rho1, rho2), because (X1, X2) is
-    standard bivariate normal marginally and the response law does not
-    involve D.
+    separation: HOLDS iff rho1 = rho2 = 0.  At (0, 0), D is independent
+    of (X1, X2, Y).  Otherwise X1 and D are dependent given Y:
+
+    - rho1 != 0.  The law of (X1, X2, Y) is symmetric under X2 -> -X2
+      and Z (D's own noise) is independent of (X1, X2, Y), so
+      E[X1 X2 | Y] = 0 and Cov(X1, D | Y) = rho1 Var(X1 | Y) != 0.
+    - rho1 = 0, rho2 != 0.  Given (Y=0, X2=x, D=0), X1 is centred with
+      variance v, so E[X1^2 | Y=0, D=0] = E_w[v] over the X2 posterior
+      weight w.  Let w0, v0 be their (0, 0) values and t = 2 + x^2:
+      v0 = (1+x^2)/t increases strictly in x^2; v <= v0 pointwise, with
+      equality iff rho1 = 0; and w/w0 is nonincreasing in x^2 for every
+      valid pair (its square-root factor t/(a t - b) decreases, with
+      a = 1 - rho2^2 and b = rho1^2 < a, and its exponent
+      (t^2 - 2t)/(a t - b) has derivative proportional to
+      a t^2 - 2 b t + 2 b > 0 for t >= 2).  Chebyshev's association
+      inequality gives E_w[v] <= E_w[v0] <= E_w0[v0], strictly unless
+      rho1 = rho2 = 0, and E_w0[v0] = E[X1^2 | Y=0] since the law of
+      (X1, X2, Y) does not involve (rho1, rho2).
+
+    The reported separation criterion is the quadrature gap
+    |E_w[v] - E_w0[v0]| for the pair (|rho1|, |rho2|).
 
     Constant price. The two price-side axioms hold trivially;
     sufficiency reduces to the independence of Y and D, which holds iff
     rho1 = rho2 = 0, reported with criterion rho1^2 + rho2^2.
     """
-    _check_rhos(rho1, rho2)
+    require_valid_rho_pair(rho1, rho2)
     if axiom not in AXIOM_KINDS:
         raise ValueError(f"unknown axiom {axiom!r}")
     if not price_is_x1:
         if axiom == SUFFICIENCY:
             verdict = HOLDS if rho1 == 0.0 and rho2 == 0.0 else VIOLATED
-            return rho1**2 + rho2**2, verdict, ""
-        return 0.0, HOLDS, ""
+            return rho1**2 + rho2**2, verdict
+        return 0.0, HOLDS
     r1, r2 = abs(rho1), abs(rho2)
     if axiom == INDEPENDENCE:
-        return float(r1), HOLDS if r1 == 0.0 else VIOLATED, ""
+        return float(r1), HOLDS if r1 == 0.0 else VIOLATED
     if axiom == SUFFICIENCY:
-        return float(r2), HOLDS if r2 == 0.0 else VIOLATED, ""
+        return float(r2), HOLDS if r2 == 0.0 else VIOLATED
     if r1 == 0.0 and r2 == 0.0:
-        return 0.0, HOLDS, ""
+        return 0.0, HOLDS
     with_d = second_moment_x1_given_y0_d0_quad(r1, r2, SEPARATION_QUAD_TOL).value
     without_d = second_moment_x1_given_y0_d0_quad(0.0, 0.0, SEPARATION_QUAD_TOL).value
-    gap = abs(with_d - without_d)
-    verdict = VIOLATED if gap > 10.0 * SEPARATION_QUAD_TOL else HOLDS
-    tag = CONJECTURE_NUMERIC_TAG if r1 == 0.0 or r2 == 0.0 else ""
-    return gap, verdict, tag
+    return abs(with_d - without_d), VIOLATED

@@ -27,7 +27,7 @@ VERSIONS = DATA / "golden_versions.json"
 
 # (rho1, rho2, functional): the x1 price off the diagonal; a negative rho
 # with a constant price (sign bridge and constant-price rules); a
-# single-zero regime, whose separation cell carries the conjecture tag
+# single-zero regime, whose separation verdict rests on the rho1 = 0 proof
 CASES = {
     "unawareness_0.1_0.9": (0.1, 0.9, "unawareness"),
     "null_-0.3_0.0": (-0.3, 0.0, "null"),

@@ -104,12 +104,6 @@ class TestCmdAudit:
         suf = report.verdict_for("sufficiency")
         assert suf.analytic.verdict == VIOLATED
 
-    def test_conjecture_tag_present_for_single_zero_regimes(self):
-        cfg = RunConfig(rho1=0.0, rho2=0.5, n=2 * 10**4, seed=5, test=QUICK_TEST)
-        report = cmd_audit(cfg)
-        assert report.verdict_for("separation").tag == "conjecture_numeric"
-        assert report.verdict_for("independence").tag == ""
-
     def test_negative_correlations_supported(self):
         """Sign flips of D or X2 relabel the model without touching the
         axioms, so audits accept any valid (rho1, rho2) pair."""
@@ -123,7 +117,7 @@ class TestCmdAudit:
                         test=QUICK_TEST)
         report = cmd_audit(cfg)
         assert report.verdict_for("sufficiency").analytic.verdict == HOLDS
-        assert report.verdict_for("separation").tag == "conjecture_numeric"
+        assert report.verdict_for("separation").analytic.verdict == VIOLATED
 
     def test_constant_price_sufficiency_when_rho_squares_underflow(self):
         """rho1**2 underflows to 0, yet Cov(Y, D) = rho1 != 0, so Y and D
@@ -175,17 +169,17 @@ class TestCmdTable:
         assert analytic[(0.3, 0.0, "sufficiency")] == "YES"
         assert analytic[(0.0, 0.5, "independence")] == "YES"
         assert analytic[(0.0, 0.0, "separation")] == "YES"
-        tags = {(c["rho1"], c["rho2"], c["axiom"]): c["tag"] for c in cells}
-        assert tags[(0.3, 0.0, "separation")] == "conjecture_numeric"
-        assert tags[(0.0, 0.5, "separation")] == "conjecture_numeric"
-        assert tags[(0.3, 0.5, "separation")] == ""
         text = format_table(cells)
         assert "independence" in text and "legend" in text
+        assert "!" not in text.splitlines()[1]
+        flipped = [dict(c, agree=False) if c["axiom"] == "separation" else c
+                   for c in cells]
+        assert format_table(flipped).splitlines()[1].split()[3] == "NO/NO!"
 
     def test_csv_shape(self):
         cells = cmd_table(n=2 * 10**4, seed=11, test=QUICK_TEST)
         lines = table_csv_text(cells).splitlines()
-        assert lines[0] == "rho1,rho2,axiom,analytic,statistical,agree,tag"
+        assert lines[0] == "rho1,rho2,axiom,analytic,statistical,agree"
         assert len(lines) == 13
 
 
@@ -209,6 +203,11 @@ class TestEmission:
         report = cmd_audit(quick_config())
         raw = json.loads(report_json_bytes(report).decode())
         assert report_from_dict(raw) == report
+        # older reports also carry a "tag" per verdict; it is ignored
+        for v in raw["verdicts"]:
+            assert set(v) == {"axiom", "statistical", "analytic", "agree"}
+            v["tag"] = ""
+        assert report_from_dict(raw) == report
 
     def test_emit_files(self, tmp_path):
         report = cmd_audit(quick_config())
@@ -231,7 +230,7 @@ class TestEmission:
 
 
 class TestCli:
-    def test_audit_writes_report_and_exits_zero(self, tmp_path):
+    def test_audit_writes_report_and_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["audit", "--rho1", "0.1", "--rho2", "0.9",
                      "--n", "20000", "--seed", "42", "--alpha", "0.01",
@@ -245,6 +244,13 @@ class TestCli:
         assert main(["audit", "--rho1", "0.997209935789211",
                      "--rho2", "0.07464813435898883", "--n", "1000",
                      "--format", "csv", "--out", str(tmp_path / "edge.csv")]) == 0
+        capsys.readouterr()
+        # without --out the report goes to stdout
+        assert main(["audit", "--rho1", "0.1", "--rho2", "0.9", "--n", "1000",
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("axiom,verdict_statistical,")
+        assert len(lines) == 4
 
     def test_audit_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -300,10 +306,12 @@ class TestCli:
     @pytest.mark.parametrize("raw", [
         {"rho1": 0.1, "rho2": "x"},
         {"rho1": 0.1, "rho2": 0.9, "n_permutations": "999"},
+        pytest.param([0.1, 0.9], id="json-list"),
+        pytest.param("{rho1: 0.1", id="not-json"),  # written verbatim
     ])
     def test_mistyped_config_file_exits_two(self, tmp_path, capsys, raw):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(raw))
+        cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         assert main(["audit", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -323,6 +331,14 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 13
+        out = tmp_path / "table.json"
+        assert main(["table", "--n", "20000", "--seed", "11",
+                     "--permutations", "199", "--format", "json",
+                     "--out", str(out)]) == 0
+        cells = json.loads(out.read_text())
+        assert len(cells) == 12
+        assert all(set(c) == {"rho1", "rho2", "axiom", "analytic",
+                              "statistical", "agree"} for c in cells)
 
     def test_table_custom_pairs(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -330,9 +346,13 @@ class TestCli:
                      "--permutations", "99", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
+        assert main(["table", "--pairs", "0,0", "--n", "20000",
+                     "--permutations", "99",
+                     "--out", str(tmp_path / "no_dir" / "t.csv")]) == 4
 
     def test_table_bad_pair_exits_two(self):
         assert main(["table", "--pairs", "0.5;0.9"]) == 2
+        assert main(["table", "--pairs", "a,b"]) == 2
 
     def test_reproduce_command(self, capsys):
         code = main(["reproduce", "separation-moments", "--n", "1000000",

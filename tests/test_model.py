@@ -215,6 +215,10 @@ class TestSerialization:
         for name in ("x1", "x2", "d", "y"):
             np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
         assert (back.seed, back.rho1, back.rho2) == (77, 0.1, 0.9)
+        meta.update(rho1=0.8, rho2=0.7)
+        (tmp_path / "draws.csv.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(NotPositiveDefinite):
+            read_csv(path)
 
     def test_csv_golden_bytes(self, tmp_path):
         """The exact file bytes: header, CRLF rows, %.17g values."""

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
 
-from fairlens import (MomentEstimate, NotPositiveDefinite, ScalarGaussian,
-                      var_y_given_price, var_y_given_price_and_d,
-                      x1_given_y0_x2_d0, x2_unnormalized_density_y0_d0)
+from fairlens import (MomentEstimate, NotPositiveDefinite,
+                      var_y_given_price_and_d, x1_given_y0_x2_d0,
+                      x2_unnormalized_density_y0_d0)
 from fairlens.errors import QuadratureError
 from fairlens.oracles import (analytic_verdict, second_moment_x1_given_y0_d0_mc,
                               second_moment_x1_given_y0_d0_quad)
@@ -17,33 +18,32 @@ from conftest import response_log_density, trivariate_log_density
 
 class TestX1Conditional:
     def test_arithmetic_at_x2_zero(self):
-        law = x1_given_y0_x2_d0(0.1, 0.9, 0.0)
-        assert law.mean == 0.0
-        assert law.variance == pytest.approx(0.18 / 0.37, abs=1e-15)
+        mean, variance = x1_given_y0_x2_d0(0.1, 0.9, 0.0)
+        assert mean == 0.0
+        assert variance == pytest.approx(0.18 / 0.37, abs=1e-15)
 
     def test_mean_vanishes_when_rho1_zero(self):
         for x2 in (-2.0, 0.3, 5.0):
-            assert x1_given_y0_x2_d0(0.0, 0.7, x2).mean == 0.0
+            assert x1_given_y0_x2_d0(0.0, 0.7, x2)[0] == 0.0
 
     def test_matches_grid_integration(self):
         rho1, rho2, x2 = 0.1, 0.9, 1.0
-        law = x1_given_y0_x2_d0(rho1, rho2, x2)
+        want_mean, want_var = x1_given_y0_x2_d0(rho1, rho2, x2)
 
         def density(x1):
             return np.exp(response_log_density(0.0, x1, x2)
                           + trivariate_log_density(rho1, rho2, x1, x2, 0.0))
 
         mean, var, _ = grid_moments(density, -10.0, 10.0, 8001)
-        assert mean == pytest.approx(law.mean, abs=1e-6)
-        assert var == pytest.approx(law.variance, abs=1e-6)
+        assert mean == pytest.approx(want_mean, abs=1e-6)
+        assert var == pytest.approx(want_var, abs=1e-6)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             x1_given_y0_x2_d0(0.5, 0.9, 0.0)
-
-    def test_scalar_gaussian_validation(self):
-        with pytest.raises(ValueError):
-            ScalarGaussian(mean=0.0, variance=0.0)
+        for x2 in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                x1_given_y0_x2_d0(0.1, 0.9, x2)
 
 
 class TestX2PosteriorDensity:
@@ -177,10 +177,19 @@ class TestSecondMoment:
 
 class TestVarianceDecompositions:
     def test_var_y_given_price_exactly_two(self):
-        assert var_y_given_price(0.1, 0.9) == 2.0
-        assert var_y_given_price(0.0, 0.0) == 2.0
+        """Var(Y | X1) = E[Var(Y | X1, D) | X1] = 2: E[Y | X1, D] = X1,
+        and D | X1 ~ N(rho1 x1, 1 - rho1^2), so Gauss-Hermite nodes
+        average the quadratic in d exactly."""
+        nodes, weights = hermegauss(8)
+        weights = weights / weights.sum()
+        for rho1, rho2 in ((0.1, 0.9), (0.0, 0.0), (-0.3, 0.5)):
+            for x1 in (-1.5, 0.0, 2.0):
+                d = rho1 * x1 + np.sqrt(1.0 - rho1**2) * nodes
+                got = sum(w * var_y_given_price_and_d(rho1, rho2, x1, di)
+                          for w, di in zip(weights, d))
+                assert got == pytest.approx(2.0, abs=1e-12), (rho1, rho2, x1)
         with pytest.raises(NotPositiveDefinite):
-            var_y_given_price(0.8, 0.7)
+            var_y_given_price_and_d(0.8, 0.7, 0.0, 0.0)
 
     def test_var_y_given_price_and_d_reference_points(self):
         assert var_y_given_price_and_d(0.1, 0.9, 0.0, 0.0) == pytest.approx(
@@ -235,8 +244,6 @@ class TestAnalyticVerdicts:
             want = analytic_verdict(axiom, 0.3, 0.5, price_is_x1=True)
             for rho1, rho2 in ((-0.3, 0.5), (0.3, -0.5), (-0.3, -0.5)):
                 assert analytic_verdict(axiom, rho1, rho2, price_is_x1=True) == want
-        assert analytic_verdict("separation", -0.3, 0.0, price_is_x1=True)[2] == \
-            "conjecture_numeric"
         for rho1, rho2, sufficiency in ((0.0, 0.0, "HOLDS"),
                                         (-0.3, 0.0, "VIOLATED"),
                                         (0.0, 0.5, "VIOLATED"),
@@ -247,15 +254,15 @@ class TestAnalyticVerdicts:
         assert analytic_verdict("sufficiency", -0.3, 0.4, price_is_x1=False)[0] == \
             pytest.approx(0.25)
 
-    def test_conjecture_numeric_tagging(self):
-        def tag(axiom, rho1, rho2):
-            return analytic_verdict(axiom, rho1, rho2, price_is_x1=True)[2]
-
-        assert tag("separation", 0.3, 0.0) == "conjecture_numeric"
-        assert tag("separation", 0.0, 0.5) == "conjecture_numeric"
-        assert tag("separation", 0.3, 0.5) == ""
-        assert tag("separation", 0.0, 0.0) == ""
-        assert tag("sufficiency", 0.3, 0.0) == ""
+    @pytest.mark.parametrize("rho1,rho2", [(0.0, 0.001), (0.0, 1e-4),
+                                           (1e-4, 1e-4)])
+    def test_separation_violated_at_small_nonzero_pairs(self, rho1, rho2):
+        """Separation fails at every pair but (0, 0), however small the
+        quadrature gap (5.3e-8, 5.3e-10 and 4.3e-9 here)."""
+        criterion, verdict = analytic_verdict("separation", rho1, rho2,
+                                              price_is_x1=True)
+        assert verdict == "VIOLATED"
+        assert criterion < 1e-7
 
     def test_parameter_validation(self):
         with pytest.raises(NotPositiveDefinite):
