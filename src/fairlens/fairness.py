@@ -4,27 +4,40 @@ Each axiom is operationalized as an independence test on continuous
 data:
 
 * independence (statistical parity): price independent of D — a
-  distance-correlation permutation test.
+  distance-correlation test.
 * separation (equalized odds): price independent of D given Y — the
-  response is sliced into equal-probability bins, the permutation test
-  runs inside each bin, and per-bin p-values are Fisher-combined.
+  response is sliced into equal-probability bins, the test runs inside
+  each bin, and per-bin p-values are Fisher-combined.
 * sufficiency (predictive parity): Y independent of D given the price —
   the same machinery with the roles of Y and the price exchanged.
 
-The permutation core discretizes both variables into quantile levels
-and works on the resulting contingency table: the distance covariance
-of the discretized pair is <N, A~ N B~> for fixed centered
-level-distance matrices, and permuting one variable induces exactly the
-fixed-margins hypergeometric law on tables, which is sampled directly
-(Patefield's algorithm).  This keeps every observation in play at
-O(levels^3) per permutation instead of O(n^2).
+The core discretizes both variables into quantile levels and works on
+the resulting contingency table: the distance covariance of the
+discretized pair is <N, A~ N B~> for fixed centered level-distance
+matrices, at O(levels^3) per table instead of O(n^2).  Permuting one
+variable induces exactly the fixed-margins hypergeometric law on
+tables, and two nulls stand for it:
+
+* spectral, once the table holds at least SPECTRAL_MIN_CELL_MEAN points
+  per cell on average: under independence (n - 1) dCov^2 of the table
+  tends to sum_kl lambda_k mu_l Z_kl^2 (Szekely, Rizzo & Bakirov 2007),
+  with lambda and mu the eigenvalues of diag(sqrt p) A~ diag(sqrt p) for
+  each side's level probabilities p.  Its upper tail comes from the
+  Lugannani-Rice saddlepoint approximation (Kuonen 1999), kept in log
+  space so that no p-value underflows before Fisher's combination, and
+  from Imhof's (1961) inversion where p > 1e-3.  This null draws
+  nothing: the test seed does not affect its p-values.
+* sampled, on sparser tables such as 500-point bins on 31 levels:
+  n_permutations tables drawn directly from the hypergeometric law
+  (Patefield's algorithm), on streams keyed by the test seed.
 
 Within conditioning bins, both tested variables are linearly detrended
 on the conditioning variable (all three on the normal-scores scale), to
 remove the spurious dependence that finite-width bins otherwise leak in
 the tails of the conditioning variable.  Per-bin mid-p values feed
 Fisher's combination so that the combined statistic keeps its
-chi-square reference despite the permutation p-value grid.
+chi-square reference despite the permutation p-value grid; the
+spectral p-value is continuous and is its own mid-p.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import integrate, optimize, special
 from scipy import stats as sps
 
 from .errors import ConfigError, EmptyBin, LengthMismatch, OutOfRange, TooFewSamples
@@ -43,6 +57,13 @@ POWER_GUARD_N = 100_000  # HOLDS requires at least this many observations
 
 MIN_BIN_COUNT = 30
 N_LEVELS = 64  # quantile levels per variable; conditional bins use half
+
+# the spectral null replaces sampled tables once the level table holds
+# at least this many points per cell on average: every table of a
+# 20-bin audit at n >= 409,600 (independence 64 x 64, bins 32 x 32),
+# none at n = 2e4 (at most 19.5 per cell, the one collapsed bin of a
+# constant price); criterion 7's 500-point bins on 31 levels hold 0.5
+SPECTRAL_MIN_CELL_MEAN = 20.0
 
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
@@ -76,8 +97,10 @@ class TestConfig:
 
     alpha and the permutation budget follow the usual trade-off; the
     permutation RNG is keyed by `seed` only, independent of the seeds
-    that generated the data.  n_bins_y is the number of
-    equal-probability bins of the conditioning variable.
+    that generated the data.  Both the budget and `seed` act only on
+    tables below SPECTRAL_MIN_CELL_MEAN points per cell, whose null is
+    sampled.  n_bins_y is the number of equal-probability bins of the
+    conditioning variable.
     """
 
     alpha: float = 0.01
@@ -138,8 +161,22 @@ def _as_columns(*cols):
     return arrays
 
 
+class NormalScores(np.ndarray):
+    """A column already mapped to the normal scores of its copula ranks.
+
+    The conditional checkers take such a column as it is instead of
+    ranking it again, so an audit scores each column once for both.
+    """
+
+
+def normal_scores(x) -> NormalScores:
+    """normal_ppf of the copula ranks of x, marked as scored."""
+    (x,) = _as_columns(x)
+    return normal_ppf(_copula_ranks(x)).view(NormalScores)
+
+
 # ---------------------------------------------------------------------------
-# discretized distance correlation with a fixed-margins permutation null
+# discretized distance correlation with a spectral or a sampled null
 # ---------------------------------------------------------------------------
 
 def _quantile_level_ids(x: np.ndarray, n_levels: int):
@@ -148,26 +185,18 @@ def _quantile_level_ids(x: np.ndarray, n_levels: int):
     return np.searchsorted(edges, x, side="right"), edges.shape[0] + 1
 
 
-def _level_table(a, b, n_levels):
-    """Contingency table of quantile levels plus centered distance parts.
+def _level_side(x: np.ndarray, n_levels: int):
+    """(level ids, level probabilities, centered level distances,
+    distance variance) of one variable.
 
-    Returns (N, At, Bt, dvar_a, dvar_b).  Level positions are copula
-    midranks, so the table depends on the order of the values only.
+    Level positions are copula midranks, so everything depends on the
+    order of the values only.
     """
-    ga, na = _quantile_level_ids(a, n_levels)
-    gb, nb = _quantile_level_ids(b, n_levels)
-    N = np.zeros((na, nb))
-    np.add.at(N, (ga, gb), 1.0)
-    n = a.shape[0]
-    pa = N.sum(axis=1) / n
-    pb = N.sum(axis=0) / n
-    va = np.cumsum(pa) - pa / 2.0
-    vb = np.cumsum(pb) - pb / 2.0
-    At = _centered_level_distances(va, pa)
-    Bt = _centered_level_distances(vb, pb)
-    dvar_a = float(pa @ (At * At) @ pa)
-    dvar_b = float(pb @ (Bt * Bt) @ pb)
-    return N, At, Bt, dvar_a, dvar_b
+    ids, k = _quantile_level_ids(x, n_levels)
+    probs = np.bincount(ids, minlength=k) / x.shape[0]
+    values = np.cumsum(probs) - probs / 2.0
+    Dt = _centered_level_distances(values, probs)
+    return ids, probs, Dt, float(probs @ (Dt * Dt) @ probs)
 
 
 def _centered_level_distances(values, probs):
@@ -195,20 +224,133 @@ def _null_dcov_draws(N, At, Bt, n, n_draws, rng):
     return np.einsum("bij,bij->b", tables, inner) / n**2
 
 
-def _table_permutation_test(a, b, n_levels, n_permutations, rng):
-    """(dcor, exact p, mid p) for the discretized permutation test."""
-    N, At, Bt, dva, dvb = _level_table(a, b, n_levels)
-    n = a.shape[0]
+def _null_weights(pa, At, pb, Bt) -> np.ndarray:
+    """The positive weights lambda_k mu_l of the limiting null law.
+
+    Both scaled matrices are negative semidefinite (|x - y| is a
+    conditionally negative definite kernel), so every product of two
+    negative eigenvalues is a positive weight; the rest are rounding.
+    """
+    sa, sb = np.sqrt(pa), np.sqrt(pb)
+    lam = np.linalg.eigvalsh(sa[:, None] * At * sa[None, :])
+    mu = np.linalg.eigvalsh(sb[:, None] * Bt * sb[None, :])
+    return np.outer(lam[lam < 0.0], mu[mu < 0.0]).ravel()
+
+
+# the saddlepoint tail is off by up to ~5% of p (relative) in the bulk,
+# so p-values it puts above this bound are recomputed by Imhof's
+# inversion, within ~1e-7 of the exact tail; far below it the inversion
+# loses its relative accuracy while the saddlepoint keeps it
+_IMHOF_MIN_P = 1e-3
+
+# below this |w|, the saddlepoint formula loses digits to cancellation
+# and the one-term Edgeworth expansion at the mean takes over
+_SADDLEPOINT_CENTRAL = 1e-3
+
+
+def _log_sf_chi2_mixture(q: float, w: np.ndarray) -> float:
+    """log P(sum_j w_j Z_j^2 > q) for iid standard normal Z_j and w_j > 0."""
+    if w.size == 0 or q <= 0.0:
+        return 0.0
+    # the law is scale-free: put the mean at 1
+    mean = float(np.sum(w))
+    q, w = q / mean, w / mean
+    log_p = _saddlepoint_log_sf(q, w)
+    if log_p < math.log(_IMHOF_MIN_P):
+        return log_p
+    p = _imhof_sf(q, w)
+    return log_p if p is None else math.log(p)
+
+
+def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
+    """Lugannani-Rice saddlepoint approximation of log P(Q > q), Q the
+    chi-square mixture of _log_sf_chi2_mixture with mean 1 (Kuonen 1999).
+
+    With the cumulant generating function K(t) = -sum log(1 - 2 t w_j)/2
+    and the root t of K'(t) = q: z = sign(t) sqrt(2 (t q - K(t))),
+    u = t sqrt(K''(t)) and P = Phi(-z) + phi(z) (1/u - 1/z).  In the
+    upper tail the normal tail is written as phi(z) times Mills' ratio,
+    so log P stays finite far below the log of the smallest double.
+    """
+    def excess(t):  # K'(t) - q
+        return float(np.sum(w / (1.0 - 2.0 * t * w))) - q
+
+    wmax = float(np.max(w))
+    # K' increases on (-inf, 1/(2 wmax)); its largest term and its term
+    # count bound the root on either side of 0
+    if excess(0.0) <= 0.0:
+        lo, hi = 0.0, (1.0 - 0.5 * wmax / q) / (2.0 * wmax)
+    else:
+        lo, hi = -w.size / q, 0.0
+    t = optimize.brentq(excess, lo, hi, xtol=1e-300,
+                        rtol=4.0 * np.finfo(float).eps, maxiter=500)
+    k = -0.5 * float(np.sum(np.log1p(-2.0 * t * w)))
+    z = math.copysign(math.sqrt(max(2.0 * (t * q - k), 0.0)), t)
+    if abs(z) < _SADDLEPOINT_CENTRAL:
+        k2 = 2.0 * float(np.sum(w * w))
+        skew = 8.0 * float(np.sum(w**3)) / k2**1.5
+        zc = (q - 1.0) / math.sqrt(k2)
+        p = sps.norm.sf(zc) + sps.norm.pdf(zc) * skew * (zc * zc - 1.0) / 6.0
+        return min(math.log(p), 0.0)
+    r = w / (1.0 - 2.0 * t * w)
+    u = t * math.sqrt(2.0 * float(np.sum(r * r)))
+    if z > 0.0:
+        mills = math.sqrt(math.pi / 2.0) * float(special.erfcx(z / math.sqrt(2.0)))
+        return min(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+                   + math.log(mills + 1.0 / u - 1.0 / z), 0.0)
+    p = sps.norm.sf(z) + sps.norm.pdf(z) * (1.0 / u - 1.0 / z)
+    return min(math.log(p), 0.0)
+
+
+def _imhof_sf(q: float, w: np.ndarray) -> Optional[float]:
+    """P(Q > q) by Imhof's (1961) inversion of the characteristic
+    function, or None where the integral does not converge."""
+
+    def integrand(u):
+        x = w * u
+        theta = 0.5 * (float(np.arctan(x).sum()) - q * u)
+        log_rho = 0.25 * float(np.log1p(x * x).sum())
+        return math.sin(theta) * math.exp(-log_rho) / u
+
+    # with full_output, quad reports a failure in its return value
+    # instead of warning
+    out = integrate.quad(integrand, 0.0, math.inf, epsabs=1e-9,
+                         epsrel=1e-7, limit=500, full_output=1)
+    if len(out) > 3:
+        return None
+    p = 0.5 + out[0] / math.pi
+    return min(p, 1.0) if p > 0.0 else None
+
+
+def _table_test(a, b, n_levels, n_permutations, seed, stream):
+    """(dcor, p, log mid-p) of the discretized dCov test.
+
+    The spectral null runs on tables with at least
+    SPECTRAL_MIN_CELL_MEAN points per cell, the sampled one elsewhere,
+    on the (seed, stream) generator.
+    """
+    ga, pa, At, dva = _level_side(a, n_levels)
+    gb, pb, Bt, dvb = _level_side(b, n_levels)
     if dva <= 0.0 or dvb <= 0.0:
         # a constant side is independent of anything
-        return 0.0, 1.0, 1.0
+        return 0.0, 1.0, 0.0
+    n = a.shape[0]
+    na, nb = pa.shape[0], pb.shape[0]
+    N = np.bincount(ga * nb + gb, minlength=na * nb).reshape(na, nb)
+    N = N.astype(np.float64)
     s_obs = _table_dcov(N, At, Bt, n)
-    null = _null_dcov_draws(N, At, Bt, n, n_permutations, rng)
+    dcor = _dcor_from_parts(s_obs, dva, dvb)
+    if n >= SPECTRAL_MIN_CELL_MEAN * na * nb:
+        # (n - 1) rather than n: the hypergeometric covariance carries
+        # n / (n - 1), so this matches the null mean exactly
+        log_p = _log_sf_chi2_mixture((n - 1) * s_obs, _null_weights(pa, At, pb, Bt))
+        return dcor, math.exp(log_p), log_p
+    null = _null_dcov_draws(N, At, Bt, n, n_permutations, generator(seed, stream))
     greater = int(np.sum(null > s_obs))
     ties = int(np.sum(null == s_obs))
     p_exact = (1 + greater + ties) / (n_permutations + 1)
     p_mid = (greater + 0.5 * (ties + 1)) / (n_permutations + 1)
-    return _dcor_from_parts(s_obs, dva, dvb), p_exact, p_mid
+    return dcor, p_exact, float(np.log(p_mid))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +365,15 @@ def combine_pvalues_fisher(pvals) -> tuple[float, float]:
         raise OutOfRange("need at least one p-value")
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise OutOfRange("p-values must lie in (0, 1]")
+    return _fisher_from_logs(np.log(p))
+
+
+def _fisher_from_logs(log_p: np.ndarray) -> tuple[float, float]:
+    """combine_pvalues_fisher on log p-values, which may lie far below
+    the log of the smallest double."""
     # + 0.0 turns the -0.0 of all-ones inputs into 0.0
-    stat = -2.0 * float(np.sum(np.log(p))) + 0.0
-    return stat, float(sps.chi2.sf(stat, 2 * p.size))
+    stat = -2.0 * float(np.sum(log_p)) + 0.0
+    return stat, float(sps.chi2.sf(stat, 2 * log_p.size))
 
 
 def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
@@ -239,18 +387,21 @@ def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
     if n < 100:
         raise TooFewSamples(f"need >= 100 observations, got {n}")
     levels = max(4, min(N_LEVELS, n // 16))
-    rng = generator(cfg.seed, _STREAM_INDEPENDENCE)
-    dcor, p_exact, _ = _table_permutation_test(
-        prices, d, levels, cfg.n_permutations, rng)
+    dcor, p, _ = _table_test(prices, d, levels, cfg.n_permutations,
+                             cfg.seed, _STREAM_INDEPENDENCE)
     return FairnessVerdict(
-        axiom=Axiom(INDEPENDENCE), statistic=dcor, p_value=p_exact,
+        axiom=Axiom(INDEPENDENCE), statistic=dcor, p_value=p,
         analytic_criterion=None,
-        verdict=_verdict_from_p(p_exact, cfg.alpha, n),
+        verdict=_verdict_from_p(p, cfg.alpha, n),
         alpha=cfg.alpha, n_used=n, seed=cfg.seed)
 
 
 def check_separation(prices, d, y, cfg: TestConfig) -> FairnessVerdict:
-    """Equalized odds: price independent of D conditionally on Y."""
+    """Equalized odds: price independent of D conditionally on Y.
+
+    Any column may come as NormalScores, which the check then does not
+    rank again; the result is the same.
+    """
     return _conditional_check(a=prices, b=d, given=y, cfg=cfg, axiom=SEPARATION)
 
 
@@ -272,14 +423,14 @@ def _residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerdict:
-    a, b, given = _as_columns(a, b, given)
-    n = a.shape[0]
+    scored = [isinstance(c, NormalScores) for c in (a, b, given)]
+    cols = _as_columns(a, b, given)
+    n = cols[0].shape[0]
     if n < 100 * cfg.n_bins_y:
         raise TooFewSamples(
             f"need >= {100 * cfg.n_bins_y} observations for {cfg.n_bins_y} bins, got {n}")
-    a = normal_ppf(_copula_ranks(a))
-    b = normal_ppf(_copula_ranks(b))
-    given = normal_ppf(_copula_ranks(given))
+    a, b, given = (c if done else normal_ppf(_copula_ranks(c))
+                   for c, done in zip(cols, scored))
     bin_ids, n_bins = _quantile_level_ids(given, cfg.n_bins_y)
     # ties can leave quantile bins with no points at all; those are a
     # degenerate-edge artifact and collapse away, while nonempty bins
@@ -291,18 +442,23 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
     if counts.min() < MIN_BIN_COUNT:
         raise EmptyBin(
             f"a conditioning bin holds {counts.min()} < {MIN_BIN_COUNT} points")
-    mid_ps = np.empty(n_bins)
+    # a stable sort keeps each bin's rows in their original order, the
+    # order a boolean mask would select them in; on the smallest integer
+    # type that holds the ids, numpy sorts by radix
+    order = np.argsort(bin_ids.astype(np.min_scalar_type(n_bins - 1)),
+                       kind="stable")
+    a, b, given = a[order], b[order], given[order]
+    ends = np.cumsum(counts)
+    log_ps = np.empty(n_bins)
     for k in range(n_bins):
-        sel = bin_ids == k
-        gk = given[sel]
-        ak = _residualize(a[sel], gk)
-        bk = _residualize(b[sel], gk)
+        rows = slice(ends[k] - counts[k], ends[k])
+        gk = given[rows]
+        ak = _residualize(a[rows], gk)
+        bk = _residualize(b[rows], gk)
         levels = max(2, min(N_LEVELS // 2, int(counts[k]) // 16))
-        rng = generator(cfg.seed, _STREAM_BIN_BASE + k)
-        _, _, p_mid = _table_permutation_test(
-            ak, bk, levels, cfg.n_permutations, rng)
-        mid_ps[k] = p_mid
-    stat, p_comb = combine_pvalues_fisher(mid_ps)
+        _, _, log_ps[k] = _table_test(ak, bk, levels, cfg.n_permutations,
+                                      cfg.seed, _STREAM_BIN_BASE + k)
+    stat, p_comb = _fisher_from_logs(log_ps)
     return FairnessVerdict(
         axiom=Axiom(axiom), statistic=stat, p_value=p_comb,
         analytic_criterion=None,

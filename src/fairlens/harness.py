@@ -136,15 +136,17 @@ def cmd_audit(cfg: RunConfig) -> AuditReport:
     price_is_x1 = model.PRICE_IS_X1[cfg.functional]
     prices = data.x1 if price_is_x1 else np.zeros(cfg.n)
 
+    # both conditional checks work on normal scores: compute each once
+    sp, sd, sy = (fairness.normal_scores(c) for c in (prices, data.d, data.y))
     outcomes = []
     for axiom in AXIOM_KINDS:
         try:
             if axiom == fairness.INDEPENDENCE:
                 stat = fairness.check_independence(prices, data.d, cfg.test)
             elif axiom == fairness.SEPARATION:
-                stat = fairness.check_separation(prices, data.d, data.y, cfg.test)
+                stat = fairness.check_separation(sp, sd, sy, cfg.test)
             else:
-                stat = fairness.check_sufficiency(data.y, data.d, prices, cfg.test)
+                stat = fairness.check_sufficiency(sy, sd, sp, cfg.test)
         except (TooFewSamples, EmptyBin):
             stat = _inconclusive(axiom, cfg, cfg.n)
         criterion, verdict = oracles.analytic_verdict(
@@ -221,24 +223,20 @@ def _yes_no(verdict: str) -> str:
 
 
 def format_table(cells: list[dict]) -> str:
-    """Human-readable grid, one line per (rho1, rho2) pair."""
-    lines = ["(rho1, rho2)   independence  separation  sufficiency"]
-    pairs = []
-    for cell in cells:
-        key = (cell["rho1"], cell["rho2"])
-        if key not in pairs:
-            pairs.append(key)
+    """Human-readable grid, one line per (rho1, rho2) pair, each column
+    as wide as its widest entry."""
+    pairs = list(dict.fromkeys((c["rho1"], c["rho2"]) for c in cells))
+    rows = [["(rho1, rho2)", *AXIOM_KINDS]]
     for rho1, rho2 in pairs:
         row = {c["axiom"]: c for c in cells
                if (c["rho1"], c["rho2"]) == (rho1, rho2)}
-        entries = []
-        for axiom in AXIOM_KINDS:
-            cell = row[axiom]
-            text = f"{cell['analytic']}/{cell['statistical']}"
-            if not cell["agree"]:
-                text += "!"
-            entries.append(f"{text:>12s}")
-        lines.append(f"({rho1:.2f}, {rho2:.2f})  " + "  ".join(entries))
+        rows.append([f"({rho1:.2f}, {rho2:.2f})"] + [
+            f"{row[a]['analytic']}/{row[a]['statistical']}"
+            + ("" if row[a]["agree"] else "!") for a in AXIOM_KINDS])
+    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
+    lines = ["  ".join([r[0].ljust(widths[0])]
+                       + [e.rjust(w) for e, w in zip(r[1:], widths[1:])])
+             for r in rows]
     lines.append("legend: analytic/statistical; ! disagreement")
     return "\n".join(lines)
 

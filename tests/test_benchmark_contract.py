@@ -9,6 +9,8 @@ package would otherwise surface only as a failed benchmark op.
 import importlib.util
 from pathlib import Path
 
+from fairlens import RunConfig, TestConfig, fairness, harness
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -43,3 +45,21 @@ def test_rebound_names_exist_and_are_restored(tmp_path):
             *spans.CHECKS} <= names
     for module, attr, original in originals:
         assert getattr(module, attr) is original, attr
+
+
+def test_audit_above_the_floor_ranks_once_and_samples_no_table():
+    """At n = 5e5 every level table of an audit holds at least
+    SPECTRAL_MIN_CELL_MEAN points per cell (independence 122, the
+    25,000-point bins 24), so no table is sampled, and each of the
+    three columns is ranked once for both conditional checks."""
+    n = 500_000
+    assert n / 20 / 32**2 >= fairness.SPECTRAL_MIN_CELL_MEAN
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        harness.cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=n, seed=5,
+                                    test=TestConfig(seed=5)))
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("fairness.rankdata") == 3
+    assert names.count("streams.normal_ppf") == 3
+    assert "fairness.null" not in names
+    assert {"harness.cmd_audit", *spans.CHECKS} <= set(names)

@@ -11,7 +11,7 @@ from scipy import stats as sps
 
 from fairlens import (ConfigError, EmptyBin, LengthMismatch, TestConfig,
                       TooFewSamples, check_independence, check_separation,
-                      check_sufficiency, combine_pvalues_fisher,
+                      check_sufficiency, combine_pvalues_fisher, fairness,
                       make_example_model, simulate)
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 
@@ -156,7 +156,9 @@ class TestCheckIndependence:
         ds = simulate(reference_model, 10**5, seed=41)
         v = check_independence(ds.x1, ds.d, TestConfig(seed=13))
         assert v.verdict == VIOLATED
-        assert v.p_value == pytest.approx(1.0 / 1000.0)
+        # 24 points per cell: the spectral null, whose p-value is not
+        # held at or above the 1/1000 floor of 999 sampled tables
+        assert v.p_value < 1.0 / 1000.0
         assert v.n_used == 10**5
         assert v.statistic == pytest.approx(0.089, abs=0.03)
 
@@ -229,6 +231,14 @@ class TestConditionalCheckers:
         assert suf.axiom.kind == "sufficiency"
         assert sep_swapped.axiom.kind == "separation"
 
+    def test_scored_columns_give_the_same_verdict(self, reference_model):
+        ds = simulate(reference_model, 5 * 10**4, seed=47)
+        scored = [fairness.normal_scores(c) for c in (ds.x1, ds.d, ds.y)]
+        assert check_separation(*scored, FAST) == \
+            check_separation(ds.x1, ds.d, ds.y, FAST)
+        assert check_sufficiency(scored[2], scored[1], scored[0], FAST) == \
+            check_sufficiency(ds.y, ds.d, ds.x1, FAST)
+
     def test_too_few_samples(self, reference_model):
         ds = simulate(reference_model, 1500, seed=48)
         with pytest.raises(TooFewSamples):
@@ -255,6 +265,90 @@ class TestConditionalCheckers:
         v = check_sufficiency(y, d, np.zeros(5000), FAST)
         assert v.verdict == INCONCLUSIVE  # n below the power guard
         assert v.p_value > 0.01
+
+
+def _both_nulls(monkeypatch, a, b, levels, n_permutations):
+    """(spectral p, sampled mid-p) of the level-table test of (a, b)."""
+    log_ps = []
+    for floor in (0.0, math.inf):
+        monkeypatch.setattr(fairness, "SPECTRAL_MIN_CELL_MEAN", floor)
+        log_ps.append(fairness._table_test(a, b, levels, n_permutations,
+                                           seed=1, stream=1)[2])
+    return tuple(math.exp(lp) for lp in log_ps)
+
+
+class TestSpectralNull:
+    @pytest.mark.parametrize("levels,cell_mean", [
+        (8, 21.0), (32, 21.0), (64, 21.0), (32, 50.0)])
+    def test_agrees_with_sampled_null(self, monkeypatch, levels, cell_mean):
+        """On independent pairs and on weak linear and quadratic
+        dependence, from just above the floor up, the spectral p-value
+        lies within 4 Monte Carlo standard errors of the sampled mid-p."""
+        n = int(cell_mean * levels**2)
+        draws = 999
+        rng = np.random.default_rng(levels + int(cell_mean))
+        for rep in range(6):
+            a = rng.normal(size=n)
+            noise = rng.normal(size=n)
+            effect = (rep // 2) * 1.5 / math.sqrt(n)
+            b = noise + effect * (a if rep % 2 else (a * a - 1.0))
+            spec, perm = _both_nulls(monkeypatch, a, b, levels, draws)
+            se = math.sqrt(max(perm * (1.0 - perm), 1.0 / draws) / draws)
+            assert abs(spec - perm) <= 4.0 * se, (rep, spec, perm)
+
+    def test_floor_routes_tables(self, monkeypatch):
+        """64 x 64 tables: 81,920 points reach 20 per cell and draw no
+        table, whatever the test seed; one point fewer samples them."""
+        sampled = []
+        original = fairness._null_dcov_draws
+        monkeypatch.setattr(fairness, "_null_dcov_draws",
+                            lambda *args: sampled.append(1) or original(*args))
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(2, 81_920))
+        p1 = check_independence(a, b, TestConfig(n_permutations=199, seed=1))
+        p2 = check_independence(a, b, TestConfig(n_permutations=199, seed=2))
+        assert sampled == [] and p1.p_value == p2.p_value
+        below = check_independence(a[1:], b[1:], FAST)
+        assert sampled == [1]
+        assert (below.p_value * 200).is_integer()
+
+    def test_tail_matches_chi_square(self):
+        """Equal weights make the mixture a scaled chi-square; the tail
+        stays finite far below the smallest double."""
+        w = np.full(50, 0.3)
+        for q in (5.0, 15.0, 25.0, 60.0, 150.0):
+            want = sps.chi2.logsf(q / 0.3, 50)
+            got = fairness._log_sf_chi2_mixture(q, w)
+            assert got == pytest.approx(want, rel=1e-3, abs=1e-6), q
+        far = fairness._log_sf_chi2_mixture(3000.0, w)
+        assert math.isfinite(far) and far < math.log(5e-324)
+
+    def test_reference_bins_keep_finite_log_p(self, reference_model,
+                                              reference_dataset_cache):
+        """A 50,000-point bin of the n=1e6 reference audit, and the
+        n=1e6 independence table whose p underflows to 0.0, both give a
+        finite log p that Fisher's combination takes."""
+        ds = simulate(reference_model, 50_000, seed=3)
+        _, _, log_bin = fairness._table_test(ds.x1, ds.d, 32, 199, 0, 0)
+        ds = reference_dataset_cache(1)
+        _, p, log_full = fairness._table_test(ds.x1, ds.d, 64, 199, 0, 0)
+        assert p == 0.0
+        assert math.isfinite(log_full) and log_full < math.log(5e-324)
+        assert math.isfinite(log_bin) and log_bin < math.log(1e-3)
+        stat, combined = fairness._fisher_from_logs(
+            np.array([log_bin] * 19 + [log_full]))
+        assert stat == pytest.approx(-2.0 * (19 * log_bin + log_full))
+        assert combined == 0.0
+
+    def test_separation_statistic_not_saturated(self, reference_dataset_cache):
+        """At n=1e6 every sampled mid-p sat at its floor 0.5/(B + 1),
+        which pinned separation's Fisher statistic at -40 log(0.5/(B + 1))
+        for every data seed (239.66 for B = 199)."""
+        cfg = TestConfig(n_permutations=199, seed=3)
+        stats = [check_separation(ds.x1, ds.d, ds.y, cfg).statistic
+                 for ds in map(reference_dataset_cache, (1, 2))]
+        assert min(stats) > -40.0 * math.log(0.5 / 200.0)
+        assert stats[0] != stats[1]
 
 
 class TestMonotoneInvariance:

@@ -1,6 +1,7 @@
 """Audit orchestration, report emission, CLI behavior."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,25 @@ class TestCmdTable:
         flipped = [dict(c, agree=False) if c["axiom"] == "separation" else c
                    for c in cells]
         assert format_table(flipped).splitlines()[1].split()[3] == "NO/NO!"
+
+    def test_format_table_columns_line_up(self):
+        """Each column is as wide as its widest entry, so an
+        INCONCLUSIVE cell or a negative rho does not shift the grid."""
+        cells = [{"rho1": rho1, "rho2": 0.5, "axiom": axiom,
+                  "analytic": "NO", "statistical": statistical,
+                  "agree": axiom != "sufficiency"}
+                 for rho1, statistical in ((0.3, "NO"), (-0.3, "INCONCLUSIVE"))
+                 for axiom in ("independence", "separation", "sufficiency")]
+        lines = format_table(cells).splitlines()
+        assert lines[2].split()[2:] == ["NO/INCONCLUSIVE", "NO/INCONCLUSIVE",
+                                        "NO/INCONCLUSIVE!"]
+        # a column is a run of text with no double space inside
+        spans = [[m.span() for m in re.finditer(r"\S+(?: \S+)*", line)]
+                 for line in lines[:-1]]
+        assert [len(s) for s in spans] == [4, 4, 4]
+        assert spans[1][0][0] == spans[2][0][0] == spans[0][0][0]
+        for column in (1, 2, 3):
+            assert len({row[column][1] for row in spans}) == 1, column
 
     def test_csv_shape(self):
         cells = cmd_table(n=2 * 10**4, seed=11, test=QUICK_TEST)
