@@ -10,11 +10,9 @@ as a function of the covariance parameters (rho1, rho2).
 """
 
 from .errors import (ConfigError, EmptyBin, FairlensError, LengthMismatch,
-                     NotPositiveDefinite, OutOfRange, QuadratureError,
-                     TooFewSamples)
+                     NotPositiveDefinite, QuadratureError, TooFewSamples)
 from .fairness import (Axiom, FairnessVerdict, TestConfig, check_independence,
-                       check_separation, check_sufficiency,
-                       combine_pvalues_fisher)
+                       check_separation, check_sufficiency)
 from .harness import (AuditReport, AxiomOutcome, RunConfig, VERSION, cmd_audit,
                       cmd_reproduce_separation, cmd_table, emit_report)
 from .model import (PortfolioModel, SimulatedDataset, make_example_model,
@@ -27,11 +25,11 @@ __version__ = VERSION
 __all__ = [
     "Axiom", "AuditReport", "AxiomOutcome", "ConfigError", "EmptyBin",
     "FairlensError", "FairnessVerdict", "LengthMismatch", "MomentEstimate",
-    "NotPositiveDefinite", "OutOfRange", "PortfolioModel",
+    "NotPositiveDefinite", "PortfolioModel",
     "QuadratureError", "RunConfig", "SimulatedDataset", "TestConfig",
     "TooFewSamples", "check_independence", "check_separation",
     "check_sufficiency", "cmd_audit", "cmd_reproduce_separation",
-    "cmd_table", "combine_pvalues_fisher", "emit_report",
+    "cmd_table", "emit_report",
     "make_example_model", "read_csv", "simulate",
     "var_y_given_price_and_d", "write_csv", "x1_given_y0_x2_d0",
     "x2_unnormalized_density_y0_d0", "__version__",

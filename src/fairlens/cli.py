@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--seed", type=int)
     audit.add_argument("--alpha", type=float)
     audit.add_argument("--permutations", type=int, dest="n_permutations")
-    audit.add_argument("--bins", type=int, dest="n_bins_y")
     audit.add_argument("--test-seed", type=int, dest="test_seed")
     audit.add_argument("--functional", choices=harness.FUNCTIONALS)
     audit.add_argument("--out", dest="output_path")

@@ -21,10 +21,6 @@ class EmptyBin(FairlensError):
     """A conditioning bin has fewer points than the test requires."""
 
 
-class OutOfRange(FairlensError):
-    """A numeric argument lies outside its admissible range."""
-
-
 class ConfigError(FairlensError):
     """Invalid run or test configuration."""
 

@@ -6,8 +6,8 @@ data:
 * independence (statistical parity): price independent of D — a
   distance-correlation test.
 * separation (equalized odds): price independent of D given Y — the
-  response is sliced into equal-probability bins, the test runs inside
-  each bin, and per-bin p-values are Fisher-combined.
+  response is sliced into N_BINS equal-probability bins, the test runs
+  inside each bin, and per-bin p-values are Fisher-combined.
 * sufficiency (predictive parity): Y independent of D given the price —
   the same machinery with the roles of Y and the price exchanged.
 
@@ -50,17 +50,18 @@ import numpy as np
 from scipy import integrate, optimize, special
 from scipy import stats as sps
 
-from .errors import ConfigError, EmptyBin, LengthMismatch, OutOfRange, TooFewSamples
+from .errors import ConfigError, EmptyBin, LengthMismatch, TooFewSamples
 from .streams import generator, normal_ppf
 
 POWER_GUARD_N = 100_000  # HOLDS requires at least this many observations
 
 MIN_BIN_COUNT = 30
 N_LEVELS = 64  # quantile levels per variable; conditional bins use half
+N_BINS = 20  # equal-probability bins of the conditioning variable
 
 # the spectral null replaces sampled tables once the level table holds
-# at least this many points per cell on average: every table of a
-# 20-bin audit at n >= 409,600 (independence 64 x 64, bins 32 x 32),
+# at least this many points per cell on average: every table of an
+# audit at n >= 409,600 (independence 64 x 64, bins 32 x 32),
 # none at n = 2e4 (at most 19.5 per cell, the one collapsed bin of a
 # constant price); criterion 7's 500-point bins on 31 levels hold 0.5
 SPECTRAL_MIN_CELL_MEAN = 20.0
@@ -99,13 +100,11 @@ class TestConfig:
     permutation RNG is keyed by `seed` only, independent of the seeds
     that generated the data.  Both the budget and `seed` act only on
     tables below SPECTRAL_MIN_CELL_MEAN points per cell, whose null is
-    sampled.  n_bins_y is the number of equal-probability bins of the
-    conditioning variable.
+    sampled.  The resolution of the tests (N_LEVELS, N_BINS) is fixed.
     """
 
     alpha: float = 0.01
     n_permutations: int = 999
-    n_bins_y: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -113,8 +112,6 @@ class TestConfig:
             raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
         if self.n_permutations < 99:
             raise ConfigError("n_permutations must be >= 99")
-        if self.n_bins_y < 5:
-            raise ConfigError("n_bins_y must be >= 5")
 
 
 @dataclass(frozen=True)
@@ -357,20 +354,10 @@ def _table_test(a, b, n_levels, n_permutations, seed, stream):
 # p-value combination and axiom checkers
 # ---------------------------------------------------------------------------
 
-def combine_pvalues_fisher(pvals) -> tuple[float, float]:
-    """Fisher's method: (statistic -2 sum(log p), its p-value against
-    chi-square with 2k df)."""
-    p = np.asarray(pvals, dtype=np.float64).ravel()
-    if p.size == 0:
-        raise OutOfRange("need at least one p-value")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
-        raise OutOfRange("p-values must lie in (0, 1]")
-    return _fisher_from_logs(np.log(p))
-
-
 def _fisher_from_logs(log_p: np.ndarray) -> tuple[float, float]:
-    """combine_pvalues_fisher on log p-values, which may lie far below
-    the log of the smallest double."""
+    """Fisher's method on log p-values, which may lie far below the log
+    of the smallest double: (statistic -2 sum(log p), its p-value against
+    chi-square with 2k df)."""
     # + 0.0 turns the -0.0 of all-ones inputs into 0.0
     stat = -2.0 * float(np.sum(log_p)) + 0.0
     return stat, float(sps.chi2.sf(stat, 2 * log_p.size))
@@ -426,19 +413,20 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
     scored = [isinstance(c, NormalScores) for c in (a, b, given)]
     cols = _as_columns(a, b, given)
     n = cols[0].shape[0]
-    if n < 100 * cfg.n_bins_y:
+    if n < 100 * N_BINS:
         raise TooFewSamples(
-            f"need >= {100 * cfg.n_bins_y} observations for {cfg.n_bins_y} bins, got {n}")
+            f"need >= {100 * N_BINS} observations for {N_BINS} bins, got {n}")
     a, b, given = (c if done else normal_ppf(_copula_ranks(c))
                    for c, done in zip(cols, scored))
-    bin_ids, n_bins = _quantile_level_ids(given, cfg.n_bins_y)
+    bin_ids, n_bins = _quantile_level_ids(given, N_BINS)
     # ties can leave quantile bins with no points at all; those are a
     # degenerate-edge artifact and collapse away, while nonempty bins
     # below the minimum count are a genuine data problem
-    occupied = np.unique(bin_ids)
-    bin_ids = np.searchsorted(occupied, bin_ids)
-    n_bins = occupied.shape[0]
     counts = np.bincount(bin_ids, minlength=n_bins)
+    keep = counts > 0
+    bin_ids = (np.cumsum(keep) - 1)[bin_ids]
+    counts = counts[keep]
+    n_bins = counts.shape[0]
     if counts.min() < MIN_BIN_COUNT:
         raise EmptyBin(
             f"a conditioning bin holds {counts.min()} < {MIN_BIN_COUNT} points")

@@ -39,12 +39,11 @@ FUNCTIONALS = tuple(model.PRICE_IS_X1)
 OUTPUT_FORMATS = ("csv", "json")
 
 # the flat --config keys, in report order: test_seed is TestConfig.seed,
-# alpha, n_permutations and n_bins_y are the other TestConfig fields,
-# and the rest are RunConfig fields; the CLI's audit flags use the same
-# names as their argparse dests
+# alpha and n_permutations are its other fields, and the rest are
+# RunConfig fields; the CLI's audit flags use the same names as their
+# argparse dests
 CONFIG_KEYS = ("rho1", "rho2", "n", "seed", "alpha", "n_permutations",
-               "n_bins_y", "test_seed", "output_path", "output_format",
-               "functional")
+               "test_seed", "output_path", "output_format", "functional")
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             value = _integer(key, value)
         values[key] = value
     test = {("seed" if key == "test_seed" else key): values.pop(key)
-            for key in ("alpha", "n_permutations", "n_bins_y", "test_seed")
+            for key in ("alpha", "n_permutations", "test_seed")
             if key in values}
     return RunConfig(test=TestConfig(**test), **values)
 

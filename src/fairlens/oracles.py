@@ -33,6 +33,9 @@ _MC_STREAM_BASE = 0x200
 QUAD_HALF_RANGE = 12.0
 _QUAD_NODES = 24
 _QUAD_MAX_PANELS = 4096
+# the quadrature route's default tolerance, which the analytic
+# separation verdict uses
+SEPARATION_QUAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,8 @@ def _adaptive_even_quadrature(f, tol: float) -> float:
     raise QuadratureError(f"no convergence at tol={tol}")
 
 
-def second_moment_x1_given_y0_d0_quad(rho1: float, rho2: float,
-                                      tol: float = 1e-8) -> MomentEstimate:
+def second_moment_x1_given_y0_d0_quad(
+        rho1: float, rho2: float, tol: float = SEPARATION_QUAD_TOL) -> MomentEstimate:
     """Quadrature route for the same ratio, with adaptive error control."""
     require_valid_rho_pair(rho1, rho2)
 
@@ -171,9 +174,6 @@ def var_y_given_price_and_d(rho1: float, rho2: float, x1: float, d: float) -> fl
     m = rho2 / (1.0 - rho1**2) * (d - rho1 * x1)
     v = (1.0 - rho1**2 - rho2**2) / (1.0 - rho1**2)
     return 1.0 + m * m + v
-
-
-SEPARATION_QUAD_TOL = 1e-8
 
 
 def analytic_verdict(axiom: str, rho1: float, rho2: float,
@@ -229,6 +229,6 @@ def analytic_verdict(axiom: str, rho1: float, rho2: float,
         return float(r2), HOLDS if r2 == 0.0 else VIOLATED
     if r1 == 0.0 and r2 == 0.0:
         return 0.0, HOLDS
-    with_d = second_moment_x1_given_y0_d0_quad(r1, r2, SEPARATION_QUAD_TOL).value
-    without_d = second_moment_x1_given_y0_d0_quad(0.0, 0.0, SEPARATION_QUAD_TOL).value
+    with_d = second_moment_x1_given_y0_d0_quad(r1, r2).value
+    without_d = second_moment_x1_given_y0_d0_quad(0.0, 0.0).value
     return abs(with_d - without_d), VIOLATED

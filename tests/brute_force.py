@@ -3,8 +3,8 @@
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
 distance correlation, the generic permutation p-value, the Gaussian
-log density and Schur-complement conditioning, and the general
-discrimination-free average) that the tests hold the fast code against.
+log density and Schur-complement conditioning) that the tests hold the
+fast code against.
 """
 
 from dataclasses import dataclass
@@ -154,7 +154,7 @@ def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian log density and conditioning, the general discrimination-free price
+# Gaussian log density and conditioning
 # ---------------------------------------------------------------------------
 
 def log_density(mean, cov, point) -> float:
@@ -189,21 +189,3 @@ def condition(mean, cov, observed_indices, observed_values):
     new_mean = mean[rest] + gain @ (vals - mean[obs])
     new_cov = s_rr - gain @ s_ro.T
     return new_mean, (new_cov + new_cov.T) / 2.0
-
-
-def discrimination_free_price_general(best_estimate, d_marginal_samples):
-    """Average a best-estimate price over marginal draws of D.
-
-    best_estimate(x, d) must broadcast over a vector of d values; the
-    returned callable maps x to the sample average of best_estimate(x, d)
-    over the provided marginal draws (not the conditional law of D
-    given x, which is what removes the proxy-inference channel).
-    """
-    d_samples = np.asarray(d_marginal_samples, dtype=np.float64)
-    if d_samples.size == 0:
-        raise ValueError("d_marginal_samples must be nonempty")
-
-    def averaged(x):
-        return float(np.mean(best_estimate(x, d_samples)))
-
-    return averaged

@@ -26,19 +26,29 @@ def reference_dataset_cache(reference_model):
     return get
 
 
-def native_draws_fn(rho1, rho2, seed):
+def native_draws_fn(rho1, rho2, seed, x1=None, x2=None):
     """(x1, x2, d, y) draws from an independent sampler (numpy ziggurat).
 
     Used as the raw-sample source for rejection oracles: it shares no
     code with the package's deterministic inverse-CDF sampler, so
     agreement genuinely cross-validates the distributional claims.
+
+    X1 and X2 are exogenous, so conditioning on either is exact: a
+    given x1 or x2 overwrites that column of the standard normals.  The
+    Cholesky factor is lower-triangular with X1 and X2 first, so the
+    column is X1 or X2 itself and every other value is the one the
+    unconditioned sampler draws.
     """
     cov = np.array([[1.0, 0.0, rho1], [0.0, 1.0, rho2], [rho1, rho2, 1.0]])
     lower = np.linalg.cholesky(cov)
 
     def draws(n, round_index):
         rng = np.random.default_rng((seed, round_index))
-        x = rng.standard_normal((n, 3)) @ lower.T
+        z = rng.standard_normal((n, 3))
+        for col, value in ((0, x1), (1, x2)):
+            if value is not None:
+                z[:, col] = value
+        x = z @ lower.T
         y = x[:, 0] + np.sqrt(1.0 + x[:, 1] ** 2) * rng.standard_normal(n)
         return np.column_stack([x, y])
 

@@ -162,10 +162,12 @@ def test_criterion_07_type_one_calibration():
 
 def test_criterion_08_oracle_equivalence():
     """Closed-form conditionals vs grid integration (1e-6) and
-    slice-rejection simulation (3 se) on a 10-point random panel."""
+    slice-rejection simulation (3 se) on a 10-point random panel; the
+    same simulation rejects the mean-free law of X1 | (Y=0, X2, D=0)."""
     rng = np.random.default_rng(2024)
     max_grid_err = 0.0
     max_abs_z = 0.0
+    max_planted_z = 0.0
     for k in range(10):
         rho1 = rng.uniform(0.05, 0.5)
         rho2 = rng.uniform(0.05, 0.8)
@@ -194,21 +196,23 @@ def test_criterion_08_oracle_equivalence():
             zs.append((est.mean - mu_a[target]) / est.se_mean)
             zs.append((est.var - cov_a[target, target]) / est.se_var)
 
-        # X2 | (X1, D) against a 1-d grid and a 2-d slice
+        # X2 | (X1, D) against a 1-d grid and, with X1 fixed, a D slice
         mu_b, cov_b = condition(np.zeros(3), cov, [0, 2], [x1v, d0])
         mean_b, var_b, _ = grid_moments(
             lambda x2: np.exp(trivariate_log_density(rho1, rho2, x1v, x2, d0)),
             -10.0, 10.0, 8001)
         max_grid_err = max(max_grid_err, abs(mean_b - mu_b[0]),
                            abs(var_b - cov_b[0, 0]))
-        est = slice_rejection_moments(draws, [0, 2], [x1v, d0], 1,
-                                      half_width=0.025)
+        est = slice_rejection_moments(
+            native_draws_fn(rho1, rho2, seed=7000 + k, x1=x1v), [2], [d0], 1,
+            half_width=0.025)
         zs.append((est.mean - mu_b[0]) / est.se_mean)
         zs.append((est.var - cov_b[0, 0]) / est.se_var)
 
-        # X1 | (Y=0, X2, D=0) against a 1-d grid and a 3-d slice;
-        # the triple window is widened to 0.075 to keep the acceptance
-        # rate workable (bias is O(width^2), far below the noise floor)
+        # X1 | (Y=0, X2, D=0) against a 1-d grid and, with X2 fixed, a
+        # (Y, D) slice; the double window is widened to 0.075 to keep
+        # the acceptance rate workable (bias is O(width^2), far below
+        # the noise floor)
         mean_x1, var_x1 = x1_given_y0_x2_d0(rho1, rho2, x2v)
         mean_c, var_c, _ = grid_moments(
             lambda x1: np.exp(response_log_density(0.0, x1, x2v)
@@ -216,16 +220,21 @@ def test_criterion_08_oracle_equivalence():
             -10.0, 10.0, 8001)
         max_grid_err = max(max_grid_err, abs(mean_c - mean_x1),
                            abs(var_c - var_x1))
-        est = slice_rejection_moments(draws, [3, 1, 2], [0.0, x2v, 0.0], 0,
-                                      half_width=0.075)
+        est = slice_rejection_moments(
+            native_draws_fn(rho1, rho2, seed=7000 + k, x2=x2v),
+            [3, 2], [0.0, 0.0], 0, half_width=0.075)
         zs.append((est.mean - mean_x1) / est.se_mean)
         zs.append((est.var - var_x1) / est.se_var)
+        # power: the planted law N(0, var_x1) drops the conditional mean
+        max_planted_z = max(max_planted_z, abs(est.mean) / est.se_mean)
 
         assert max(abs(z) for z in zs) < 3.0, f"panel point {k}"
         max_abs_z = max(max_abs_z, max(abs(z) for z in zs))
     assert max_grid_err < 1e-6
+    assert max_planted_z > 3.0
     announce("8", f"grid err {max_grid_err:.1e} < 1e-6, "
-                  f"max |z| = {max_abs_z:.2f} < 3")
+                  f"max |z| = {max_abs_z:.2f} < 3, "
+                  f"mean-free law at {max_planted_z:.1f} > 3")
 
 
 def test_criterion_09_pricing_identities():

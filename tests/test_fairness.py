@@ -11,8 +11,8 @@ from scipy import stats as sps
 
 from fairlens import (ConfigError, EmptyBin, LengthMismatch, TestConfig,
                       TooFewSamples, check_independence, check_separation,
-                      check_sufficiency, combine_pvalues_fisher, fairness,
-                      make_example_model, simulate)
+                      check_sufficiency, fairness, make_example_model,
+                      simulate)
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 
 from brute_force import distance_correlation, permutation_pvalue
@@ -42,14 +42,15 @@ def brute_force_dcor(a, b):
 class TestTestConfig:
     def test_defaults(self):
         cfg = TestConfig()
-        assert (cfg.alpha, cfg.n_permutations, cfg.n_bins_y) == (0.01, 999, 20)
-        # ranks, detrending and the level count are fixed, not options
+        assert (cfg.alpha, cfg.n_permutations, cfg.seed) == (0.01, 999, 0)
+        # ranks, detrending, the level count and the bin count are
+        # fixed, not options
         assert [f.name for f in fields(cfg)] == [
-            "alpha", "n_permutations", "n_bins_y", "seed"]
+            "alpha", "n_permutations", "seed"]
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 0.5}, {"n_permutations": 50},
-        {"n_bins_y": 4}, {"n_permutations": 98},
+        {"alpha": math.nan}, {"n_permutations": 98},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -82,6 +83,26 @@ class TestDistanceCorrelation:
         got = distance_correlation(ds.x1, ds.d)
         assert got == pytest.approx(brute_force_dcor(ds.x1, ds.d), abs=1e-10)
         assert got == pytest.approx(0.1, abs=0.06)
+
+    @pytest.mark.parametrize("n,levels,ties", [
+        (300, 4, False), (1000, 8, True), (2000, 16, False),
+        (3000, 32, True), (5000, 64, False)])
+    def test_level_table_statistic_matches_definition(self, n, levels, ties):
+        """The level-table dCor that every verdict rests on is the exact
+        distance correlation of each point's level position, the
+        midpoint cumsum(p) - p/2 of its level's probability mass."""
+        rng = np.random.default_rng(n + levels)
+        a = rng.normal(size=n)
+        b = 0.3 * a + rng.normal(size=n)
+        if ties:
+            # a tie block across several quantile edges merges levels
+            a[rng.permutation(n)[: n // 4]] = 0.0
+        positions = []
+        for x in (a, b):
+            ids, probs = fairness._level_side(x, levels)[:2]
+            positions.append((np.cumsum(probs) - probs / 2.0)[ids])
+        got = fairness._table_test(a, b, levels, 99, seed=0, stream=0)[0]
+        assert got == pytest.approx(distance_correlation(*positions), abs=1e-12)
 
     def test_length_validation(self):
         with pytest.raises(LengthMismatch):
@@ -127,26 +148,26 @@ class TestPermutationPvalue:
                                np.arange(10.0), 50, seed=0)
 
 
+def fisher(pvals):
+    """Fisher's combination of the p-values, as the checkers run it."""
+    return fairness._fisher_from_logs(np.log(np.asarray(pvals, dtype=float)))
+
+
 class TestFisherCombination:
     def test_single_value_identity(self):
-        assert combine_pvalues_fisher([0.5])[1] == pytest.approx(0.5, abs=1e-12)
-        assert combine_pvalues_fisher([0.07])[1] == pytest.approx(0.07, abs=1e-12)
+        assert fisher([0.5])[1] == pytest.approx(0.5, abs=1e-12)
+        assert fisher([0.07])[1] == pytest.approx(0.07, abs=1e-12)
 
     def test_all_ones(self):
-        stat, p = combine_pvalues_fisher([1.0, 1.0, 1.0])
+        stat, p = fisher([1.0, 1.0, 1.0])
         assert p == 1.0
         assert stat == 0.0 and math.copysign(1.0, stat) == 1.0
-
-    def test_out_of_range(self):
-        for bad in ([0.0, 0.5], [0.5, 1.2], [-0.1], []):
-            with pytest.raises(Exception):
-                combine_pvalues_fisher(bad)
 
     def test_uniform_inputs_give_uniform_output(self):
         """KS distance of combined p-values from U(0,1) over 2000 reps."""
         rng = np.random.default_rng(20)
         combined = np.array([
-            combine_pvalues_fisher(rng.uniform(size=20))[1] for _ in range(2000)])
+            fisher(rng.uniform(size=20))[1] for _ in range(2000)])
         ks = sps.kstest(combined, "uniform").statistic
         assert ks < 0.05
 
@@ -253,7 +274,7 @@ class TestConditionalCheckers:
                                 rng.uniform(1.0, 2.0, size=75)])
         a = rng.normal(size=given.size)
         b = rng.normal(size=given.size)
-        cfg = TestConfig(n_bins_y=20, n_permutations=99, seed=1)
+        cfg = TestConfig(n_permutations=99, seed=1)
         with pytest.raises(EmptyBin):
             check_separation(a, b, given, cfg)
 

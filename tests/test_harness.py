@@ -42,8 +42,10 @@ class TestRunConfig:
             RunConfig(rho1=0.1, rho2=0.9, functional="fitted")
 
     def test_config_from_dict_unknown_key(self):
-        # the checker's ranks, detrending and level count are not options
-        for key in ("bogus", "rank_transform", "n_levels", "residualize"):
+        # the checker's ranks, detrending, level count and bin count are
+        # not options
+        for key in ("bogus", "rank_transform", "n_levels", "residualize",
+                    "n_bins_y"):
             with pytest.raises(ConfigError):
                 config_from_dict({"rho1": 0.1, "rho2": 0.9, key: 1})
 
@@ -64,9 +66,9 @@ class TestRunConfig:
         assert (cfg.rho1, cfg.n, cfg.test.n_permutations) == (0.0, 10**6, 199)
         assert type(cfg.n) is int and type(cfg.rho1) is float
         for bad in ({"rho2": "0.9"}, {"alpha": True}, {"n": 1500.5},
-                    {"seed": "42"}, {"test_seed": True}, {"n_bins_y": None},
-                    {"functional": ["null"]}, {"output_format": "xml"},
-                    {"output_path": 3}):
+                    {"seed": "42"}, {"test_seed": True},
+                    {"n_permutations": None}, {"functional": ["null"]},
+                    {"output_format": "xml"}, {"output_path": 3}):
             with pytest.raises(ConfigError):
                 config_from_dict({"rho1": 0.1, "rho2": 0.9, **bad})
 
@@ -286,9 +288,9 @@ class TestCli:
         assert parsed["config"]["n"] == 20000   # file value kept
 
     CONFIG_FILE = {"rho1": 0.1, "rho2": 0.9, "n": 10000, "seed": 1,
-                   "alpha": 0.01, "n_permutations": 99, "n_bins_y": 5,
-                   "test_seed": 0, "functional": "unawareness",
-                   "output_format": "json", "output_path": "from_file.json"}
+                   "alpha": 0.01, "n_permutations": 99, "test_seed": 0,
+                   "functional": "unawareness", "output_format": "json",
+                   "output_path": "from_file.json"}
     # (flag, config key, flag text, value in the report)
     FLAG_CASES = [
         ("--rho1", "rho1", "0.2", 0.2),
@@ -297,7 +299,6 @@ class TestCli:
         ("--seed", "seed", "9", 9),
         ("--alpha", "alpha", "0.02", 0.02),
         ("--permutations", "n_permutations", "199", 199),
-        ("--bins", "n_bins_y", "6", 6),
         ("--test-seed", "test_seed", "5", 5),
         ("--functional", "functional", "null", "null"),
         ("--format", "output_format", "json", "json"),
@@ -334,6 +335,16 @@ class TestCli:
         cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         assert main(["audit", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_bin_count_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--rho1", "0.1", "--rho2", "0.9", "--bins", "6"])
+        assert exc.value.code == 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rho1": 0.1, "rho2": 0.9,
+                                        "n_bins_y": 20}))
+        assert main(["audit", "--config", str(cfg_path)]) == 2
+        assert "unknown config keys: ['n_bins_y']" in capsys.readouterr().err
 
     def test_missing_config_file_exits_two(self):
         assert main(["audit", "--config", "/nonexistent/cfg.json"]) == 2

@@ -16,8 +16,6 @@ from fairlens import (ConfigError, LengthMismatch, NotPositiveDefinite, RunConfi
 from fairlens.harness import report_to_dict
 from fairlens.model import PRICE_IS_X1, SimulatedDataset, read_csv, write_csv
 
-from brute_force import discrimination_free_price_general
-
 
 class TestModelConstruction:
     def test_reference_parameters(self):
@@ -177,29 +175,6 @@ class TestPricing:
             RunConfig(rho1=0.1, rho2=0.9, functional="fitted")
         with pytest.raises(ConfigError):
             RunConfig(rho1=0.1, rho2=0.9, functional="subset:x3")
-
-
-class TestDiscriminationFreeGeneral:
-    def test_example_model_returns_x1(self):
-        rng = np.random.default_rng(3)
-        avg = discrimination_free_price_general(
-            lambda x, d: np.full_like(np.asarray(d, float), x[0]),
-            rng.normal(size=100))
-        assert avg((0.3, -1.0)) == pytest.approx(0.3, abs=1e-15)
-
-    def test_constant_integrand(self):
-        avg = discrimination_free_price_general(lambda x, d: d, [2.0, 2.0, 2.0])
-        assert avg((1.0, 1.0)) == 2.0
-
-    def test_monte_carlo_average_of_centered_marginal(self):
-        rng = np.random.default_rng(11)
-        samples = rng.normal(size=10**5)
-        avg = discrimination_free_price_general(lambda x, d: x[0] * d, samples)
-        assert abs(avg((1.0, 0.0))) <= 0.02
-
-    def test_empty_marginal_rejected(self):
-        with pytest.raises(ValueError):
-            discrimination_free_price_general(lambda x, d: d, [])
 
 
 class TestSerialization:
