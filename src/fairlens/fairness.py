@@ -66,6 +66,13 @@ N_BINS = 20  # equal-probability bins of the conditioning variable
 # constant price); criterion 7's 500-point bins on 31 levels hold 0.5
 SPECTRAL_MIN_CELL_MEAN = 20.0
 
+# the sampled null holds all n_permutations tables at once, at most
+# N_LEVELS x N_LEVELS int64 cells each (independence below n = 81,920);
+# the ceiling keeps that batch within 1 GiB (its two float64 products
+# take as much again each), so 32,768 permutations
+NULL_BATCH_BUDGET_BYTES = 1 << 30
+MAX_PERMUTATIONS = NULL_BATCH_BUDGET_BYTES // (N_LEVELS * N_LEVELS * 8)
+
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -110,8 +117,9 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        if self.n_permutations < 99:
-            raise ConfigError("n_permutations must be >= 99")
+        if not 99 <= self.n_permutations <= MAX_PERMUTATIONS:
+            raise ConfigError(f"n_permutations must be in [99, {MAX_PERMUTATIONS}], "
+                              f"got {self.n_permutations}")
 
 
 @dataclass(frozen=True)

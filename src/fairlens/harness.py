@@ -172,13 +172,15 @@ def cmd_reproduce_separation(n: int, seed: int) -> dict:
 
     Returns both conditional second moments (with and without D in the
     conditioning), their standard errors, and the strict-ordering check
-    value1 < value2 < 1 with margins in combined standard errors.
+    value1 < value2 < 1 with margins in standard errors.  Both moments
+    read the same draws, so the gap's standard error takes their
+    covariance into account.
     """
     if n < 10**6:
         raise ConfigError("reproduction requires n >= 1e6")
-    with_d = oracles.second_moment_x1_given_y0_d0_mc(0.1, 0.9, n, seed)
-    without_d = oracles.second_moment_x1_given_y0_d0_mc(0.0, 0.0, n, seed)
-    gap_se = float(np.hypot(with_d.std_error, without_d.std_error))
+    (with_d, without_d), cov = oracles.second_moment_x1_given_y0_d0_mc(
+        ((0.1, 0.9), (0.0, 0.0)), n, seed)
+    gap_se = float(np.sqrt(max(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1], 0.0)))
     return {
         "e_x1sq_given_y0_d0": with_d,
         "e_x1sq_given_y0": without_d,

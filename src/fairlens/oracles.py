@@ -23,6 +23,8 @@ from .model import require_valid_rho_pair
 from .streams import standard_normals
 
 MC_CHUNK = 1 << 20
+# values per slice of the elementwise posterior, which stays in cache
+_MC_SLICE = 1 << 14
 
 # chunk streams live far from the simulator's covariate/response streams
 # so sharing a seed across estimators and datasets never shares draws
@@ -101,30 +103,83 @@ def _ratio_with_delta_se(num, den, num2, den2, cross, n):
     return ratio, float(np.sqrt(max(var_ratio, 0.0)))
 
 
-def second_moment_x1_given_y0_d0_mc(rho1: float, rho2: float, n: int,
-                                    seed: int) -> MomentEstimate:
-    """Monte Carlo route: ratio of sample means over X ~ N(0,1).
+def _ratio_covariance(first, second, n):
+    """Delta-method covariance of the ratios first[2j] / first[2j+1].
 
-    Chunked accumulation with a fixed block size keeps the result
-    deterministic in (n, seed) regardless of how callers schedule it.
+    first holds the sums of the columns (num_0, den_0, num_1, ...) and
+    second the upper triangle of their product sums.  Ratio j has the
+    influence function (num_j - ratio_j den_j) / mean(den_j), so its
+    covariance with ratio l is the sum of that gradient's outer
+    product against the column covariance over both 2 x 2 blocks.
+    Elementwise throughout: no BLAS call.
     """
-    require_valid_rho_pair(rho1, rho2)
+    mean = first / n
+    upper = np.triu(second / n - np.outer(mean, mean))
+    cov_cols = upper + np.triu(upper, 1).T
+    ratio = mean[0::2] / mean[1::2]
+    grad = np.empty_like(mean)
+    grad[0::2] = 1.0 / mean[1::2]
+    grad[1::2] = -ratio / mean[1::2]
+    k = ratio.shape[0]
+    terms = grad[:, None] * cov_cols * grad[None, :]
+    return terms.reshape(k, 2, k, 2).sum(axis=(1, 3)) / n
+
+
+def second_moment_x1_given_y0_d0_mc(pairs, n: int, seed: int):
+    """Monte Carlo route for each (rho1, rho2) in pairs, on one pass of draws.
+
+    Each estimate is a ratio of sample means over X ~ N(0,1); every pair
+    reads the same draws, so an estimate does not depend on which other
+    pairs share the pass.  Chunked accumulation with a fixed block size
+    keeps the result deterministic in (n, seed) regardless of how
+    callers schedule it.
+
+    Returns (estimates, cov): one MomentEstimate per pair, and the k x k
+    delta-method covariance of their values.  The shared draws correlate
+    the estimates, so the standard error of a difference of two needs
+    the off-diagonal terms; the diagonal is each std_error squared, up
+    to rounding.
+    """
+    pairs = tuple(pairs)
+    for rho1, rho2 in pairs:
+        require_valid_rho_pair(rho1, rho2)
     if n < 10**4:
         raise ValueError("monte_carlo requires n >= 1e4")
-    sums = np.zeros(5)  # num, den, num^2, den^2, num*den
+    # columns (w*v, w) per pair; sums of each and of each product pair
+    n_cols = 2 * len(pairs)
+    first = np.zeros(n_cols)
+    second = np.zeros((n_cols, n_cols))
+    cols = np.empty((n_cols, min(n, MC_CHUNK)))
+    prod = np.empty(cols.shape[1])
     done = 0
     block = 0
     while done < n:
         take = min(MC_CHUNK, n - done)
         x = standard_normals(take, seed, stream=_MC_STREAM_BASE + block)
-        # v becomes w*v in place, so only w and w*v stay alive per chunk
-        w, wv = _posterior_weight_and_variance(x, rho1, rho2)
-        wv *= w
-        sums += (wv.sum(), w.sum(), (wv * wv).sum(), (w * w).sum(), (wv * w).sum())
+        # the posterior runs slice by slice into the chunk's columns; the
+        # sums below stay over whole chunks, since numpy's pairwise
+        # summation rounds by array length
+        for lo in range(0, take, _MC_SLICE):
+            hi = min(lo + _MC_SLICE, take)
+            for j, (rho1, rho2) in enumerate(pairs):
+                w, v = _posterior_weight_and_variance(x[lo:hi], rho1, rho2)
+                np.multiply(v, w, out=cols[2 * j, lo:hi])
+                cols[2 * j + 1, lo:hi] = w
+        for a in range(n_cols):
+            first[a] += cols[a, :take].sum()
+            for b in range(a, n_cols):
+                np.multiply(cols[a, :take], cols[b, :take], out=prod[:take])
+                second[a, b] += prod[:take].sum()
         done += take
         block += 1
-    value, se = _ratio_with_delta_se(*sums, n)
-    return MomentEstimate(value=float(value), std_error=se, n=n, method="monte_carlo")
+    estimates = []
+    for num in range(0, n_cols, 2):
+        den = num + 1
+        value, se = _ratio_with_delta_se(first[num], first[den], second[num, num],
+                                         second[den, den], second[num, den], n)
+        estimates.append(MomentEstimate(value=float(value), std_error=se, n=n,
+                                        method="monte_carlo"))
+    return tuple(estimates), _ratio_covariance(first, second, n)
 
 
 def _adaptive_even_quadrature(f, tol: float) -> float:

@@ -63,3 +63,16 @@ def test_audit_above_the_floor_ranks_once_and_samples_no_table():
     assert names.count("streams.normal_ppf") == 3
     assert "fairness.null" not in names
     assert {"harness.cmd_audit", *spans.CHECKS} <= set(names)
+
+
+def test_reproduction_draws_its_normals_once():
+    """Both separation moments read one pass of draws: one Monte Carlo
+    span and exactly n traced normals."""
+    n = 10**6
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        harness.cmd_reproduce_separation(n, seed=4)
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("oracles.monte_carlo") == 1
+    assert sum(span["counts"]["values"] for span in tracer.spans
+               if span["name"] == "streams.standard_normals") == n

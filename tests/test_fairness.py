@@ -56,6 +56,22 @@ class TestTestConfig:
         with pytest.raises(ConfigError):
             TestConfig(**kwargs)
 
+    def test_permutation_ceiling_bounds_the_sampled_batch(self):
+        """The largest sampled batch, MAX_PERMUTATIONS tables of
+        N_LEVELS x N_LEVELS cells, fits the budget; one more table does
+        not.  The cell size comes from a two-table draw, not assumed."""
+        margins = np.full(fairness.N_LEVELS, 10)
+        two = sps.random_table(margins, margins).rvs(size=2, random_state=0)
+        per_table = two[0].size * two.itemsize
+        assert per_table == fairness.N_LEVELS**2 * 8
+        budget = fairness.NULL_BATCH_BUDGET_BYTES
+        assert fairness.MAX_PERMUTATIONS * per_table <= budget
+        assert (fairness.MAX_PERMUTATIONS + 1) * per_table > budget
+        assert TestConfig(n_permutations=fairness.MAX_PERMUTATIONS)
+        for too_many in (fairness.MAX_PERMUTATIONS + 1, 99999999999999999999):
+            with pytest.raises(ConfigError, match="n_permutations"):
+                TestConfig(n_permutations=too_many)
+
 
 class TestDistanceCorrelation:
     def test_perfect_linear_dependence(self):

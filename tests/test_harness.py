@@ -346,6 +346,12 @@ class TestCli:
         assert main(["audit", "--config", str(cfg_path)]) == 2
         assert "unknown config keys: ['n_bins_y']" in capsys.readouterr().err
 
+    def test_permutations_above_the_ceiling_exit_two(self, capsys):
+        code = main(["audit", "--rho1", "0.1", "--rho2", "0.9", "--n", "20000",
+                     "--permutations", "99999999999999999999"])
+        assert code == 2
+        assert "n_permutations must be in [99, 32768]" in capsys.readouterr().err
+
     def test_missing_config_file_exits_two(self):
         assert main(["audit", "--config", "/nonexistent/cfg.json"]) == 2
 

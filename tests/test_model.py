@@ -15,6 +15,7 @@ from fairlens import (ConfigError, LengthMismatch, NotPositiveDefinite, RunConfi
                       TestConfig, cmd_audit, make_example_model, simulate)
 from fairlens.harness import report_to_dict
 from fairlens.model import PRICE_IS_X1, SimulatedDataset, read_csv, write_csv
+from fairlens.streams import standard_normals
 
 
 class TestModelConstruction:
@@ -194,6 +195,26 @@ class TestSerialization:
         (tmp_path / "draws.csv.meta.json").write_text(json.dumps(meta))
         with pytest.raises(NotPositiveDefinite):
             read_csv(path)
+
+    def test_csv_bytes_match_savetxt(self, tmp_path):
+        """Block-wise formatting writes np.savetxt's bytes, over a row
+        count that is not a multiple of the block and extreme values."""
+        n = 2 * 8192 + 37
+        cols = standard_normals(4 * n, seed=21).reshape(4, n) * 1e3
+        extremes = np.array([-0.0, 5e-324, 1e300, -1e-17])
+        cols[:, :4] = extremes  # along the first rows
+        cols[:, -4:] = extremes[:, None]  # down the last row
+        ds = SimulatedDataset(x1=cols[0], x2=cols[1], d=cols[2], y=cols[3],
+                              seed=3, rho1=0.1, rho2=0.9)
+        path = tmp_path / "blocks.csv"
+        write_csv(ds, path)
+        with (tmp_path / "savetxt.csv").open("w", newline="") as fh:
+            np.savetxt(fh, cols.T, fmt="%.17g", delimiter=",", header="x1,x2,d,y",
+                       comments="", newline="\r\n")
+        assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+        back = read_csv(path)
+        for name, col in zip(("x1", "x2", "d", "y"), cols):
+            assert getattr(back, name).tobytes() == col.tobytes()
 
     def test_csv_golden_bytes(self, tmp_path):
         """The exact file bytes: header, CRLF rows, %.17g values."""

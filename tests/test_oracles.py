@@ -122,16 +122,49 @@ class TestSecondMoment:
         assert got.value == pytest.approx(0.604, abs=0.01)
 
     def test_monte_carlo_agrees_with_quadrature(self):
-        mc = second_moment_x1_given_y0_d0_mc(0.1, 0.9, n=10**6, seed=8)
+        (mc,), _ = second_moment_x1_given_y0_d0_mc([(0.1, 0.9)], n=10**6, seed=8)
         quad = second_moment_x1_given_y0_d0_quad(0.1, 0.9)
         assert abs(mc.value - quad.value) < 3 * mc.std_error
         assert mc.method == "monte_carlo"
         assert mc.n == 10**6
 
     def test_monte_carlo_deterministic(self):
-        a = second_moment_x1_given_y0_d0_mc(0.1, 0.9, n=10**5, seed=4)
-        b = second_moment_x1_given_y0_d0_mc(0.1, 0.9, n=10**5, seed=4)
+        a, cov_a = second_moment_x1_given_y0_d0_mc([(0.1, 0.9)], n=10**5, seed=4)
+        b, cov_b = second_moment_x1_given_y0_d0_mc([(0.1, 0.9)], n=10**5, seed=4)
         assert a == b
+        assert cov_a.tobytes() == cov_b.tobytes()
+
+    def test_monte_carlo_bits_are_pinned(self):
+        """float.hex of both moments at n = 2^20 + 7 (a full chunk and a
+        7-value one) is pinned, and a pair's estimate does not depend on
+        the pairs that share its pass."""
+        n = (1 << 20) + 7
+        both, _ = second_moment_x1_given_y0_d0_mc([(0.1, 0.9), (0.0, 0.0)], n, 11)
+        assert [(m.value.hex(), m.std_error.hex()) for m in both] == [
+            ("0x1.0a18347741d3cp-1", "0x1.3704920eedbcap-15"),
+            ("0x1.356307f06417fp-1", "0x1.7f34f99edcefcp-14")]
+        (alone,), _ = second_moment_x1_given_y0_d0_mc([(0.0, 0.0)], n, 11)
+        assert alone == both[1]
+
+    def test_gap_standard_error_matches_its_spread(self):
+        """The delta-method SE of the gap between two moments read from
+        the same draws matches the gap's spread over 1000 seeds at
+        n = 1e4 within 15%, about 4 sampling SEs of the ratio.  The
+        same check fails for hypot(se1, se2), which treats the shared
+        draws as independent and overstates the SE by about a quarter."""
+        gaps, ses, hypots = [], [], []
+        for seed in range(1000, 2000):
+            (with_d, without_d), cov = second_moment_x1_given_y0_d0_mc(
+                [(0.1, 0.9), (0.0, 0.0)], n=10**4, seed=seed)
+            gaps.append(without_d.value - with_d.value)
+            ses.append(np.sqrt(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1]))
+            hypots.append(np.hypot(with_d.std_error, without_d.std_error))
+            np.testing.assert_allclose(np.sqrt(np.diag(cov)),
+                                       [with_d.std_error, without_d.std_error],
+                                       rtol=1e-9)
+        spread = np.std(gaps, ddof=1)
+        assert abs(spread / np.median(ses) - 1.0) < 0.15
+        assert abs(spread / np.median(hypots) - 1.0) > 0.15
 
     def test_ordering_strict(self):
         with_d = second_moment_x1_given_y0_d0_quad(0.1, 0.9).value
@@ -141,7 +174,7 @@ class TestSecondMoment:
     @pytest.mark.parametrize("rho1,rho2", [
         (0.1, 0.9), (0.0, 0.0), (0.3, 0.5), (0.0, 0.7), (0.45, 0.2)])
     def test_quadrature_monte_carlo_agreement_grid(self, rho1, rho2):
-        mc = second_moment_x1_given_y0_d0_mc(rho1, rho2, n=10**6, seed=16)
+        (mc,), _ = second_moment_x1_given_y0_d0_mc([(rho1, rho2)], n=10**6, seed=16)
         quad = second_moment_x1_given_y0_d0_quad(rho1, rho2)
         assert abs(mc.value - quad.value) < 3 * mc.std_error
 
@@ -158,7 +191,9 @@ class TestSecondMoment:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            second_moment_x1_given_y0_d0_mc(0.1, 0.9, n=100, seed=0)
+            second_moment_x1_given_y0_d0_mc([(0.1, 0.9)], n=100, seed=0)
+        with pytest.raises(NotPositiveDefinite):
+            second_moment_x1_given_y0_d0_mc([(0.1, 0.9), (0.9, 0.9)], n=10**4, seed=0)
         with pytest.raises(NotPositiveDefinite):
             second_moment_x1_given_y0_d0_quad(0.9, 0.9)
 

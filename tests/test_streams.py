@@ -1,10 +1,13 @@
 """Deterministic stream machinery and the inverse normal CDF."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fairlens.streams import (BLOCK_SIZE, _open_uniforms, generator,
+from fairlens.streams import (BLOCK_SIZE, _bit_generator, _open_uniforms, generator,
                               normal_ppf, standard_normals)
 
 
@@ -25,9 +28,11 @@ def test_normal_ppf_scalar_and_symmetry():
 
 
 def test_uniforms_open_interval():
-    u = _open_uniforms(200_000, seed=1, stream=0)
+    u = _open_uniforms(_bit_generator(1, 0).random_raw(200_000))
     assert u.min() > 0.0
     assert u.max() < 1.0
+    ends = _open_uniforms(np.array([0, (1 << 64) - 1], dtype=np.uint64))
+    assert ends.tolist() == [2.0**-53, 1.0 - 2.0**-53]
 
 
 def test_standard_normals_deterministic_and_prefix():
@@ -57,3 +62,49 @@ def test_generator_reproducible():
     g1 = generator(5, 17)
     g2 = generator(5, 17)
     assert np.array_equal(g1.permutation(50), g2.permutation(50))
+
+
+# SHA-256 digests pin the kernel's bytes: a rewrite of the inverse CDF
+# or of how blocks are walked must reproduce them
+
+
+def _ppf_edge_runs():
+    """Runs of probabilities across each branch edge of AS 241.
+
+    A few ulps around both |q| = 0.425 edges, and runs across both
+    r = 5 crossings (on the lower side r moves by one ulp of 25 only
+    every ~30 ulps of p).
+    """
+    return {
+        "q-lower": 0.075 + np.spacing(0.075) * np.arange(-3, 4),
+        "q-upper": 0.925 + np.spacing(0.925) * np.arange(-3, 4),
+        "r-lower": math.exp(-25.0) * (1.0 + 1e-15 * np.arange(-50, 51)),
+        "r-upper": 1.0 - math.exp(-25.0) + 2.0**-53 * np.arange(-5, 6),
+    }
+
+
+def test_standard_normals_bytes_are_pinned():
+    """A prefix of two blocks, the second one partial."""
+    z = standard_normals(BLOCK_SIZE + 12_345, seed=9, stream=4)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == (
+        "392bcbd8643c9e6cc0f1dec9eed79fdd2f467f731b836783ab152ddd7af791e6")
+
+
+def test_normal_ppf_bytes_are_pinned():
+    """Both ends of the open interval, every branch edge, broad grids."""
+    runs = _ppf_edge_runs()
+    for name, run in runs.items():
+        q = run - 0.5
+        if name.startswith("q"):
+            inside = np.abs(q) <= 0.425
+        else:
+            inside = np.sqrt(-np.log(np.where(q < 0.0, run, 1.0 - run))) <= 5.0
+        assert inside.any() and not inside.all(), name
+    p = np.concatenate([
+        [2.0**-53, 1.0 - 2.0**-53, 0.5], *runs.values(),
+        np.linspace(2.0**-53, 1.0 - 2.0**-53, 100_003),
+        np.geomspace(2.0**-53, 0.5, 50_001),
+        1.0 - np.geomspace(2.0**-53, 0.5, 50_001),
+    ])
+    assert hashlib.sha256(normal_ppf(p).tobytes()).hexdigest() == (
+        "c5616287f9cc694f972dee24261af841c0eac2e3fa99027a617686dcae26d1f1")
