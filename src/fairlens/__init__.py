@@ -10,7 +10,8 @@ as a function of the covariance parameters (rho1, rho2).
 """
 
 from .errors import (ConfigError, EmptyBin, FairlensError, LengthMismatch,
-                     NotPositiveDefinite, QuadratureError, TooFewSamples)
+                     NonFiniteInput, NotPositiveDefinite, QuadratureError,
+                     TooFewSamples)
 from .fairness import (Axiom, FairnessVerdict, TestConfig, check_independence,
                        check_separation, check_sufficiency)
 from .harness import (AuditReport, AxiomOutcome, RunConfig, VERSION, cmd_audit,
@@ -25,7 +26,7 @@ __version__ = VERSION
 __all__ = [
     "Axiom", "AuditReport", "AxiomOutcome", "ConfigError", "EmptyBin",
     "FairlensError", "FairnessVerdict", "LengthMismatch", "MomentEstimate",
-    "NotPositiveDefinite", "PortfolioModel",
+    "NonFiniteInput", "NotPositiveDefinite", "PortfolioModel",
     "QuadratureError", "RunConfig", "SimulatedDataset", "TestConfig",
     "TooFewSamples", "check_independence", "check_separation",
     "check_sufficiency", "cmd_audit", "cmd_reproduce_separation",

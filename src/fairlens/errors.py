@@ -13,6 +13,10 @@ class LengthMismatch(FairlensError):
     """Input data columns have unequal lengths."""
 
 
+class NonFiniteInput(FairlensError):
+    """Input data columns hold NaN or infinite values."""
+
+
 class TooFewSamples(FairlensError):
     """Not enough observations for the requested test."""
 

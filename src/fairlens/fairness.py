@@ -50,7 +50,8 @@ import numpy as np
 from scipy import integrate, optimize, special
 from scipy import stats as sps
 
-from .errors import ConfigError, EmptyBin, LengthMismatch, TooFewSamples
+from .errors import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
+                     TooFewSamples)
 from .streams import generator, normal_ppf
 
 POWER_GUARD_N = 100_000  # HOLDS requires at least this many observations
@@ -154,8 +155,30 @@ def _verdict_from_p(p: float, alpha: float, n_used: int) -> str:
 
 
 def _copula_ranks(x: np.ndarray) -> np.ndarray:
+    """Average ranks of x divided by n + 1, from one sort of x.
+
+    Each block of equal values gets the mean of the positions it covers,
+    (start + 1) + (count - 1) / 2, an exact half-integer, so the result
+    equals scipy's rankdata(x) / (n + 1) byte for byte.  numpy's default
+    sort is not stable and its kernel depends on the CPU, but it only
+    reorders equal values, which get equal ranks: the ranks are the same
+    on every CPU.
+    """
     n = x.shape[0]
-    return sps.rankdata(x) / (n + 1.0)
+    order = np.argsort(x)
+    xs = x[order]
+    new_block = xs[1:] != xs[:-1]
+    del xs
+    if new_block.all():
+        sorted_ranks = np.arange(1.0, n + 1.0)
+    else:
+        starts = np.flatnonzero(np.concatenate(([True], new_block)))
+        counts = np.diff(starts, append=n)
+        sorted_ranks = np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)
+    ranks = np.empty(n)
+    ranks[order] = sorted_ranks
+    ranks /= n + 1.0
+    return ranks
 
 
 def _as_columns(*cols):
@@ -163,6 +186,8 @@ def _as_columns(*cols):
     n = arrays[0].shape[0]
     if any(a.shape[0] != n for a in arrays):
         raise LengthMismatch("input vectors have unequal lengths")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteInput("input vectors hold NaN or infinite values")
     return arrays
 
 
@@ -185,9 +210,26 @@ def normal_scores(x) -> NormalScores:
 # ---------------------------------------------------------------------------
 
 def _quantile_level_ids(x: np.ndarray, n_levels: int):
+    """(ids, counts): each value's count of distinct quantile edges at
+    or below it, in the smallest unsigned type that holds them, and the
+    number of values at each id.
+
+    The edges are np.quantile of the sorted column, the same order
+    statistics as of x itself, and each level is a run of the sorted
+    column cut where the edges fall, so one sort gives both.
+    """
+    n = x.shape[0]
     probs = np.linspace(0.0, 1.0, n_levels + 1)[1:-1]
-    edges = np.unique(np.quantile(x, probs))
-    return np.searchsorted(edges, x, side="right"), edges.shape[0] + 1
+    order = np.argsort(x)
+    xs = x[order]
+    edges = np.unique(np.quantile(xs, probs))
+    cuts = np.searchsorted(xs, edges, side="left")
+    del xs
+    counts = np.diff(cuts, prepend=0, append=n)
+    k = counts.shape[0]
+    ids = np.empty(n, dtype=np.min_scalar_type(k - 1))
+    ids[order] = np.repeat(np.arange(k, dtype=ids.dtype), counts)
+    return ids, counts
 
 
 def _level_side(x: np.ndarray, n_levels: int):
@@ -195,10 +237,12 @@ def _level_side(x: np.ndarray, n_levels: int):
     distance variance) of one variable.
 
     Level positions are copula midranks, so everything depends on the
-    order of the values only.
+    order of the values only, and one sort of the column gives the ids
+    and the level counts alike.  The unstable sort only reorders equal
+    values, which share an id, so the result is the same on every CPU.
     """
-    ids, k = _quantile_level_ids(x, n_levels)
-    probs = np.bincount(ids, minlength=k) / x.shape[0]
+    ids, counts = _quantile_level_ids(x, n_levels)
+    probs = counts / x.shape[0]
     values = np.cumsum(probs) - probs / 2.0
     Dt = _centered_level_distances(values, probs)
     return ids, probs, Dt, float(probs @ (Dt * Dt) @ probs)
@@ -341,7 +385,7 @@ def _table_test(a, b, n_levels, n_permutations, seed, stream):
         return 0.0, 1.0, 0.0
     n = a.shape[0]
     na, nb = pa.shape[0], pb.shape[0]
-    N = np.bincount(ga * nb + gb, minlength=na * nb).reshape(na, nb)
+    N = np.bincount(ga.astype(np.intp) * nb + gb, minlength=na * nb).reshape(na, nb)
     N = N.astype(np.float64)
     s_obs = _table_dcov(N, At, Bt, n)
     dcor = _dcor_from_parts(s_obs, dva, dvb)
@@ -426,23 +470,21 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
             f"need >= {100 * N_BINS} observations for {N_BINS} bins, got {n}")
     a, b, given = (c if done else normal_ppf(_copula_ranks(c))
                    for c, done in zip(cols, scored))
-    bin_ids, n_bins = _quantile_level_ids(given, N_BINS)
+    bin_ids, counts = _quantile_level_ids(given, N_BINS)
     # ties can leave quantile bins with no points at all; those are a
     # degenerate-edge artifact and collapse away, while nonempty bins
     # below the minimum count are a genuine data problem
-    counts = np.bincount(bin_ids, minlength=n_bins)
     keep = counts > 0
-    bin_ids = (np.cumsum(keep) - 1)[bin_ids]
+    bin_ids = (np.cumsum(keep) - 1).astype(bin_ids.dtype)[bin_ids]
     counts = counts[keep]
     n_bins = counts.shape[0]
     if counts.min() < MIN_BIN_COUNT:
         raise EmptyBin(
             f"a conditioning bin holds {counts.min()} < {MIN_BIN_COUNT} points")
     # a stable sort keeps each bin's rows in their original order, the
-    # order a boolean mask would select them in; on the smallest integer
-    # type that holds the ids, numpy sorts by radix
-    order = np.argsort(bin_ids.astype(np.min_scalar_type(n_bins - 1)),
-                       kind="stable")
+    # order a boolean mask would select them in; on the narrow unsigned
+    # ids, numpy sorts by radix
+    order = np.argsort(bin_ids, kind="stable")
     a, b, given = a[order], b[order], given[order]
     ends = np.cumsum(counts)
     log_ps = np.empty(n_bins)

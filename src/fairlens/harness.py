@@ -45,6 +45,14 @@ OUTPUT_FORMATS = ("csv", "json")
 CONFIG_KEYS = ("rho1", "rho2", "n", "seed", "alpha", "n_permutations",
                "test_seed", "output_path", "output_format", "functional")
 
+# an audit's numpy heap (tracemalloc peak) grows by 97.0-97.1 bytes per
+# row from n = 5e5 to 4e6, where every level table takes the spectral
+# null; below that the sampled null's fixed ~30 MB dominates.  The
+# ceiling keeps the heap within 4 GiB, so 43,826,196 rows
+AUDIT_HEAP_BYTES_PER_ROW = 98
+AUDIT_HEAP_BUDGET_BYTES = 4 << 30
+MAX_N = AUDIT_HEAP_BUDGET_BYTES // AUDIT_HEAP_BYTES_PER_ROW
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -61,8 +69,8 @@ class RunConfig:
         if not model.valid_rho_pair(self.rho1, self.rho2):
             raise ConfigError(
                 f"(rho1, rho2)=({self.rho1}, {self.rho2}) is not a valid pair")
-        if self.n < 10**3:
-            raise ConfigError(f"n must be >= 1000, got {self.n}")
+        if not 10**3 <= self.n <= MAX_N:
+            raise ConfigError(f"n must be in [1000, {MAX_N}], got {self.n}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
         if self.functional not in FUNCTIONALS:

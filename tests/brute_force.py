@@ -2,15 +2,17 @@
 
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
-distance correlation, the generic permutation p-value, the Gaussian
-log density and Schur-complement conditioning) that the tests hold the
-fast code against.
+distance correlation, the generic permutation p-value, scipy's ranks
+and quantile levels by comparison, the Gaussian log density and
+Schur-complement conditioning) that the tests hold the fast code
+against.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import stats as sps
 
 from fairlens.errors import ConfigError, LengthMismatch
 from fairlens.fairness import _as_columns, _dcor_from_parts
@@ -151,6 +153,23 @@ def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
     for _ in range(n_permutations):
         exceed += statistic_fn(a, b[rng.permutation(b.shape[0])]) >= observed
     return (1 + exceed) / (n_permutations + 1)
+
+
+# ---------------------------------------------------------------------------
+# copula ranks and quantile levels by their definitions
+# ---------------------------------------------------------------------------
+
+def copula_ranks(x) -> np.ndarray:
+    """scipy's average ranks of x divided by n + 1."""
+    x = np.asarray(x, dtype=np.float64)
+    return sps.rankdata(x) / (x.shape[0] + 1.0)
+
+
+def quantile_level_ids(x, n_levels: int) -> np.ndarray:
+    """Each value's count of distinct quantile edges at or below it, the
+    edges at the n_levels - 1 inner equal-probability points."""
+    probs = np.linspace(0.0, 1.0, n_levels + 1)[1:-1]
+    return np.searchsorted(np.unique(np.quantile(x, probs)), x, side="right")
 
 
 # ---------------------------------------------------------------------------

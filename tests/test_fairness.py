@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from fairlens import (ConfigError, EmptyBin, LengthMismatch, TestConfig,
-                      TooFewSamples, check_independence, check_separation,
-                      check_sufficiency, fairness, make_example_model,
-                      simulate)
+from fairlens import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
+                      TestConfig, TooFewSamples, check_independence,
+                      check_separation, check_sufficiency, fairness,
+                      make_example_model, simulate)
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 
-from brute_force import distance_correlation, permutation_pvalue
+from brute_force import (copula_ranks, distance_correlation,
+                         permutation_pvalue, quantile_level_ids)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
 
@@ -125,6 +126,80 @@ class TestDistanceCorrelation:
             distance_correlation([1, 2, 3], [1, 2])
         with pytest.raises(LengthMismatch):
             distance_correlation([1, 2, 3], [1, 2, 3])
+
+
+def _order_inputs(kind, n):
+    """Columns that stress a sort-based ranking: ties, signed zeros,
+    subnormals and values equal to a quantile edge."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    if kind == "distinct":
+        return x
+    if kind == "rounded":
+        return np.round(x, 2)
+    if kind == "small_integers":
+        return rng.integers(0, 5, size=n).astype(np.float64)
+    if kind == "constant":
+        return np.full(n, 1.5)
+    if kind == "signed_zeros":
+        return np.where(x < -0.5, -0.0, np.where(x < 0.5, 0.0, x))
+    if kind == "subnormals":
+        # 2^-1060 x keeps at most 14 significant bits: subnormal, with ties
+        return np.ldexp(x, -1060)
+    assert kind == "on_edges"
+    # 65 values over 64 levels: most edges fall inside a tie block
+    return (rng.permutation(n) % 65).astype(np.float64)
+
+
+ORDER_KINDS = ("distinct", "rounded", "small_integers", "constant",
+               "signed_zeros", "subnormals", "on_edges")
+
+
+class TestOneSortPerColumn:
+    """The sort-based ranks and level ids equal their definitions:
+    scipy's average ranks over n + 1, and the count of distinct quantile
+    edges at or below each value."""
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @pytest.mark.parametrize("n", [500, 50_000, 1_000_000])
+    def test_matches_the_definitions(self, n, kind):
+        x = _order_inputs(kind, n)
+        assert fairness._copula_ranks(x).tobytes() == copula_ranks(x).tobytes()
+        for levels in (fairness.N_LEVELS, fairness.N_LEVELS // 2,
+                       fairness.N_BINS):
+            ids, counts = fairness._quantile_level_ids(x, levels)
+            want = quantile_level_ids(x, levels)
+            np.testing.assert_array_equal(ids, want)
+            np.testing.assert_array_equal(
+                counts, np.bincount(want, minlength=counts.shape[0]))
+            assert ids.dtype == np.min_scalar_type(counts.shape[0] - 1)
+
+    def test_inputs_reach_the_cases_they_name(self):
+        n = 50_000
+        zeros = _order_inputs("signed_zeros", n)
+        signs = np.signbit(zeros[zeros == 0.0])
+        assert signs.any() and not signs.all()
+        sub = _order_inputs("subnormals", n)
+        assert (np.abs(sub[sub != 0.0]) < np.finfo(np.float64).tiny).all()
+        x = _order_inputs("on_edges", n)
+        probs = np.linspace(0.0, 1.0, fairness.N_LEVELS + 1)[1:-1]
+        assert np.isin(np.quantile(x, probs), x).sum() > fairness.N_LEVELS // 2
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", [
+        lambda a, b, c: check_independence(a, b, FAST),
+        lambda a, b, c: check_separation(a, b, c, FAST),
+        lambda a, b, c: check_sufficiency(a, b, c, FAST),
+        lambda a, b, c: fairness.normal_scores(a),
+    ], ids=["independence", "separation", "sufficiency", "normal_scores"])
+    def test_rejected(self, check, bad):
+        rng = np.random.default_rng(9)
+        a, b, c = rng.normal(size=(3, 5000))
+        a[1234] = bad
+        with pytest.raises(NonFiniteInput):
+            check(a, b, c)
 
 
 class TestPermutationPvalue:

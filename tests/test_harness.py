@@ -2,11 +2,12 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fairlens import ConfigError, RunConfig, TestConfig, cmd_audit
+from fairlens import ConfigError, RunConfig, TestConfig, cmd_audit, harness
 from fairlens.cli import main
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 from fairlens.harness import (AuditReport, cmd_reproduce_separation,
@@ -32,6 +33,33 @@ class TestRunConfig:
     def test_sample_size_floor(self):
         with pytest.raises(ConfigError):
             RunConfig(rho1=0.1, rho2=0.9, n=999)
+
+    def test_sample_size_ceiling_bounds_the_audit_heap(self):
+        """MAX_N rows at the per-row heap fit the budget and one more row
+        does not; RunConfig and the CLI refuse n above the ceiling
+        before anything is allocated."""
+        per_row = harness.AUDIT_HEAP_BYTES_PER_ROW
+        assert harness.MAX_N * per_row <= harness.AUDIT_HEAP_BUDGET_BYTES
+        assert (harness.MAX_N + 1) * per_row > harness.AUDIT_HEAP_BUDGET_BYTES
+        assert RunConfig(rho1=0.1, rho2=0.9, n=harness.MAX_N)
+        with pytest.raises(ConfigError, match="n must be"):
+            RunConfig(rho1=0.1, rho2=0.9, n=harness.MAX_N + 1)
+        assert main(["audit", "--rho1", "0.1", "--rho2", "0.9",
+                     "--n", str(harness.MAX_N + 1)]) == 2
+
+    def test_audit_heap_per_row_within_the_estimate(self):
+        """Above the spectral floor the audit's heap is linear in n; at
+        n = 5e5 its tracemalloc peak stays within the per-row figure
+        that MAX_N is derived from."""
+        n = 500_000
+        tracemalloc.start()
+        try:
+            cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=n, seed=5,
+                                test=TestConfig(seed=5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness.AUDIT_HEAP_BYTES_PER_ROW * n
 
     def test_output_format_checked(self):
         with pytest.raises(ConfigError):
