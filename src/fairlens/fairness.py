@@ -31,6 +31,11 @@ tables, and two nulls stand for it:
   n_permutations tables drawn directly from the hypergeometric law
   (Patefield's algorithm), on streams keyed by the test seed.
 
+Each full-length column is sorted once: normal_scores reads the copula
+ranks, the normal scores and the level ids of both checkers off one
+order, and the checkers take a scored column's ids instead of sorting
+it again.  Quantile edges are read off the sorted column by index.
+
 Within conditioning bins, both tested variables are linearly detrended
 on the conditioning variable (all three on the normal-scores scale), to
 remove the spurious dependence that finite-width bins otherwise leak in
@@ -52,7 +57,7 @@ from scipy import stats as sps
 
 from .errors import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                      TooFewSamples)
-from .streams import generator, normal_ppf
+from .streams import check_seed, generator, normal_ppf
 
 POWER_GUARD_N = 100_000  # HOLDS requires at least this many observations
 
@@ -121,6 +126,7 @@ class TestConfig:
         if not 99 <= self.n_permutations <= MAX_PERMUTATIONS:
             raise ConfigError(f"n_permutations must be in [99, {MAX_PERMUTATIONS}], "
                               f"got {self.n_permutations}")
+        check_seed(self.seed, "test seed")
 
 
 @dataclass(frozen=True)
@@ -154,31 +160,9 @@ def _verdict_from_p(p: float, alpha: float, n_used: int) -> str:
     return HOLDS if n_used >= POWER_GUARD_N else INCONCLUSIVE
 
 
-def _copula_ranks(x: np.ndarray) -> np.ndarray:
-    """Average ranks of x divided by n + 1, from one sort of x.
-
-    Each block of equal values gets the mean of the positions it covers,
-    (start + 1) + (count - 1) / 2, an exact half-integer, so the result
-    equals scipy's rankdata(x) / (n + 1) byte for byte.  numpy's default
-    sort is not stable and its kernel depends on the CPU, but it only
-    reorders equal values, which get equal ranks: the ranks are the same
-    on every CPU.
-    """
-    n = x.shape[0]
-    order = np.argsort(x)
-    xs = x[order]
-    new_block = xs[1:] != xs[:-1]
-    del xs
-    if new_block.all():
-        sorted_ranks = np.arange(1.0, n + 1.0)
-    else:
-        starts = np.flatnonzero(np.concatenate(([True], new_block)))
-        counts = np.diff(starts, append=n)
-        sorted_ranks = np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)
-    ranks = np.empty(n)
-    ranks[order] = sorted_ranks
-    ranks /= n + 1.0
-    return ranks
+def _independence_levels(n: int) -> int:
+    """Quantile levels per variable of check_independence at n points."""
+    return max(4, min(N_LEVELS, n // 16))
 
 
 def _as_columns(*cols):
@@ -191,61 +175,144 @@ def _as_columns(*cols):
     return arrays
 
 
-class NormalScores(np.ndarray):
-    """A column already mapped to the normal scores of its copula ranks.
+# ---------------------------------------------------------------------------
+# one sort per column: ranks, normal scores and quantile level ids
+# ---------------------------------------------------------------------------
 
-    The conditional checkers take such a column as it is instead of
-    ranking it again, so an audit scores each column once for both.
+def _sorted_ranks(xs: np.ndarray) -> np.ndarray:
+    """Average ranks of the sorted column xs.
+
+    Each block of equal values gets the mean of the positions it covers,
+    (start + 1) + (count - 1) / 2, an exact half-integer, so the ranks
+    divided by n + 1 equal scipy's rankdata(x) / (n + 1) byte for byte.
     """
+    n = xs.shape[0]
+    new_block = xs[1:] != xs[:-1]
+    if new_block.all():
+        return np.arange(1.0, n + 1.0)
+    starts = np.flatnonzero(np.concatenate(([True], new_block)))
+    counts = np.diff(starts, append=n)
+    return np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)
+
+
+def _sorted_quantiles(xs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.quantile(xs, probs) of the sorted column xs, read off by index.
+
+    numpy's default "linear" method partitions its input to find the
+    order statistics at floor((n - 1) p) and the next index; in a sorted
+    column they already sit there.  The virtual index, its fraction
+    gamma and the two-sided interpolation are numpy's own (_lerp), so
+    the result is the same bytes without the partition.
+    """
+    n = xs.shape[0]
+    vi = (n - 1) * probs
+    lo = np.floor(vi)
+    gamma = vi - lo
+    lo = lo.astype(np.intp)
+    below, above = xs[lo], xs[np.minimum(lo + 1, n - 1)]
+    diff = above - below
+    out = below + diff * gamma
+    np.subtract(above, diff * (1.0 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
+def _level_counts(xs: np.ndarray, n_levels: int) -> np.ndarray:
+    """Number of values of the sorted column xs at each quantile level.
+
+    A value's level is its count of distinct quantile edges at or below
+    it, so each level is the run of xs cut where the edges fall.
+    """
+    probs = np.linspace(0.0, 1.0, n_levels + 1)[1:-1]
+    edges = np.unique(_sorted_quantiles(xs, probs))
+    cuts = np.searchsorted(xs, edges, side="left")
+    return np.diff(cuts, prepend=0, append=xs.shape[0])
+
+
+def _level_ids(order: np.ndarray, counts: np.ndarray):
+    """(ids, counts): the level id of each value in the column's own
+    order, in the smallest unsigned type that holds them, from the
+    column's sorting order and its level counts."""
+    k = counts.shape[0]
+    ids = np.empty(order.shape[0], dtype=np.min_scalar_type(k - 1))
+    ids[order] = np.repeat(np.arange(k, dtype=ids.dtype), counts)
+    return ids, counts
+
+
+def _quantile_level_ids(x: np.ndarray, n_levels: int):
+    """(ids, counts) of x at n_levels quantile levels, from one sort.
+
+    numpy's default sort is not stable and its kernel depends on the
+    CPU, but it only reorders equal values, which share an id: the ids
+    are the same on every CPU.
+    """
+    order = np.argsort(x)
+    return _level_ids(order, _level_counts(x[order], n_levels))
+
+
+class NormalScores(np.ndarray):
+    """A column already mapped to the normal scores of its copula ranks,
+    read-only, with the level ids of both checkers cut from the same
+    sort of the column.
+
+    ``levels`` is the (ids, counts) pair of check_independence's level
+    count, cut on the raw values; ``bins`` is the (ids, counts) pair of
+    the N_BINS conditioning bins, cut on the scores.  The checkers take
+    such a column, and these pairs, as they are instead of sorting the
+    column again, so an audit sorts each column once.  Views and copies
+    carry None for both pairs, and the checkers then cut again.
+    """
+
+    levels = None
+    bins = None
 
 
 def normal_scores(x) -> NormalScores:
-    """normal_ppf of the copula ranks of x, marked as scored."""
+    """normal_ppf of the copula ranks of x, marked as scored and carrying
+    the level ids of both checkers, all from one sort of x.
+
+    The independence ids are cut on the sorted raw values, as
+    check_independence cuts a raw column, so they equal what it would
+    compute from x.  The bin ids are cut on the sorted scores, which are
+    normal_ppf of the sorted ranks: ranks are multiples of 1 / (2 (n + 1))
+    and normal_ppf rises by far more between two of them than its
+    rounding can take back, so the sorted scores are the scores in
+    sorted order, and the cut equals the one _conditional_check makes
+    on the scored column.  The scores are read-only, so the ids cannot
+    go stale.
+    """
     (x,) = _as_columns(x)
-    return normal_ppf(_copula_ranks(x)).view(NormalScores)
+    n = x.shape[0]
+    order = np.argsort(x)
+    xs = x[order]
+    levels = _level_counts(xs, _independence_levels(n))
+    ranks = _sorted_ranks(xs)
+    del xs
+    ranks /= n + 1.0
+    sorted_scores = normal_ppf(ranks)
+    del ranks
+    scores = np.empty(n).view(NormalScores)
+    scores[order] = sorted_scores
+    scores.levels = _level_ids(order, levels)
+    scores.bins = _level_ids(order, _level_counts(sorted_scores, N_BINS))
+    scores.flags.writeable = False
+    return scores
 
 
 # ---------------------------------------------------------------------------
 # discretized distance correlation with a spectral or a sampled null
 # ---------------------------------------------------------------------------
 
-def _quantile_level_ids(x: np.ndarray, n_levels: int):
-    """(ids, counts): each value's count of distinct quantile edges at
-    or below it, in the smallest unsigned type that holds them, and the
-    number of values at each id.
-
-    The edges are np.quantile of the sorted column, the same order
-    statistics as of x itself, and each level is a run of the sorted
-    column cut where the edges fall, so one sort gives both.
-    """
-    n = x.shape[0]
-    probs = np.linspace(0.0, 1.0, n_levels + 1)[1:-1]
-    order = np.argsort(x)
-    xs = x[order]
-    edges = np.unique(np.quantile(xs, probs))
-    cuts = np.searchsorted(xs, edges, side="left")
-    del xs
-    counts = np.diff(cuts, prepend=0, append=n)
-    k = counts.shape[0]
-    ids = np.empty(n, dtype=np.min_scalar_type(k - 1))
-    ids[order] = np.repeat(np.arange(k, dtype=ids.dtype), counts)
-    return ids, counts
-
-
-def _level_side(x: np.ndarray, n_levels: int):
-    """(level ids, level probabilities, centered level distances,
-    distance variance) of one variable.
+def _level_side(counts: np.ndarray, n: int):
+    """(level probabilities, centered level distances, distance
+    variance) of one variable, from its level counts.
 
     Level positions are copula midranks, so everything depends on the
-    order of the values only, and one sort of the column gives the ids
-    and the level counts alike.  The unstable sort only reorders equal
-    values, which share an id, so the result is the same on every CPU.
+    order of the values only.
     """
-    ids, counts = _quantile_level_ids(x, n_levels)
-    probs = counts / x.shape[0]
+    probs = counts / n
     values = np.cumsum(probs) - probs / 2.0
     Dt = _centered_level_distances(values, probs)
-    return ids, probs, Dt, float(probs @ (Dt * Dt) @ probs)
+    return probs, Dt, float(probs @ (Dt * Dt) @ probs)
 
 
 def _centered_level_distances(values, probs):
@@ -296,6 +363,8 @@ _IMHOF_MIN_P = 1e-3
 # and the one-term Edgeworth expansion at the mean takes over
 _SADDLEPOINT_CENTRAL = 1e-3
 
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
 
 def _log_sf_chi2_mixture(q: float, w: np.ndarray) -> float:
     """log P(sum_j w_j Z_j^2 > q) for iid standard normal Z_j and w_j > 0."""
@@ -309,6 +378,12 @@ def _log_sf_chi2_mixture(q: float, w: np.ndarray) -> float:
         return log_p
     p = _imhof_sf(q, w)
     return log_p if p is None else math.log(p)
+
+
+def _normal_pdf(z: float) -> float:
+    """The standard normal density, written as scipy.stats.norm.pdf
+    evaluates it."""
+    return np.exp(-(z * z) / 2.0) / _SQRT_2PI
 
 
 def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
@@ -339,7 +414,7 @@ def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
         k2 = 2.0 * float(np.sum(w * w))
         skew = 8.0 * float(np.sum(w**3)) / k2**1.5
         zc = (q - 1.0) / math.sqrt(k2)
-        p = sps.norm.sf(zc) + sps.norm.pdf(zc) * skew * (zc * zc - 1.0) / 6.0
+        p = special.ndtr(-zc) + _normal_pdf(zc) * skew * (zc * zc - 1.0) / 6.0
         return min(math.log(p), 0.0)
     r = w / (1.0 - 2.0 * t * w)
     u = t * math.sqrt(2.0 * float(np.sum(r * r)))
@@ -347,7 +422,7 @@ def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
         mills = math.sqrt(math.pi / 2.0) * float(special.erfcx(z / math.sqrt(2.0)))
         return min(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
                    + math.log(mills + 1.0 / u - 1.0 / z), 0.0)
-    p = sps.norm.sf(z) + sps.norm.pdf(z) * (1.0 / u - 1.0 / z)
+    p = special.ndtr(-z) + _normal_pdf(z) * (1.0 / u - 1.0 / z)
     return min(math.log(p), 0.0)
 
 
@@ -371,19 +446,21 @@ def _imhof_sf(q: float, w: np.ndarray) -> Optional[float]:
     return min(p, 1.0) if p > 0.0 else None
 
 
-def _table_test(a, b, n_levels, n_permutations, seed, stream):
-    """(dcor, p, log mid-p) of the discretized dCov test.
+def _table_test(side_a, side_b, n_permutations, seed, stream):
+    """(dcor, p, log mid-p) of the discretized dCov test of two
+    variables, each given as its (level ids, level counts).
 
     The spectral null runs on tables with at least
     SPECTRAL_MIN_CELL_MEAN points per cell, the sampled one elsewhere,
     on the (seed, stream) generator.
     """
-    ga, pa, At, dva = _level_side(a, n_levels)
-    gb, pb, Bt, dvb = _level_side(b, n_levels)
+    (ga, counts_a), (gb, counts_b) = side_a, side_b
+    n = ga.shape[0]
+    pa, At, dva = _level_side(counts_a, n)
+    pb, Bt, dvb = _level_side(counts_b, n)
     if dva <= 0.0 or dvb <= 0.0:
         # a constant side is independent of anything
         return 0.0, 1.0, 0.0
-    n = a.shape[0]
     na, nb = pa.shape[0], pb.shape[0]
     N = np.bincount(ga.astype(np.intp) * nb + gb, minlength=na * nb).reshape(na, nb)
     N = N.astype(np.float64)
@@ -412,21 +489,27 @@ def _fisher_from_logs(log_p: np.ndarray) -> tuple[float, float]:
     chi-square with 2k df)."""
     # + 0.0 turns the -0.0 of all-ones inputs into 0.0
     stat = -2.0 * float(np.sum(log_p)) + 0.0
-    return stat, float(sps.chi2.sf(stat, 2 * log_p.size))
+    return stat, float(special.chdtrc(2 * log_p.size, stat))
 
 
 def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
     """Statistical parity: price independent of the protected coordinate.
 
     The level table depends on the order of the values only, so the
-    test runs on the raw columns and is still rank-invariant.
+    test cuts the raw columns into quantile levels and is still
+    rank-invariant.  A column that comes as NormalScores brings the
+    level ids normal_scores cut on its raw values, the same ids, and is
+    not sorted again.
     """
-    prices, d = _as_columns(prices, d)
-    n = prices.shape[0]
+    cols = _as_columns(prices, d)
+    n = cols[0].shape[0]
     if n < 100:
         raise TooFewSamples(f"need >= 100 observations, got {n}")
-    levels = max(4, min(N_LEVELS, n // 16))
-    dcor, p, _ = _table_test(prices, d, levels, cfg.n_permutations,
+    levels = _independence_levels(n)
+    side_p, side_d = (getattr(orig, "levels", None)
+                      or _quantile_level_ids(col, levels)
+                      for orig, col in zip((prices, d), cols))
+    dcor, p, _ = _table_test(side_p, side_d, cfg.n_permutations,
                              cfg.seed, _STREAM_INDEPENDENCE)
     return FairnessVerdict(
         axiom=Axiom(INDEPENDENCE), statistic=dcor, p_value=p,
@@ -439,7 +522,8 @@ def check_separation(prices, d, y, cfg: TestConfig) -> FairnessVerdict:
     """Equalized odds: price independent of D conditionally on Y.
 
     Any column may come as NormalScores, which the check then does not
-    rank again; the result is the same.
+    sort again: it takes the scores and, for the conditioning column,
+    the bin ids that normal_scores cut.  The result is the same.
     """
     return _conditional_check(a=prices, b=d, given=y, cfg=cfg, axiom=SEPARATION)
 
@@ -462,15 +546,13 @@ def _residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerdict:
-    scored = [isinstance(c, NormalScores) for c in (a, b, given)]
-    cols = _as_columns(a, b, given)
-    n = cols[0].shape[0]
+    n = _as_columns(a, b, given)[0].shape[0]
     if n < 100 * N_BINS:
         raise TooFewSamples(
             f"need >= {100 * N_BINS} observations for {N_BINS} bins, got {n}")
-    a, b, given = (c if done else normal_ppf(_copula_ranks(c))
-                   for c, done in zip(cols, scored))
-    bin_ids, counts = _quantile_level_ids(given, N_BINS)
+    a, b, given = (c if isinstance(c, NormalScores) else normal_scores(c)
+                   for c in (a, b, given))
+    bin_ids, counts = given.bins or _quantile_level_ids(given, N_BINS)
     # ties can leave quantile bins with no points at all; those are a
     # degenerate-edge artifact and collapse away, while nonempty bins
     # below the minimum count are a genuine data problem
@@ -483,19 +565,21 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
             f"a conditioning bin holds {counts.min()} < {MIN_BIN_COUNT} points")
     # a stable sort keeps each bin's rows in their original order, the
     # order a boolean mask would select them in; on the narrow unsigned
-    # ids, numpy sorts by radix
+    # ids, numpy sorts by radix.  Each bin gathers its own rows, so no
+    # sorted copy of the three columns is held alongside them
     order = np.argsort(bin_ids, kind="stable")
-    a, b, given = a[order], b[order], given[order]
+    a, b, given = (np.asarray(c) for c in (a, b, given))
     ends = np.cumsum(counts)
     log_ps = np.empty(n_bins)
     for k in range(n_bins):
-        rows = slice(ends[k] - counts[k], ends[k])
+        rows = order[ends[k] - counts[k]:ends[k]]
         gk = given[rows]
         ak = _residualize(a[rows], gk)
         bk = _residualize(b[rows], gk)
         levels = max(2, min(N_LEVELS // 2, int(counts[k]) // 16))
-        _, _, log_ps[k] = _table_test(ak, bk, levels, cfg.n_permutations,
-                                      cfg.seed, _STREAM_BIN_BASE + k)
+        _, _, log_ps[k] = _table_test(
+            _quantile_level_ids(ak, levels), _quantile_level_ids(bk, levels),
+            cfg.n_permutations, cfg.seed, _STREAM_BIN_BASE + k)
     stat, p_comb = _fisher_from_logs(log_ps)
     return FairnessVerdict(
         axiom=Axiom(axiom), statistic=stat, p_value=p_comb,

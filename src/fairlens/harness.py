@@ -24,6 +24,7 @@ from .fairness import (AXIOM_KINDS, HOLDS, INCONCLUSIVE, VIOLATED, Axiom,
                        FairnessVerdict, TestConfig)
 from .model import FLOAT_FMT
 from .oracles import MomentEstimate
+from .streams import check_seed
 
 VERSION = "0.1.0"
 
@@ -45,10 +46,11 @@ OUTPUT_FORMATS = ("csv", "json")
 CONFIG_KEYS = ("rho1", "rho2", "n", "seed", "alpha", "n_permutations",
                "test_seed", "output_path", "output_format", "functional")
 
-# an audit's numpy heap (tracemalloc peak) grows by 97.0-97.1 bytes per
+# an audit's numpy heap (tracemalloc peak) grows by 86.1-86.7 bytes per
 # row from n = 5e5 to 4e6, where every level table takes the spectral
 # null; below that the sampled null's fixed ~30 MB dominates.  The
-# ceiling keeps the heap within 4 GiB, so 43,826,196 rows
+# ceiling, at 98 bytes per row, keeps the heap within 4 GiB, so
+# 43,826,196 rows
 AUDIT_HEAP_BYTES_PER_ROW = 98
 AUDIT_HEAP_BUDGET_BYTES = 4 << 30
 MAX_N = AUDIT_HEAP_BUDGET_BYTES // AUDIT_HEAP_BYTES_PER_ROW
@@ -71,6 +73,7 @@ class RunConfig:
                 f"(rho1, rho2)=({self.rho1}, {self.rho2}) is not a valid pair")
         if not 10**3 <= self.n <= MAX_N:
             raise ConfigError(f"n must be in [1000, {MAX_N}], got {self.n}")
+        check_seed(self.seed)
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
         if self.functional not in FUNCTIONALS:
@@ -143,13 +146,14 @@ def cmd_audit(cfg: RunConfig) -> AuditReport:
     price_is_x1 = model.PRICE_IS_X1[cfg.functional]
     prices = data.x1 if price_is_x1 else np.zeros(cfg.n)
 
-    # both conditional checks work on normal scores: compute each once
+    # every check works on the normal scores or on the level ids cut
+    # from the same sort: sort each column once
     sp, sd, sy = (fairness.normal_scores(c) for c in (prices, data.d, data.y))
     outcomes = []
     for axiom in AXIOM_KINDS:
         try:
             if axiom == fairness.INDEPENDENCE:
-                stat = fairness.check_independence(prices, data.d, cfg.test)
+                stat = fairness.check_independence(sp, sd, cfg.test)
             elif axiom == fairness.SEPARATION:
                 stat = fairness.check_separation(sp, sd, sy, cfg.test)
             else:
@@ -186,6 +190,7 @@ def cmd_reproduce_separation(n: int, seed: int) -> dict:
     """
     if n < 10**6:
         raise ConfigError("reproduction requires n >= 1e6")
+    check_seed(seed)
     (with_d, without_d), cov = oracles.second_moment_x1_given_y0_d0_mc(
         ((0.1, 0.9), (0.0, 0.0)), n, seed)
     gap_se = float(np.sqrt(max(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1], 0.0)))
@@ -206,15 +211,17 @@ def cmd_table(rho_pairs=None, n: int = 10**6, seed: int = 7,
     verdict from an audit at sample size n, and an agreement flag.
     """
     pairs = tuple(rho_pairs) if rho_pairs is not None else DEFAULT_TABLE_PAIRS
+    test = test if test is not None else TestConfig()
+    # every pair's configuration, seed + k included, is checked before
+    # the first audit runs
+    configs = [RunConfig(rho1=rho1, rho2=rho2, n=n, seed=seed + k, test=test)
+               for k, (rho1, rho2) in enumerate(pairs)]
     cells = []
-    for k, (rho1, rho2) in enumerate(pairs):
-        cfg = RunConfig(rho1=rho1, rho2=rho2, n=n, seed=seed + k,
-                        test=test if test is not None else TestConfig())
-        report = cmd_audit(cfg)
-        for outcome in report.verdicts:
+    for cfg in configs:
+        for outcome in cmd_audit(cfg).verdicts:
             cells.append({
-                "rho1": rho1,
-                "rho2": rho2,
+                "rho1": cfg.rho1,
+                "rho2": cfg.rho2,
                 "axiom": outcome.axiom,
                 "analytic": _yes_no(outcome.analytic.verdict),
                 "statistical": _yes_no(outcome.statistical.verdict),

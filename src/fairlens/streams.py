@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 
 # values per block; block b of a stream is reproducible in isolation
@@ -25,9 +27,20 @@ BLOCK_SIZE = 1 << 20
 _MAX_BLOCKS = 1 << 32
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a seed that is not one 64-bit word of the generator key.
+
+    Masking it instead would alias seed s with s + 2^64 and -1 with
+    2^64 - 1, and a report would record a seed it did not use.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"{name} must be in [0, 2^64), got {seed}")
+
+
 def _bit_generator(seed: int, stream: int) -> np.random.Philox:
     """Philox generator keyed by (seed, stream); 128-bit key, no mixing."""
-    key = ((stream & _MASK64) << 64) | (seed & _MASK64)
+    check_seed(seed)
+    key = ((stream & _MASK64) << 64) | seed
     return np.random.Philox(key=key)
 
 

@@ -2,10 +2,10 @@
 
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
-distance correlation, the generic permutation p-value, scipy's ranks
-and quantile levels by comparison, the Gaussian log density and
-Schur-complement conditioning) that the tests hold the fast code
-against.
+distance correlation, the generic permutation p-value, scipy's ranks,
+numpy's quantiles and quantile levels by comparison, the Gaussian log
+density and Schur-complement conditioning) that the tests hold the
+fast code against.
 """
 
 from dataclasses import dataclass
@@ -163,6 +163,11 @@ def copula_ranks(x) -> np.ndarray:
     """scipy's average ranks of x divided by n + 1."""
     x = np.asarray(x, dtype=np.float64)
     return sps.rankdata(x) / (x.shape[0] + 1.0)
+
+
+def sorted_quantiles(xs, probs) -> np.ndarray:
+    """np.quantile with numpy's default linear method."""
+    return np.quantile(xs, probs)
 
 
 def quantile_level_ids(x, n_levels: int) -> np.ndarray:

@@ -9,6 +9,8 @@ package would otherwise surface only as a failed benchmark op.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from fairlens import RunConfig, TestConfig, fairness, harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,6 +67,30 @@ def test_audit_above_the_floor_ranks_once_and_samples_no_table():
     assert names.count("streams.normal_ppf") == 3
     assert "fairness.null" not in names
     assert {"harness.cmd_audit", *spans.CHECKS} <= set(names)
+
+
+def test_audit_sorts_each_full_column_once(monkeypatch):
+    """A traced audit at n = 5e5 fully sorts each of its three columns
+    once, in normal_scores; every other full-length order it needs is
+    read off those sorts.  The two stable sorts of the conditioning
+    bins' uint8 ids are counted apart."""
+    n = 500_000
+    full, bin_ids = [], []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        if a.shape == (n,) and a.dtype == np.float64:
+            full.append(kwargs.get("kind"))
+        elif a.shape == (n,):
+            bin_ids.append((a.dtype, kwargs.get("kind")))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    with spans.installed(spans.Tracer()):
+        harness.cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=n, seed=5,
+                                    test=TestConfig(seed=5)))
+    assert full == [None] * 3
+    assert bin_ids == [(np.dtype(np.uint8), "stable")] * 2
 
 
 def test_reproduction_draws_its_normals_once():

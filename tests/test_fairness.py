@@ -14,11 +14,22 @@ from fairlens import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                       check_separation, check_sufficiency, fairness,
                       make_example_model, simulate)
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
+from fairlens.harness import MAX_N
+from fairlens.streams import normal_ppf
 
 from brute_force import (copula_ranks, distance_correlation,
-                         permutation_pvalue, quantile_level_ids)
+                         permutation_pvalue, quantile_level_ids,
+                         sorted_quantiles)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
+
+
+def table_test(a, b, levels, n_permutations, seed, stream):
+    """The level-table test of two raw columns, each cut into `levels`
+    quantile levels."""
+    return fairness._table_test(
+        fairness._quantile_level_ids(a, levels),
+        fairness._quantile_level_ids(b, levels), n_permutations, seed, stream)
 
 
 def brute_force_dcor(a, b):
@@ -52,6 +63,7 @@ class TestTestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 0.5}, {"n_permutations": 50},
         {"alpha": math.nan}, {"n_permutations": 98},
+        {"seed": -1}, {"seed": 1 << 64},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -116,9 +128,10 @@ class TestDistanceCorrelation:
             a[rng.permutation(n)[: n // 4]] = 0.0
         positions = []
         for x in (a, b):
-            ids, probs = fairness._level_side(x, levels)[:2]
+            ids, counts = fairness._quantile_level_ids(x, levels)
+            probs = counts / n
             positions.append((np.cumsum(probs) - probs / 2.0)[ids])
-        got = fairness._table_test(a, b, levels, 99, seed=0, stream=0)[0]
+        got = table_test(a, b, levels, 99, seed=0, stream=0)[0]
         assert got == pytest.approx(distance_correlation(*positions), abs=1e-12)
 
     def test_length_validation(self):
@@ -155,24 +168,45 @@ ORDER_KINDS = ("distinct", "rounded", "small_integers", "constant",
                "signed_zeros", "subnormals", "on_edges")
 
 
+def _assert_level_ids(pair, want):
+    ids, counts = pair
+    np.testing.assert_array_equal(ids, want)
+    np.testing.assert_array_equal(
+        counts, np.bincount(want, minlength=counts.shape[0]))
+    assert ids.dtype == np.min_scalar_type(counts.shape[0] - 1)
+
+
 class TestOneSortPerColumn:
-    """The sort-based ranks and level ids equal their definitions:
-    scipy's average ranks over n + 1, and the count of distinct quantile
-    edges at or below each value."""
+    """The sort-based scores and level ids equal their definitions:
+    normal_ppf of scipy's average ranks over n + 1, and the count of
+    distinct quantile edges at or below each value."""
 
     @pytest.mark.parametrize("kind", ORDER_KINDS)
     @pytest.mark.parametrize("n", [500, 50_000, 1_000_000])
     def test_matches_the_definitions(self, n, kind):
         x = _order_inputs(kind, n)
-        assert fairness._copula_ranks(x).tobytes() == copula_ranks(x).tobytes()
+        scores = fairness.normal_scores(x)
+        want_scores = normal_ppf(copula_ranks(x))
+        assert scores.tobytes() == want_scores.tobytes()
+        # the ids normal_scores carries: independence's levels cut on
+        # the raw values, the conditioning bins cut on the scores
+        _assert_level_ids(scores.levels, quantile_level_ids(
+            x, fairness._independence_levels(n)))
+        _assert_level_ids(scores.bins,
+                          quantile_level_ids(want_scores, fairness.N_BINS))
         for levels in (fairness.N_LEVELS, fairness.N_LEVELS // 2,
                        fairness.N_BINS):
-            ids, counts = fairness._quantile_level_ids(x, levels)
-            want = quantile_level_ids(x, levels)
-            np.testing.assert_array_equal(ids, want)
-            np.testing.assert_array_equal(
-                counts, np.bincount(want, minlength=counts.shape[0]))
-            assert ids.dtype == np.min_scalar_type(counts.shape[0] - 1)
+            _assert_level_ids(fairness._quantile_level_ids(x, levels),
+                              quantile_level_ids(x, levels))
+
+    def test_scores_are_read_only_and_views_carry_no_ids(self):
+        scores = fairness.normal_scores(_order_inputs("distinct", 500))
+        assert not scores.flags.writeable
+        with pytest.raises(ValueError):
+            scores[0] = 0.0
+        for view in (scores[:], scores[::-1], scores.copy()):
+            assert isinstance(view, fairness.NormalScores)
+            assert view.levels is None and view.bins is None
 
     def test_inputs_reach_the_cases_they_name(self):
         n = 50_000
@@ -184,6 +218,67 @@ class TestOneSortPerColumn:
         x = _order_inputs("on_edges", n)
         probs = np.linspace(0.0, 1.0, fairness.N_LEVELS + 1)[1:-1]
         assert np.isin(np.quantile(x, probs), x).sum() > fairness.N_LEVELS // 2
+
+
+QUANTILE_PROBS = [np.linspace(0.0, 1.0, k + 1)[1:-1]
+                  for k in (fairness.N_LEVELS, fairness.N_LEVELS // 2,
+                            fairness.N_BINS, 4)]
+
+
+class TestQuantileByIndex:
+    """_sorted_quantiles reads np.quantile's default linear-method
+    values off a sorted column by index, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 500, 50_000, 1_000_000])
+    def test_matches_np_quantile(self, n, kind):
+        xs = np.sort(_order_inputs(kind, n))
+        for probs in QUANTILE_PROBS:
+            got = fairness._sorted_quantiles(xs, probs)
+            want = sorted_quantiles(xs, probs)
+            if kind == "signed_zeros":
+                # np.quantile partitions its copy of the column first,
+                # which may swap an equal -0.0 and 0.0: only the sign of
+                # a zero may differ, and no cut or id depends on it
+                np.testing.assert_array_equal(got, want)
+                got, want = got + 0.0, want + 0.0
+            assert got.tobytes() == want.tobytes(), probs.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=300),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_matches_np_quantile_on_drawn_columns(self, values, probs):
+        # + 0.0 makes every zero positive, so the bytes are defined
+        xs = np.sort(np.array(values) + 0.0)
+        probs = np.array(probs)
+        got = fairness._sorted_quantiles(xs, probs)
+        assert got.tobytes() == sorted_quantiles(xs, probs).tobytes()
+
+
+class TestScoresKeepTheirOrder:
+    """The bin ids are cut on normal_ppf of the sorted ranks, which
+    must therefore be non-decreasing.  Ranks over n + 1 lie on the grid
+    k / (2 (n + 1)); one step of that grid at MAX_N raises normal_ppf
+    far more than its rounding takes back where AS 241 switches between
+    its central and tail rationals (p = 0.075 and 0.925)."""
+
+    def test_rounding_drop_is_far_below_a_half_rank_step(self):
+        half_step = 1.0 / (2.0 * (MAX_N + 1))
+        for branch in (0.075, 0.925):
+            ulps = np.arange(-2_000_000, 2_000_001)
+            p = (np.float64(branch).view(np.int64) + ulps).view(np.float64)
+            f = normal_ppf(p)
+            # the largest fall below any earlier value, not only below
+            # the neighbour
+            drop = float(np.max(np.maximum.accumulate(f) - f))
+            assert drop <= 2.3e-16, branch
+            rise = normal_ppf(branch + half_step) - normal_ppf(branch)
+            assert rise >= 8.05e-8, branch
+
+    def test_rank_grid_is_strictly_increasing(self):
+        n = 10**6
+        grid = normal_ppf(np.arange(2.0, 2.0 * n + 1.0) / 2.0 / (n + 1.0))
+        assert (np.diff(grid) > 0.0).all()
 
 
 class TestNonFiniteInput:
@@ -344,12 +439,17 @@ class TestConditionalCheckers:
         assert sep_swapped.axiom.kind == "separation"
 
     def test_scored_columns_give_the_same_verdict(self, reference_model):
+        """Scored columns, with the ids they carry or as views without
+        them, give the verdicts of the raw columns."""
         ds = simulate(reference_model, 5 * 10**4, seed=47)
         scored = [fairness.normal_scores(c) for c in (ds.x1, ds.d, ds.y)]
-        assert check_separation(*scored, FAST) == \
-            check_separation(ds.x1, ds.d, ds.y, FAST)
-        assert check_sufficiency(scored[2], scored[1], scored[0], FAST) == \
-            check_sufficiency(ds.y, ds.d, ds.x1, FAST)
+        for cols in (scored, [s[:] for s in scored]):
+            assert check_independence(cols[0], cols[1], FAST) == \
+                check_independence(ds.x1, ds.d, FAST)
+            assert check_separation(*cols, FAST) == \
+                check_separation(ds.x1, ds.d, ds.y, FAST)
+            assert check_sufficiency(cols[2], cols[1], cols[0], FAST) == \
+                check_sufficiency(ds.y, ds.d, ds.x1, FAST)
 
     def test_too_few_samples(self, reference_model):
         ds = simulate(reference_model, 1500, seed=48)
@@ -384,8 +484,8 @@ def _both_nulls(monkeypatch, a, b, levels, n_permutations):
     log_ps = []
     for floor in (0.0, math.inf):
         monkeypatch.setattr(fairness, "SPECTRAL_MIN_CELL_MEAN", floor)
-        log_ps.append(fairness._table_test(a, b, levels, n_permutations,
-                                           seed=1, stream=1)[2])
+        log_ps.append(table_test(a, b, levels, n_permutations,
+                                 seed=1, stream=1)[2])
     return tuple(math.exp(lp) for lp in log_ps)
 
 
@@ -441,9 +541,9 @@ class TestSpectralNull:
         n=1e6 independence table whose p underflows to 0.0, both give a
         finite log p that Fisher's combination takes."""
         ds = simulate(reference_model, 50_000, seed=3)
-        _, _, log_bin = fairness._table_test(ds.x1, ds.d, 32, 199, 0, 0)
+        _, _, log_bin = table_test(ds.x1, ds.d, 32, 199, 0, 0)
         ds = reference_dataset_cache(1)
-        _, p, log_full = fairness._table_test(ds.x1, ds.d, 64, 199, 0, 0)
+        _, p, log_full = table_test(ds.x1, ds.d, 64, 199, 0, 0)
         assert p == 0.0
         assert math.isfinite(log_full) and log_full < math.log(5e-324)
         assert math.isfinite(log_bin) and log_bin < math.log(1e-3)

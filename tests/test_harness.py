@@ -61,6 +61,14 @@ class TestRunConfig:
             tracemalloc.stop()
         assert peak <= harness.AUDIT_HEAP_BYTES_PER_ROW * n
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        """A seed is one 64-bit word of the generator key: masking it
+        would run seed 0 for 2^64 and record a seed it did not use."""
+        with pytest.raises(ConfigError, match="seed must be in"):
+            RunConfig(rho1=0.1, rho2=0.9, seed=seed)
+        assert RunConfig(rho1=0.1, rho2=0.9, seed=(1 << 64) - 1)
+
     def test_output_format_checked(self):
         with pytest.raises(ConfigError):
             RunConfig(rho1=0.1, rho2=0.9, output_format="xml")
@@ -414,6 +422,30 @@ class TestCli:
         assert main(["table", "--pairs", "0,0", "--n", "20000",
                      "--permutations", "99",
                      "--out", str(tmp_path / "no_dir" / "t.csv")]) == 4
+
+    @pytest.mark.parametrize("command", [
+        ["audit", "--rho1", "0.1", "--rho2", "0.9", "--n", "20000"],
+        ["reproduce", "separation-moments"],
+        ["table", "--pairs", "0,0", "--n", "20000"],
+    ], ids=["audit", "reproduce", "table"])
+    @pytest.mark.parametrize("seed", [str(-1), str(1 << 64)])
+    def test_seed_outside_64_bits_exits_two(self, command, seed, capsys):
+        assert main(command + ["--seed", seed]) == 2
+        assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+
+    def test_test_seed_outside_64_bits_exits_two(self, capsys):
+        assert main(["audit", "--rho1", "0.1", "--rho2", "0.9",
+                     "--test-seed", str(1 << 64)]) == 2
+        assert "test seed must be in [0, 2^64)" in capsys.readouterr().err
+
+    def test_table_seeds_past_64_bits_exit_two_before_any_audit(
+            self, monkeypatch):
+        """Pair k runs on seed + k: the last of the four default pairs
+        would pass 2^64, and no audit runs."""
+        audits = []
+        monkeypatch.setattr(harness, "cmd_audit", audits.append)
+        assert main(["table", "--seed", str((1 << 64) - 3)]) == 2
+        assert audits == []
 
     def test_table_bad_pair_exits_two(self):
         assert main(["table", "--pairs", "0.5;0.9"]) == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from fairlens import ConfigError
 from fairlens.streams import (BLOCK_SIZE, _bit_generator, _open_uniforms, generator,
                               normal_ppf, standard_normals)
 
@@ -33,6 +34,16 @@ def test_uniforms_open_interval():
     assert u.max() < 1.0
     ends = _open_uniforms(np.array([0, (1 << 64) - 1], dtype=np.uint64))
     assert ends.tolist() == [2.0**-53, 1.0 - 2.0**-53]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_refused(seed):
+    """Seeds do not alias modulo 2^64: 2^64 is not seed 0 and -1 is
+    not 2^64 - 1."""
+    with pytest.raises(ConfigError):
+        standard_normals(10, seed)
+    with pytest.raises(ConfigError):
+        generator(seed, 0)
 
 
 def test_standard_normals_deterministic_and_prefix():
