@@ -28,8 +28,16 @@ tables, and two nulls stand for it:
   from Imhof's (1961) inversion where p > 1e-3.  This null draws
   nothing: the test seed does not affect its p-values.
 * sampled, on sparser tables such as 500-point bins on 31 levels:
-  n_permutations tables drawn directly from the hypergeometric law
-  (Patefield's algorithm), on streams keyed by the test seed.
+  n_permutations tables drawn directly from the hypergeometric law, on
+  streams keyed by the test seed.  They are the tables
+  scipy.stats.random_table draws by its default rule: Boyett's label
+  shuffle, here in numpy, while n <= log(n + 1) x cells, and scipy's
+  Patefield sampler on denser tables.
+
+scipy is imported where it is used, not with this module: scipy.stats
+only for Patefield tables, special for Fisher's combination and the
+saddlepoint tail, optimize for the saddlepoint's root and integrate
+for Imhof's inversion.  A small sampled check loads none of them.
 
 Each full-length column is sorted once: normal_scores reads the copula
 ranks, the normal scores and the level ids of both checkers off one
@@ -47,13 +55,13 @@ spectral p-value is continuous and is its own mid-p.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize, special
-from scipy import stats as sps
 
 from .errors import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                      TooFewSamples)
@@ -73,11 +81,27 @@ N_BINS = 20  # equal-probability bins of the conditioning variable
 SPECTRAL_MIN_CELL_MEAN = 20.0
 
 # the sampled null holds all n_permutations tables at once, at most
-# N_LEVELS x N_LEVELS int64 cells each (independence below n = 81,920);
+# N_LEVELS x N_LEVELS 8-byte cells each (independence below n = 81,920);
 # the ceiling keeps that batch within 1 GiB (its two float64 products
 # take as much again each), so 32,768 permutations
 NULL_BATCH_BUDGET_BYTES = 1 << 30
 MAX_PERMUTATIONS = NULL_BATCH_BUDGET_BYTES // (N_LEVELS * N_LEVELS * 8)
+
+# names read as attributes of the module, not as globals, go through
+# __getattr__ below and see a caller's rebinding
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """scipy.stats, imported on first use as the attribute sps: only
+    Patefield tables need it, and it takes longer to import than a small
+    check takes to run.  Callers may rebind fairness.sps."""
+    if name == "sps":
+        from scipy import stats
+        globals()["sps"] = stats
+        return stats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
@@ -126,7 +150,8 @@ class TestConfig:
         if not 99 <= self.n_permutations <= MAX_PERMUTATIONS:
             raise ConfigError(f"n_permutations must be in [99, {MAX_PERMUTATIONS}], "
                               f"got {self.n_permutations}")
-        check_seed(self.seed, "test seed")
+        # a frozen field: a numpy seed is stored as the int a report can hold
+        object.__setattr__(self, "seed", check_seed(self.seed, "test seed"))
 
 
 @dataclass(frozen=True)
@@ -195,37 +220,64 @@ def _sorted_ranks(xs: np.ndarray) -> np.ndarray:
     return np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)
 
 
-def _sorted_quantiles(xs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """np.quantile(xs, probs) of the sorted column xs, read off by index.
-
-    numpy's default "linear" method partitions its input to find the
-    order statistics at floor((n - 1) p) and the next index; in a sorted
-    column they already sit there.  The virtual index, its fraction
-    gamma and the two-sided interpolation are numpy's own (_lerp), so
-    the result is the same bytes without the partition.
-    """
-    n = xs.shape[0]
+def _quantile_positions(n: int, probs: np.ndarray):
+    """Where np.quantile's default "linear" method reads probs off n
+    sorted values: the order statistics at floor((n - 1) p) and the
+    next index, the fraction gamma between them, 1 - gamma, and which
+    side numpy's _lerp interpolates from."""
     vi = (n - 1) * probs
     lo = np.floor(vi)
     gamma = vi - lo
     lo = lo.astype(np.intp)
-    below, above = xs[lo], xs[np.minimum(lo + 1, n - 1)]
+    return lo, np.minimum(lo + 1, n - 1), gamma, 1.0 - gamma, gamma >= 0.5
+
+
+@functools.lru_cache(maxsize=256)
+def _level_positions(n: int, n_levels: int):
+    """_quantile_positions of the n_levels - 1 inner level edges, kept
+    per (n, n_levels): the bins of one check mostly share both."""
+    positions = _quantile_positions(n, np.linspace(0.0, 1.0, n_levels + 1)[1:-1])
+    for a in positions:
+        a.flags.writeable = False
+    return positions
+
+
+def _read_quantiles(xs: np.ndarray, positions) -> np.ndarray:
+    """The quantiles of the sorted column xs at _quantile_positions.
+
+    numpy's linear method partitions its input to find the two order
+    statistics; in a sorted column they already sit there.  The
+    two-sided interpolation is numpy's own (_lerp), so the result is
+    the same bytes without the partition.
+    """
+    lo, hi, gamma, one_minus_gamma, upper = positions
+    below, above = xs[lo], xs[hi]
     diff = above - below
     out = below + diff * gamma
-    np.subtract(above, diff * (1.0 - gamma), out=out, where=gamma >= 0.5)
+    np.subtract(above, diff * one_minus_gamma, out=out, where=upper)
     return out
+
+
+def _sorted_quantiles(xs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.quantile(xs, probs) of the sorted column xs, read off by index."""
+    return _read_quantiles(xs, _quantile_positions(xs.shape[0], probs))
 
 
 def _level_counts(xs: np.ndarray, n_levels: int) -> np.ndarray:
     """Number of values of the sorted column xs at each quantile level.
 
     A value's level is its count of distinct quantile edges at or below
-    it, so each level is the run of xs cut where the edges fall.
+    it, so each level is the run of xs cut where the edges fall.  The
+    edges of a sorted column do not decrease, so equal ones are
+    neighbours.
     """
-    probs = np.linspace(0.0, 1.0, n_levels + 1)[1:-1]
-    edges = np.unique(_sorted_quantiles(xs, probs))
-    cuts = np.searchsorted(xs, edges, side="left")
-    return np.diff(cuts, prepend=0, append=xs.shape[0])
+    n = xs.shape[0]
+    edges = _read_quantiles(xs, _level_positions(n, n_levels))
+    distinct = np.ones(edges.shape[0], dtype=bool)
+    np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
+    cuts = np.searchsorted(xs, edges[distinct], side="left")
+    bounds = np.concatenate(([0], cuts, [n]))
+    return bounds[1:] - bounds[:-1]
 
 
 def _level_ids(order: np.ndarray, counts: np.ndarray):
@@ -331,11 +383,39 @@ def _dcor_from_parts(dcov2, dvar_a, dvar_b) -> float:
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_a * dvar_b))
 
 
+def _random_tables(rows: np.ndarray, cols: np.ndarray, n_draws: int, rng):
+    """n_draws tables with margins rows and cols from the fixed-margins
+    hypergeometric law: the tables scipy.stats.random_table draws on rng
+    by its default method, shape (n_draws, len(rows), len(cols)).
+
+    scipy's rule takes Boyett's (1979, AS 144) label shuffle while
+    n <= log(n + 1) x cells and Patefield's algorithm on denser tables.
+    The shuffle runs here in numpy: the column labels, laid out in
+    column order, are shuffled once per table, each shuffle continuing
+    from the last arrangement as scipy's rcont1 does, and the first
+    rows[0] labels fall in row 0, the next rows[1] in row 1 and so on.
+    numpy's shuffle draws the same swaps from the same bit generator,
+    so the tables are scipy's, counted into a float64 batch.  Patefield
+    tables still come from scipy.stats, read as the attribute sps of
+    this module.
+    """
+    na, nb = rows.shape[0], cols.shape[0]
+    n = int(rows.sum())
+    if n > np.log(n + 1) * (na * nb):
+        return _module.sps.random_table(rows, cols).rvs(size=n_draws, random_state=rng)
+    labels = np.repeat(np.arange(nb), cols)
+    cells = np.repeat(np.arange(0, na * nb, nb), rows)
+    tables = np.empty((n_draws, na * nb))
+    for table in tables:
+        rng.shuffle(labels)
+        table[:] = np.bincount(cells + labels, minlength=na * nb)
+    return tables.reshape(n_draws, na, nb)
+
+
 def _null_dcov_draws(N, At, Bt, n, n_draws, rng):
     rows = N.sum(axis=1).astype(np.int64)
     cols = N.sum(axis=0).astype(np.int64)
-    tables = sps.random_table(rows, cols).rvs(size=n_draws, random_state=rng)
-    tables = tables.reshape(n_draws, rows.shape[0], cols.shape[0])
+    tables = _random_tables(rows, cols, n_draws, rng)
     inner = np.matmul(np.matmul(At, tables), Bt)
     return np.einsum("bij,bij->b", tables, inner) / n**2
 
@@ -396,6 +476,8 @@ def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
     upper tail the normal tail is written as phi(z) times Mills' ratio,
     so log P stays finite far below the log of the smallest double.
     """
+    from scipy import optimize, special
+
     def excess(t):  # K'(t) - q
         return float(np.sum(w / (1.0 - 2.0 * t * w))) - q
 
@@ -429,6 +511,7 @@ def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
 def _imhof_sf(q: float, w: np.ndarray) -> Optional[float]:
     """P(Q > q) by Imhof's (1961) inversion of the characteristic
     function, or None where the integral does not converge."""
+    from scipy import integrate
 
     def integrand(u):
         x = w * u
@@ -487,6 +570,7 @@ def _fisher_from_logs(log_p: np.ndarray) -> tuple[float, float]:
     """Fisher's method on log p-values, which may lie far below the log
     of the smallest double: (statistic -2 sum(log p), its p-value against
     chi-square with 2k df)."""
+    from scipy import special
     # + 0.0 turns the -0.0 of all-ones inputs into 0.0
     stat = -2.0 * float(np.sum(log_p)) + 0.0
     return stat, float(special.chdtrc(2 * log_p.size, stat))

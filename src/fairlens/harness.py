@@ -73,7 +73,8 @@ class RunConfig:
                 f"(rho1, rho2)=({self.rho1}, {self.rho2}) is not a valid pair")
         if not 10**3 <= self.n <= MAX_N:
             raise ConfigError(f"n must be in [1000, {MAX_N}], got {self.n}")
-        check_seed(self.seed)
+        # a frozen field: a numpy seed is stored as the int a report can hold
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
         if self.functional not in FUNCTIONALS:

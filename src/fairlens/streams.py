@@ -14,6 +14,8 @@ can differ in its last few ulps.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError
@@ -27,20 +29,25 @@ BLOCK_SIZE = 1 << 20
 _MAX_BLOCKS = 1 << 32
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Refuse a seed that is not one 64-bit word of the generator key.
+def check_seed(seed: int, name: str = "seed") -> int:
+    """The seed as a Python int, or ConfigError if it is not one 64-bit
+    word of the generator key.
 
-    Masking it instead would alias seed s with s + 2^64 and -1 with
+    Python and numpy integers are seeds; bools, floats and other numbers
+    are not, even with an integral value.  Masking an integer outside
+    [0, 2^64) instead would alias seed s with s + 2^64 and -1 with
     2^64 - 1, and a report would record a seed it did not use.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise ConfigError(f"{name} must be in [0, 2^64), got {seed}")
+    return int(seed)
 
 
 def _bit_generator(seed: int, stream: int) -> np.random.Philox:
     """Philox generator keyed by (seed, stream); 128-bit key, no mixing."""
-    check_seed(seed)
-    key = ((stream & _MASK64) << 64) | seed
+    key = ((stream & _MASK64) << 64) | check_seed(seed)
     return np.random.Philox(key=key)
 
 

@@ -43,11 +43,29 @@ def test_rebound_names_exist_and_are_restored(tmp_path):
     failures, _ = calib.check(inputs, result)
     assert failures == []
     names = [span["name"] for span in tracer.spans]
-    assert {"model.simulate", "fairness.null", *spans.CHECKS} <= set(names)
-    # ranks come from numpy's argsort, not scipy's rankdata
+    assert {"model.simulate", *spans.CHECKS} <= set(names)
+    # ranks come from numpy's argsort, not scipy's rankdata, and the
+    # sparse tables of calibration are shuffled in numpy, not by scipy
     assert names.count("fairness.rankdata") == 0
+    assert names.count("fairness.null") == 0
     for module, attr, original in originals:
         assert getattr(module, attr) is original, attr
+
+
+def test_patefield_tables_are_traced_through_the_rebound_stats():
+    """A constant price collapses sufficiency to one 20,000-point table
+    on 32 x 32 levels, denser than scipy's Boyett rule allows and below
+    the spectral floor, so its null comes from scipy's Patefield sampler,
+    read through the rebound fairness.sps."""
+    n, levels, cfg = 20_000, 32, TestConfig(n_permutations=199, seed=5)
+    assert levels**2 * np.log(n + 1) < n < levels**2 * fairness.SPECTRAL_MIN_CELL_MEAN
+    rng = np.random.default_rng(8)
+    y, d = rng.normal(size=(2, n))
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        fairness.check_sufficiency(y, d, np.zeros(n), cfg)
+    null = [span for span in tracer.spans if span["name"] == "fairness.null"]
+    assert [span["counts"]["tables"] for span in null] == [cfg.n_permutations]
 
 
 def test_audit_above_the_floor_ranks_once_and_samples_no_table():

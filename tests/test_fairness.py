@@ -1,7 +1,13 @@
 """Distance correlation, permutation machinery, axiom checkers."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +21,7 @@ from fairlens import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                       make_example_model, simulate)
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 from fairlens.harness import MAX_N
-from fairlens.streams import normal_ppf
+from fairlens.streams import generator, normal_ppf
 
 from brute_force import (copula_ranks, distance_correlation,
                          permutation_pvalue, quantile_level_ids,
@@ -63,18 +69,24 @@ class TestTestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 0.5}, {"n_permutations": 50},
         {"alpha": math.nan}, {"n_permutations": 98},
-        {"seed": -1}, {"seed": 1 << 64},
+        {"seed": -1}, {"seed": 1 << 64}, {"seed": 2.5}, {"seed": 2.0},
+        {"seed": True}, {"seed": np.float64(3.0)}, {"seed": "3"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TestConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64((1 << 64) - 1)])
+    def test_numpy_integer_seed_is_kept_as_int(self, seed):
+        cfg = TestConfig(seed=seed)
+        assert type(cfg.seed) is int and cfg.seed == seed
 
     def test_permutation_ceiling_bounds_the_sampled_batch(self):
         """The largest sampled batch, MAX_PERMUTATIONS tables of
         N_LEVELS x N_LEVELS cells, fits the budget; one more table does
         not.  The cell size comes from a two-table draw, not assumed."""
         margins = np.full(fairness.N_LEVELS, 10)
-        two = sps.random_table(margins, margins).rvs(size=2, random_state=0)
+        two = fairness._random_tables(margins, margins, 2, generator(0, 0))
         per_table = two[0].size * two.itemsize
         assert per_table == fairness.N_LEVELS**2 * 8
         budget = fairness.NULL_BATCH_BUDGET_BYTES
@@ -332,6 +344,84 @@ class TestPermutationPvalue:
         with pytest.raises(ConfigError):
             permutation_pvalue(distance_correlation, np.arange(10.0),
                                np.arange(10.0), 50, seed=0)
+
+
+def _spread(n, k):
+    """k margins as even as possible, summing to n."""
+    return n // k + (np.arange(k) < n % k)
+
+
+class TestRandomTables:
+    """The sampled null's tables are the ones scipy.stats.random_table
+    draws by its default method on the same generator: numpy's shuffle
+    on sparse tables, scipy's Patefield sampler on denser ones."""
+
+    # on 18 x 18 cells, scipy's rule n <= log(n + 1) x cells takes
+    # Boyett's shuffle up to 2,540 points and Patefield's from 2,541
+    BOYETT_MAX_18 = 2540
+
+    def test_rule_bound_on_18_levels(self):
+        n = self.BOYETT_MAX_18
+        assert n <= np.log(n + 1) * 18**2 < n + 1
+
+    @pytest.mark.parametrize("n_draws", [99, 999])
+    @pytest.mark.parametrize("rows,cols", [
+        # 500-point bins on 31 levels: Boyett
+        (_spread(500, 31), None),
+        # both sides of the rule on 18 x 18 cells
+        (_spread(BOYETT_MAX_18, 18), None),
+        (_spread(BOYETT_MAX_18 + 1, 18), None),
+        # one 20,000-point table on 32 x 32 levels: Patefield
+        (_spread(20_000, 32), None),
+        # zero margins on either side, both regimes
+        (np.array([0, 40, 0, 25, 35, 0]), np.array([50, 0, 30, 20])),
+        (np.array([0, 4000, 0, 2500, 3500, 0]), np.array([5000, 0, 3000, 2000])),
+        (np.array([0, 0, 7]), np.array([7])),
+    ])
+    def test_equal_to_scipy_random_table(self, rows, cols, n_draws):
+        cols = rows if cols is None else cols
+        got = fairness._random_tables(rows, cols, n_draws, generator(3, 0xFB05))
+        want = sps.random_table(rows, cols).rvs(size=n_draws,
+                                                random_state=generator(3, 0xFB05))
+        assert got.shape == want.shape == (n_draws, rows.size, cols.size)
+        np.testing.assert_array_equal(got, want)
+
+
+def _scipy_modules_after(code):
+    """The scipy modules, to two name levels, loaded in a fresh
+    interpreter by code, with this fairlens first on its path."""
+    script = textwrap.dedent(code) + textwrap.dedent("""
+        import json, sys
+        print(json.dumps(sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                                 if m == "scipy" or m.startswith("scipy.")})))
+        """)
+    src = str(Path(fairness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True, env=env)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestScipyLoadsOnlyWhereNeeded:
+    def test_import_and_a_sampled_check_load_no_scipy(self):
+        assert _scipy_modules_after("""
+            import fairlens
+            from fairlens import fairness, model
+            ds = model.simulate(model.make_example_model(0.1, 0.9), 500, 0)
+            fairness.check_independence(ds.x1, ds.d,
+                                        fairness.TestConfig(n_permutations=99))
+            """) == []
+
+    def test_audit_above_the_floor_loads_neither_stats_nor_integrate(self):
+        loaded = _scipy_modules_after("""
+            from fairlens import RunConfig, TestConfig, cmd_audit
+            cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=500_000, seed=5,
+                                test=TestConfig(seed=5)))
+            """)
+        assert "scipy.special" in loaded
+        assert "scipy.stats" not in loaded
+        assert "scipy.integrate" not in loaded
 
 
 def fisher(pvals):

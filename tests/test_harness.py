@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairlens import ConfigError, RunConfig, TestConfig, cmd_audit, harness
@@ -68,6 +69,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed must be in"):
             RunConfig(rho1=0.1, rho2=0.9, seed=seed)
         assert RunConfig(rho1=0.1, rho2=0.9, seed=(1 << 64) - 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True])
+    def test_non_integer_seed_refused(self, seed):
+        """A float seed used to pass and fail in the generator key."""
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            RunConfig(rho1=0.1, rho2=0.9, n=1000, seed=seed)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            RunConfig(rho1=0.1, rho2=0.9, n=1000, test=TestConfig(seed=seed))
+
+    def test_numpy_integer_seeds_reach_the_report(self):
+        report = cmd_audit(quick_config(n=1000, seed=np.int64(42),
+                                        test=TestConfig(seed=np.uint64(3))))
+        raw = json.loads(report_json_bytes(report))
+        assert (raw["config"]["seed"], raw["config"]["test_seed"]) == (42, 3)
 
     def test_output_format_checked(self):
         with pytest.raises(ConfigError):

@@ -46,6 +46,20 @@ def test_seed_outside_64_bits_refused(seed):
         generator(seed, 0)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(2.0), "2", None])
+def test_non_integer_seed_refused(seed):
+    """Only integers key a stream: a float, even an integral one, or a
+    bool is refused before it reaches the key."""
+    with pytest.raises(ConfigError, match="must be an integer"):
+        standard_normals(10, seed)
+
+
+def test_numpy_integer_seed_is_the_same_stream():
+    want = standard_normals(10, 7).tobytes()
+    for seed in (np.int64(7), np.uint64(7), np.uint8(7)):
+        assert standard_normals(10, seed).tobytes() == want
+
+
 def test_standard_normals_deterministic_and_prefix():
     a = standard_normals(BLOCK_SIZE + 123, seed=9, stream=4)
     b = standard_normals(BLOCK_SIZE + 123, seed=9, stream=4)
