@@ -35,9 +35,11 @@ tables, and two nulls stand for it:
   Patefield sampler on denser tables.
 
 scipy is imported where it is used, not with this module: scipy.stats
-only for Patefield tables, special for Fisher's combination and the
-saddlepoint tail, optimize for the saddlepoint's root and integrate
-for Imhof's inversion.  A small sampled check loads none of them.
+only for Patefield tables and integrate only for Imhof's inversion.
+Fisher's combination (the closed-form chi-square tail for even df), the
+saddlepoint's normal tail (Mills' ratio) and its root (Newton's method)
+run on numpy and math, so a sampled check, and an audit whose spectral
+p-values all lie below 1e-3, load no scipy module.
 
 Each full-length column is sorted once: normal_scores reads the copula
 ranks, the normal scores and the level ids of both checkers off one
@@ -466,6 +468,66 @@ def _normal_pdf(z: float) -> float:
     return np.exp(-(z * z) / 2.0) / _SQRT_2PI
 
 
+def _normal_sf(z: float) -> float:
+    """P(Z > z) for a standard normal Z."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+# Mills' ratio comes from erfc below this z and from Laplace's continued
+# fraction, cut at this depth, above it: both stay within 2e-15 of
+# scipy's erfcx, the fraction's truncation error falling as z grows
+_MILLS_FRACTION_MIN_Z = 3.0
+_MILLS_FRACTION_DEPTH = 60
+
+
+def _mills_ratio(z: float) -> float:
+    """P(Z > z) / phi(z) for a standard normal Z and z >= 0, finite
+    where both the tail and the density underflow."""
+    if z < _MILLS_FRACTION_MIN_Z:
+        return float(_normal_sf(z) / _normal_pdf(z))
+    # 1 / (z + 1 / (z + 2 / (z + 3 / (z + ...)))), from the inside out
+    t = z
+    for k in range(_MILLS_FRACTION_DEPTH, 0, -1):
+        t = z + k / t
+    return 1.0 / t
+
+
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_MAX_ITER = 500
+
+
+def _saddlepoint_root(q: float, w: np.ndarray) -> float:
+    """The root t of K'(t) = sum w / (1 - 2 t w) = q, to _ROOT_RTOL
+    relative.
+
+    K' increases on (-inf, 1/(2 wmax)); its largest term and its term
+    count bound the root on either side of 0.  K' is also convex, so
+    Newton's method started at the upper bound steps right of the root
+    each time and falls monotonically into it.  A step that leaves the
+    bracket, which only rounding can cause, is replaced by bisection.
+    """
+    wmax = float(np.max(w))
+    if float(np.sum(w)) <= q:
+        lo, hi = 0.0, (1.0 - 0.5 * wmax / q) / (2.0 * wmax)
+    else:
+        lo, hi = -w.size / q, 0.0
+    t = hi
+    for _ in range(_ROOT_MAX_ITER):
+        r = w / (1.0 - 2.0 * t * w)
+        excess = float(np.sum(r)) - q
+        if excess > 0.0:
+            hi = t
+        else:
+            lo = t
+        step = t - excess / (2.0 * float(np.sum(r * r)))
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= _ROOT_RTOL * abs(step):
+            return step
+        t = step
+    return t
+
+
 def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
     """Lugannani-Rice saddlepoint approximation of log P(Q > q), Q the
     chi-square mixture of _log_sf_chi2_mixture with mean 1 (Kuonen 1999).
@@ -476,35 +538,21 @@ def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
     upper tail the normal tail is written as phi(z) times Mills' ratio,
     so log P stays finite far below the log of the smallest double.
     """
-    from scipy import optimize, special
-
-    def excess(t):  # K'(t) - q
-        return float(np.sum(w / (1.0 - 2.0 * t * w))) - q
-
-    wmax = float(np.max(w))
-    # K' increases on (-inf, 1/(2 wmax)); its largest term and its term
-    # count bound the root on either side of 0
-    if excess(0.0) <= 0.0:
-        lo, hi = 0.0, (1.0 - 0.5 * wmax / q) / (2.0 * wmax)
-    else:
-        lo, hi = -w.size / q, 0.0
-    t = optimize.brentq(excess, lo, hi, xtol=1e-300,
-                        rtol=4.0 * np.finfo(float).eps, maxiter=500)
+    t = _saddlepoint_root(q, w)
     k = -0.5 * float(np.sum(np.log1p(-2.0 * t * w)))
     z = math.copysign(math.sqrt(max(2.0 * (t * q - k), 0.0)), t)
     if abs(z) < _SADDLEPOINT_CENTRAL:
         k2 = 2.0 * float(np.sum(w * w))
         skew = 8.0 * float(np.sum(w**3)) / k2**1.5
         zc = (q - 1.0) / math.sqrt(k2)
-        p = special.ndtr(-zc) + _normal_pdf(zc) * skew * (zc * zc - 1.0) / 6.0
+        p = _normal_sf(zc) + _normal_pdf(zc) * skew * (zc * zc - 1.0) / 6.0
         return min(math.log(p), 0.0)
     r = w / (1.0 - 2.0 * t * w)
     u = t * math.sqrt(2.0 * float(np.sum(r * r)))
     if z > 0.0:
-        mills = math.sqrt(math.pi / 2.0) * float(special.erfcx(z / math.sqrt(2.0)))
         return min(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-                   + math.log(mills + 1.0 / u - 1.0 / z), 0.0)
-    p = special.ndtr(-z) + _normal_pdf(z) * (1.0 / u - 1.0 / z)
+                   + math.log(_mills_ratio(z) + 1.0 / u - 1.0 / z), 0.0)
+    p = _normal_sf(z) + _normal_pdf(z) * (1.0 / u - 1.0 / z)
     return min(math.log(p), 0.0)
 
 
@@ -566,14 +614,35 @@ def _table_test(side_a, side_b, n_permutations, seed, stream):
 # p-value combination and axiom checkers
 # ---------------------------------------------------------------------------
 
+def _chi2_even_sf(x: float, k: int) -> float:
+    """P(X > x) for X chi-square with 2k degrees of freedom: the Poisson
+    sum exp(-x/2) sum_{j<k} (x/2)^j / j!, in log space.
+
+    The terms are scaled by the largest, exp(m), and exp(m - x/2) carries
+    the rounding error of m - x/2 as a factor, so p keeps a relative
+    error of a few eps times k even where -log p is in the hundreds.
+    """
+    y = 0.5 * x
+    if y <= 0.0:
+        return 1.0
+    log_y = math.log(y)
+    log_terms = [j * log_y - math.lgamma(j + 1.0) for j in range(k)]
+    m = max(log_terms)
+    total = math.fsum(math.exp(t - m) for t in log_terms)
+    # Knuth's two-sum: m - y == d + err exactly
+    d = m - y
+    back = d - m
+    err = (m - (d - back)) + (-y - back)
+    return min(math.exp(d) * total * (1.0 + err), 1.0)
+
+
 def _fisher_from_logs(log_p: np.ndarray) -> tuple[float, float]:
     """Fisher's method on log p-values, which may lie far below the log
     of the smallest double: (statistic -2 sum(log p), its p-value against
     chi-square with 2k df)."""
-    from scipy import special
     # + 0.0 turns the -0.0 of all-ones inputs into 0.0
     stat = -2.0 * float(np.sum(log_p)) + 0.0
-    return stat, float(special.chdtrc(2 * log_p.size, stat))
+    return stat, _chi2_even_sf(stat, log_p.size)
 
 
 def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
@@ -622,11 +691,13 @@ def check_sufficiency(y, d, prices, cfg: TestConfig) -> FairnessVerdict:
 
 
 def _residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # elementwise products summed by numpy's pairwise sum, not BLAS dot
+    # products, whose rounding depends on the CPU kernel
     gc = g - g.mean()
-    den = float(gc @ gc)
+    den = float(np.sum(gc * gc))
     if den <= 0.0:
         return v
-    return v - (float(v @ gc) / den) * gc
+    return v - (float(np.sum(v * gc)) / den) * gc
 
 
 def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerdict:

@@ -3,15 +3,19 @@
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
 distance correlation, the generic permutation p-value, scipy's ranks,
-numpy's quantiles and quantile levels by comparison, the Gaussian log
-density and Schur-complement conditioning) that the tests hold the
-fast code against.
+numpy's quantiles and quantile levels by comparison, the chi-square
+tail in 40-digit decimals, the saddlepoint tail on scipy's special
+functions and root finder, the Gaussian log density and Schur-complement
+conditioning) that the tests hold the fast code against.
 """
 
+import decimal
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import optimize, special
 from scipy import stats as sps
 
 from fairlens.errors import ConfigError, LengthMismatch
@@ -175,6 +179,66 @@ def quantile_level_ids(x, n_levels: int) -> np.ndarray:
     edges at the n_levels - 1 inner equal-probability points."""
     probs = np.linspace(0.0, 1.0, n_levels + 1)[1:-1]
     return np.searchsorted(np.unique(np.quantile(x, probs)), x, side="right")
+
+
+# ---------------------------------------------------------------------------
+# chi-square tails
+# ---------------------------------------------------------------------------
+
+def chi2_even_sf_decimal(x: float, k: int) -> float:
+    """P(X > x) for X chi-square with 2k df, the Poisson sum
+    exp(-x/2) sum_{j<k} (x/2)^j / j! evaluated in 40 significant digits
+    and rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        y = decimal.Decimal(x) / 2
+        term = total = decimal.Decimal(1)
+        for j in range(1, k):
+            term = term * y / j
+            total += term
+        return float((-y).exp() * total)
+
+
+def saddlepoint_root_brentq(q: float, w: np.ndarray) -> float:
+    """The root t of K'(t) = sum w / (1 - 2 t w) = q by scipy's brentq,
+    on the bracket fairness._saddlepoint_root starts from."""
+    def excess(t):  # K'(t) - q
+        return float(np.sum(w / (1.0 - 2.0 * t * w))) - q
+
+    wmax = float(np.max(w))
+    if excess(0.0) <= 0.0:
+        lo, hi = 0.0, (1.0 - 0.5 * wmax / q) / (2.0 * wmax)
+    else:
+        lo, hi = -w.size / q, 0.0
+    return optimize.brentq(excess, lo, hi, xtol=1e-300,
+                           rtol=4.0 * np.finfo(float).eps, maxiter=500)
+
+
+def saddlepoint_log_sf_scipy(q: float, w: np.ndarray) -> float:
+    """The Lugannani-Rice log P(Q > q) of fairness._saddlepoint_log_sf,
+    Q a chi-square mixture with mean 1, as written on scipy: brentq for
+    the root of K'(t) = q, ndtr for the normal tail and erfcx for Mills'
+    ratio."""
+    def pdf(z):
+        return np.exp(-(z * z) / 2.0) / np.sqrt(2 * np.pi)
+
+    t = saddlepoint_root_brentq(q, w)
+    k = -0.5 * float(np.sum(np.log1p(-2.0 * t * w)))
+    z = math.copysign(math.sqrt(max(2.0 * (t * q - k), 0.0)), t)
+    if abs(z) < 1e-3:
+        k2 = 2.0 * float(np.sum(w * w))
+        skew = 8.0 * float(np.sum(w**3)) / k2**1.5
+        zc = (q - 1.0) / math.sqrt(k2)
+        p = special.ndtr(-zc) + pdf(zc) * skew * (zc * zc - 1.0) / 6.0
+        return min(math.log(p), 0.0)
+    r = w / (1.0 - 2.0 * t * w)
+    u = t * math.sqrt(2.0 * float(np.sum(r * r)))
+    if z > 0.0:
+        mills = math.sqrt(math.pi / 2.0) * float(special.erfcx(z / math.sqrt(2.0)))
+        return min(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+                   + math.log(mills + 1.0 / u - 1.0 / z), 0.0)
+    p = special.ndtr(-z) + pdf(z) * (1.0 / u - 1.0 / z)
+    return min(math.log(p), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy import stats as sps
 
 from fairlens import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
@@ -23,9 +24,10 @@ from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 from fairlens.harness import MAX_N
 from fairlens.streams import generator, normal_ppf
 
-from brute_force import (copula_ranks, distance_correlation,
-                         permutation_pvalue, quantile_level_ids,
-                         sorted_quantiles)
+from brute_force import (chi2_even_sf_decimal, copula_ranks,
+                         distance_correlation, permutation_pvalue,
+                         quantile_level_ids, saddlepoint_log_sf_scipy,
+                         saddlepoint_root_brentq, sorted_quantiles)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
 
@@ -387,20 +389,30 @@ class TestRandomTables:
         np.testing.assert_array_equal(got, want)
 
 
+def _fresh_stdout(code, **env):
+    """The last stdout line of code run in a fresh interpreter, with this
+    fairlens first on its path and the environment updated by env, where
+    None removes a name."""
+    src = str(Path(fairness.__file__).resolve().parents[1])
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    for name, value in env.items():
+        full.pop(name, None)
+        if value is not None:
+            full[name] = value
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         check=True, capture_output=True, text=True, env=full)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def _scipy_modules_after(code):
     """The scipy modules, to two name levels, loaded in a fresh
-    interpreter by code, with this fairlens first on its path."""
-    script = textwrap.dedent(code) + textwrap.dedent("""
+    interpreter by code."""
+    return json.loads(_fresh_stdout(textwrap.dedent(code) + textwrap.dedent("""
         import json, sys
         print(json.dumps(sorted({".".join(m.split(".")[:2]) for m in sys.modules
                                  if m == "scipy" or m.startswith("scipy.")})))
-        """)
-    src = str(Path(fairness.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", script], check=True,
-                         capture_output=True, text=True, env=env)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+        """)))
 
 
 class TestScipyLoadsOnlyWhereNeeded:
@@ -413,15 +425,44 @@ class TestScipyLoadsOnlyWhereNeeded:
                                         fairness.TestConfig(n_permutations=99))
             """) == []
 
-    def test_audit_above_the_floor_loads_neither_stats_nor_integrate(self):
-        loaded = _scipy_modules_after("""
+    def test_audit_above_the_floor_loads_no_scipy(self):
+        """Spectral tables whose p-values lie below 1e-3, and Fisher's
+        combination of them, run on numpy and math alone."""
+        assert _scipy_modules_after("""
             from fairlens import RunConfig, TestConfig, cmd_audit
             cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=500_000, seed=5,
                                 test=TestConfig(seed=5)))
-            """)
-        assert "scipy.special" in loaded
-        assert "scipy.stats" not in loaded
-        assert "scipy.integrate" not in loaded
+            """) == []
+
+    def test_raw_column_separation_loads_no_scipy(self):
+        """Sampled 500-point bins, scored from raw columns, and Fisher's
+        combination of their p-values."""
+        assert _scipy_modules_after("""
+            from fairlens import fairness, model
+            ds = model.simulate(model.make_example_model(0.1, 0.9), 10_000, 0)
+            fairness.check_separation(ds.x1, ds.d, ds.y,
+                                      fairness.TestConfig(n_permutations=99))
+            """) == []
+
+
+class TestResidualsDoNotDependOnTheBlasKernel:
+    def test_same_bytes_under_the_sandybridge_kernel(self):
+        """The residualized normal scores of 50,000-point columns hash the
+        same with the host's OpenBLAS kernel and with SandyBridge's, whose
+        dot products round differently."""
+        script = """
+            import hashlib
+            import numpy as np
+            from fairlens import fairness, model
+            digest = hashlib.sha256()
+            for seed in range(3):
+                ds = model.simulate(model.make_example_model(0.1, 0.9), 50_000, seed)
+                a, g = (np.asarray(fairness.normal_scores(c)) for c in (ds.x1, ds.y))
+                digest.update(fairness._residualize(a, g).tobytes())
+            print(digest.hexdigest())
+            """
+        assert (_fresh_stdout(script, OPENBLAS_CORETYPE=None)
+                == _fresh_stdout(script, OPENBLAS_CORETYPE="SandyBridge"))
 
 
 def fisher(pvals):
@@ -446,6 +487,108 @@ class TestFisherCombination:
             fisher(rng.uniform(size=20))[1] for _ in range(2000)])
         ks = sps.kstest(combined, "uniform").statistic
         assert ks < 0.05
+
+
+def _table_weights(levels, n=10**6):
+    """Mean-1 spectral weights of a levels x levels table of
+    equal-probability levels."""
+    counts = np.full(levels, float(n // levels))
+    counts[:n % levels] += 1.0
+    probs, dist, _ = fairness._level_side(counts, n)
+    w = fairness._null_weights(probs, dist, probs, dist)
+    return w / np.sum(w)
+
+
+TABLE_LEVELS = (5, 31, 32, 64)
+# from the bulk of each law out to log p near -7e5
+TAIL_QS = np.concatenate([np.geomspace(1e-3, 1e6, 241), [1.0 - 1e-12, 1.0, 1.0 + 1e-12]])
+EPS = np.finfo(float).eps
+
+
+class TestTailKernels:
+    """The numpy and math kernels of Fisher's combination and of the
+    saddlepoint tail against scipy and 40-digit oracles."""
+
+    def test_fisher_tail_matches_the_40_digit_sum(self):
+        for k in range(1, 21):
+            for x in np.geomspace(1e-6, 3000.0, 150):
+                want = chi2_even_sf_decimal(float(x), k)
+                if want < 1e-300:
+                    break
+                got = fairness._chi2_even_sf(float(x), k)
+                assert got == pytest.approx(want, rel=5e-14, abs=0.0), (k, x)
+
+    def test_fisher_tail_matches_chdtrc(self):
+        """chdtrc itself is up to 1.2e-13 off the 40-digit sum near
+        x = 1,200-1,400, which sets the bound here."""
+        xs = np.concatenate([np.geomspace(1e-6, 3000.0, 400),
+                             np.linspace(1.0, 3000.0, 400)])
+        for k in range(1, 21):
+            want = special.chdtrc(2 * k, xs)
+            for x, p in zip(xs[want >= 1e-300], want[want >= 1e-300]):
+                got = fairness._chi2_even_sf(float(x), k)
+                assert got == pytest.approx(p, rel=2e-13, abs=0.0), (k, x)
+
+    def test_fisher_tail_edges(self):
+        assert fairness._chi2_even_sf(0.0, 20) == 1.0
+        assert fairness._chi2_even_sf(7.0, 1) == math.exp(-3.5)
+        assert fairness._chi2_even_sf(1e5, 20) == 0.0
+
+    def test_mills_ratio_matches_erfcx(self):
+        zs = np.concatenate([np.geomspace(1e-8, 1e4, 4000),
+                             np.linspace(2.9, 3.1, 201)])
+        want = math.sqrt(math.pi / 2.0) * special.erfcx(zs / math.sqrt(2.0))
+        for z, r in zip(zs, want):
+            assert fairness._mills_ratio(float(z)) == pytest.approx(
+                r, rel=1e-14, abs=0.0), z
+
+    @pytest.mark.parametrize("levels", TABLE_LEVELS)
+    def test_newton_root_matches_brentq(self, levels):
+        """Within 4 eps relative, or within the width 4 eps q / K''(t)
+        over which rounding of K'(t) - q cannot tell roots apart (the
+        root t = 0 at q = 1)."""
+        w = _table_weights(levels)
+        for q in map(float, TAIL_QS):
+            want = saddlepoint_root_brentq(q, w)
+            r = w / (1.0 - 2.0 * want * w)
+            k2 = 2.0 * float(np.sum(r * r))
+            got = fairness._saddlepoint_root(q, w)
+            assert abs(got - want) <= 4.0 * EPS * (abs(want) + q / k2), (q, got, want)
+
+    @pytest.mark.parametrize("levels", TABLE_LEVELS)
+    def test_saddlepoint_matches_the_scipy_formula(self, levels):
+        w = _table_weights(levels)
+        compared = 0
+        for q in map(float, TAIL_QS):
+            want = saddlepoint_log_sf_scipy(q, w)
+            if want >= math.log(1e-3):
+                continue
+            got = fairness._saddlepoint_log_sf(q, w)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (q, got, want)
+            compared += 1
+        assert compared > 100
+
+    def test_one_weight_is_one_degree_of_freedom(self):
+        """With one weight P(Q > q) = erfc(sqrt(q / 2)).  The saddlepoint's
+        relative error on one df climbs, past q = 2, to the limit of
+        Stirling's formula at Gamma(1/2), and reaches it far beyond the
+        point where erfc underflows."""
+        w = np.array([1.0])
+        # Gamma(a) over Stirling's sqrt(2 pi / a) (a / e)^a at a = 1/2
+        limit = math.log(math.gamma(0.5)
+                         / (math.sqrt(4.0 * math.pi) * math.sqrt(0.5 / math.e)))
+        gaps = []
+        for q in np.geomspace(1e-2, 1e8, 101):
+            # log erfc(sqrt(q / 2)), finite where erfc underflows
+            exact = math.log(2.0) + float(special.log_ndtr(-math.sqrt(q)))
+            if q < 1400.0:
+                assert exact == pytest.approx(math.log(math.erfc(math.sqrt(q / 2.0))),
+                                              rel=1e-13)
+            gaps.append((q, fairness._saddlepoint_log_sf(float(q), w) - exact))
+        assert all(-0.025 < gap <= limit for _, gap in gaps)
+        beyond = [gap for q, gap in gaps if q >= 2.0]
+        assert beyond == sorted(beyond)
+        assert gaps[-1][1] == pytest.approx(limit, abs=1e-3)
 
 
 class TestCheckIndependence:

@@ -6,6 +6,10 @@ scipy.  These files can.  Regenerate them, after a change that is meant
 to alter the reports, with
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+which prints, before it overwrites a golden file, each JSON field whose
+value changed: its path, the old and the new value, and for numbers
+their distance in ulps.
 """
 
 import ctypes
@@ -62,6 +66,38 @@ def _openblas_core():
     return None
 
 
+def _ulps(a: float, b: float) -> int:
+    """The number of doubles from a to b (adjacent doubles are 1 apart,
+    and 0.0 and -0.0 are 0 apart)."""
+    def ordinal(x):
+        i = int(np.array(x, dtype=np.float64).view(np.int64))
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+    return abs(ordinal(a) - ordinal(b))
+
+
+def _changed_fields(old, new, path=""):
+    """(path, old, new) of each leaf that differs between two parsed
+    JSON documents; a field present on one side only reads None on the
+    other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from _changed_fields(old.get(key), new.get(key),
+                                      f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _changed_fields(a, b, f"{path}[{i}]")
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def _describe(path, old, new) -> str:
+    line = f"  {path}: {old!r} -> {new!r}"
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+           for v in (old, new)):
+        line += f" ({_ulps(old, new)} ulps)"
+    return line
+
+
 def _versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "openblas_core": _openblas_core()}
@@ -80,10 +116,28 @@ def test_report_bytes_match_golden(case):
     assert csv_bytes == (DATA / f"golden_{case}.csv").read_bytes(), where
 
 
+def test_regeneration_names_the_fields_that_moved():
+    old = {"a": {"p": 0.1, "v": "HOLDS"}, "b": [1, 2.0], "gone": 3}
+    new = {"a": {"p": float(np.nextafter(0.1, 1.0)), "v": "HOLDS"},
+           "b": [1, -2.0], "added": None}
+    assert [(path, _ulps(o, n)) if isinstance(o, float) else (path, o, n)
+            for path, o, n in _changed_fields(old, new)] == [
+        ("a.p", 1), ("b[1]", _ulps(2.0, -2.0)), ("gone", 3, None)]
+    assert _ulps(0.0, -0.0) == 0
+    assert _ulps(-5e-324, 5e-324) == 2
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for name in CASES:
         json_bytes, csv_bytes = render(name)
-        (DATA / f"golden_{name}.json").write_bytes(json_bytes)
+        path = DATA / f"golden_{name}.json"
+        if path.exists():
+            moved = list(_changed_fields(json.loads(path.read_bytes()),
+                                        json.loads(json_bytes)))
+            print(f"{name}: {len(moved)} field(s) changed")
+            for field in moved:
+                print(_describe(*field))
+        path.write_bytes(json_bytes)
         (DATA / f"golden_{name}.csv").write_bytes(csv_bytes)
     VERSIONS.write_text(json.dumps(_versions(), indent=2) + "\n")
