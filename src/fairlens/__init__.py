@@ -18,8 +18,7 @@ from .harness import (AuditReport, AxiomOutcome, RunConfig, VERSION, cmd_audit,
                       cmd_reproduce_separation, cmd_table, emit_report)
 from .model import (PortfolioModel, SimulatedDataset, make_example_model,
                     read_csv, simulate, write_csv)
-from .oracles import (MomentEstimate, var_y_given_price_and_d,
-                      x1_given_y0_x2_d0, x2_unnormalized_density_y0_d0)
+from .oracles import MomentEstimate, x1_given_y0_x2_d0
 
 __version__ = VERSION
 
@@ -32,6 +31,5 @@ __all__ = [
     "check_sufficiency", "cmd_audit", "cmd_reproduce_separation",
     "cmd_table", "emit_report",
     "make_example_model", "read_csv", "simulate",
-    "var_y_given_price_and_d", "write_csv", "x1_given_y0_x2_d0",
-    "x2_unnormalized_density_y0_d0", "__version__",
+    "write_csv", "x1_given_y0_x2_d0", "__version__",
 ]

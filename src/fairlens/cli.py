@@ -57,9 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="regime grid verification")
     table.add_argument("--pairs",
                        help="semicolon-separated rho pairs, e.g. '0.3,0.5;0,0'")
-    table.add_argument("--n", type=int, default=10**6)
-    table.add_argument("--seed", type=int, default=7)
-    table.add_argument("--alpha", type=float, default=0.01)
+    table.add_argument("--n", type=int)
+    table.add_argument("--seed", type=int)
+    table.add_argument("--alpha", type=float)
     table.add_argument("--permutations", type=int, default=199,
                        dest="n_permutations")
     table.add_argument("--out", dest="output_path")
@@ -130,11 +130,18 @@ def _parse_pairs(text: str):
     return pairs
 
 
+def _given(args, *keys) -> dict:
+    """The parsed values of the flags named by keys that were given."""
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key) is not None}
+
+
 def _run_table(args) -> int:
     pairs = _parse_pairs(args.pairs) if args.pairs else None
-    test = TestConfig(alpha=args.alpha, n_permutations=args.n_permutations)
-    cells = harness.cmd_table(rho_pairs=pairs, n=args.n, seed=args.seed,
-                              test=test)
+    # flags left out keep the defaults of cmd_table and TestConfig
+    test = TestConfig(**_given(args, "alpha", "n_permutations"))
+    cells = harness.cmd_table(rho_pairs=pairs, test=test,
+                              **_given(args, "n", "seed"))
     print(harness.format_table(cells))
     if args.output_path:
         try:

@@ -16,30 +16,30 @@ the resulting contingency table: the distance covariance of the
 discretized pair is <N, A~ N B~> for fixed centered level-distance
 matrices, at O(levels^3) per table instead of O(n^2).  Permuting one
 variable induces exactly the fixed-margins hypergeometric law on
-tables, and two nulls stand for it:
+tables, and one rule, the one scipy.stats.random_table picks its
+sampler by, chooses between two nulls that stand for it:
 
-* spectral, once the table holds at least SPECTRAL_MIN_CELL_MEAN points
-  per cell on average: under independence (n - 1) dCov^2 of the table
-  tends to sum_kl lambda_k mu_l Z_kl^2 (Szekely, Rizzo & Bakirov 2007),
-  with lambda and mu the eigenvalues of diag(sqrt p) A~ diag(sqrt p) for
-  each side's level probabilities p.  Its upper tail comes from the
-  Lugannani-Rice saddlepoint approximation (Kuonen 1999), kept in log
-  space so that no p-value underflows before Fisher's combination, and
-  from Imhof's (1961) inversion where p > 1e-3.  This null draws
-  nothing: the test seed does not affect its p-values.
-* sampled, on sparser tables such as 500-point bins on 31 levels:
-  n_permutations tables drawn directly from the hypergeometric law, on
-  streams keyed by the test seed.  They are the tables
-  scipy.stats.random_table draws by its default rule: Boyett's label
-  shuffle, here in numpy, while n <= log(n + 1) x cells, and scipy's
-  Patefield sampler on denser tables.
+* sampled, while n <= log(n + 1) x cells, as on 500-point bins on 31
+  levels: n_permutations tables drawn from the hypergeometric law by
+  Boyett's label shuffle, in numpy, on streams keyed by the test seed.
+  They are the tables random_table draws on the same generator.
+* spectral, on every denser table: under independence (n - 1) dCov^2
+  of the table tends to sum_kl lambda_k mu_l Z_kl^2 (Szekely, Rizzo &
+  Bakirov 2007), with lambda and mu the eigenvalues of
+  diag(sqrt p) A~ diag(sqrt p) for each side's level probabilities p.
+  Its upper tail comes from the Lugannani-Rice saddlepoint
+  approximation (Kuonen 1999), kept in log space so that no p-value
+  underflows before Fisher's combination, and from Imhof's (1961)
+  inversion where p > 1e-3; one weight takes the exact chi-square tail
+  with one degree of freedom.  This null draws nothing: the test seed
+  does not affect its p-values.
 
-scipy is imported where it is used, not with this module: scipy.stats
-only for Patefield tables and integrate only for Imhof's inversion.
-Fisher's combination (the closed-form chi-square tail for even df), the
-saddlepoint's normal tail (Mills' ratio) and its root (Newton's method)
-run on numpy and math, so a sampled check, and an audit whose spectral
-p-values all lie below 1e-3, load no scipy module.
+scipy is imported where it is used, not with this module: integrate
+only for Imhof's inversion.  Fisher's combination (the closed-form
+chi-square tail for even df), the saddlepoint's normal tail (Mills'
+ratio) and its root (Newton's method) run on numpy and math, so a
+sampled check, and an audit whose spectral p-values all lie below
+1e-3, load no scipy module.
 
 Each full-length column is sorted once: normal_scores reads the copula
 ranks, the normal scores and the level ids of both checkers off one
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -75,29 +74,19 @@ MIN_BIN_COUNT = 30
 N_LEVELS = 64  # quantile levels per variable; conditional bins use half
 N_BINS = 20  # equal-probability bins of the conditioning variable
 
-# the spectral null replaces sampled tables once the level table holds
-# at least this many points per cell on average: every table of an
-# audit at n >= 409,600 (independence 64 x 64, bins 32 x 32),
-# none at n = 2e4 (at most 19.5 per cell, the one collapsed bin of a
-# constant price); criterion 7's 500-point bins on 31 levels hold 0.5
-SPECTRAL_MIN_CELL_MEAN = 20.0
-
 # the sampled null holds all n_permutations tables at once, at most
-# N_LEVELS x N_LEVELS 8-byte cells each (independence below n = 81,920);
+# N_LEVELS x N_LEVELS 8-byte cells each (independence below n = 43,774);
 # the ceiling keeps that batch within 1 GiB (its two float64 products
 # take as much again each), so 32,768 permutations
 NULL_BATCH_BUDGET_BYTES = 1 << 30
 MAX_PERMUTATIONS = NULL_BATCH_BUDGET_BYTES // (N_LEVELS * N_LEVELS * 8)
 
-# names read as attributes of the module, not as globals, go through
-# __getattr__ below and see a caller's rebinding
-_module = sys.modules[__name__]
-
 
 def __getattr__(name):
-    """scipy.stats, imported on first use as the attribute sps: only
-    Patefield tables need it, and it takes longer to import than a small
-    check takes to run.  Callers may rebind fairness.sps."""
+    """scipy.stats, imported on first use as the attribute sps.  No
+    checker reads it; the benchmark's tracer (perfbench/spans.py) wraps
+    it and reads rankdata from it, so the name stays until the tracer
+    drops it."""
     if name == "sps":
         from scipy import stats
         globals()["sps"] = stats
@@ -138,8 +127,9 @@ class TestConfig:
     alpha and the permutation budget follow the usual trade-off; the
     permutation RNG is keyed by `seed` only, independent of the seeds
     that generated the data.  Both the budget and `seed` act only on
-    tables below SPECTRAL_MIN_CELL_MEAN points per cell, whose null is
-    sampled.  The resolution of the tests (N_LEVELS, N_BINS) is fixed.
+    tables sparse enough for Boyett's shuffle, n <= log(n + 1) x cells,
+    whose null is sampled.  The resolution of the tests (N_LEVELS,
+    N_BINS) is fixed.
     """
 
     alpha: float = 0.01
@@ -258,11 +248,6 @@ def _read_quantiles(xs: np.ndarray, positions) -> np.ndarray:
     out = below + diff * gamma
     np.subtract(above, diff * one_minus_gamma, out=out, where=upper)
     return out
-
-
-def _sorted_quantiles(xs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """np.quantile(xs, probs) of the sorted column xs, read off by index."""
-    return _read_quantiles(xs, _quantile_positions(xs.shape[0], probs))
 
 
 def _level_counts(xs: np.ndarray, n_levels: int) -> np.ndarray:
@@ -387,24 +372,19 @@ def _dcor_from_parts(dcov2, dvar_a, dvar_b) -> float:
 
 def _random_tables(rows: np.ndarray, cols: np.ndarray, n_draws: int, rng):
     """n_draws tables with margins rows and cols from the fixed-margins
-    hypergeometric law: the tables scipy.stats.random_table draws on rng
-    by its default method, shape (n_draws, len(rows), len(cols)).
+    hypergeometric law by Boyett's (1979, AS 144) label shuffle, shape
+    (n_draws, len(rows), len(cols)).
 
-    scipy's rule takes Boyett's (1979, AS 144) label shuffle while
-    n <= log(n + 1) x cells and Patefield's algorithm on denser tables.
-    The shuffle runs here in numpy: the column labels, laid out in
-    column order, are shuffled once per table, each shuffle continuing
-    from the last arrangement as scipy's rcont1 does, and the first
-    rows[0] labels fall in row 0, the next rows[1] in row 1 and so on.
-    numpy's shuffle draws the same swaps from the same bit generator,
-    so the tables are scipy's, counted into a float64 batch.  Patefield
-    tables still come from scipy.stats, read as the attribute sps of
-    this module.
+    The column labels, laid out in column order, are shuffled once per
+    table, each shuffle continuing from the last arrangement as scipy's
+    rcont1 does, and the first rows[0] labels fall in row 0, the next
+    rows[1] in row 1 and so on.  numpy's shuffle draws the same swaps
+    from the same bit generator, so on the tables _table_test samples,
+    n <= log(n + 1) x cells, these are the tables
+    scipy.stats.random_table draws on rng by its default method,
+    counted into a float64 batch.
     """
     na, nb = rows.shape[0], cols.shape[0]
-    n = int(rows.sum())
-    if n > np.log(n + 1) * (na * nb):
-        return _module.sps.random_table(rows, cols).rvs(size=n_draws, random_state=rng)
     labels = np.repeat(np.arange(nb), cols)
     cells = np.repeat(np.arange(0, na * nb, nb), rows)
     tables = np.empty((n_draws, na * nb))
@@ -427,12 +407,17 @@ def _null_weights(pa, At, pb, Bt) -> np.ndarray:
 
     Both scaled matrices are negative semidefinite (|x - y| is a
     conditionally negative definite kernel), so every product of two
-    negative eigenvalues is a positive weight; the rest are rounding.
+    negative eigenvalues is a positive weight.  eigvalsh leaves each
+    eigenvalue within O(eps x levels x max |eigenvalue|) of the exact
+    one, so products below eps x (levels_a + levels_b) times the
+    largest weight are rounding of a zero eigenvalue (the centering's,
+    or an empty level's) and are dropped.
     """
     sa, sb = np.sqrt(pa), np.sqrt(pb)
     lam = np.linalg.eigvalsh(sa[:, None] * At * sa[None, :])
     mu = np.linalg.eigvalsh(sb[:, None] * Bt * sb[None, :])
-    return np.outer(lam[lam < 0.0], mu[mu < 0.0]).ravel()
+    w = np.outer(lam[lam < 0.0], mu[mu < 0.0]).ravel()
+    return w[w > np.finfo(float).eps * (pa.shape[0] + pb.shape[0]) * np.max(w)]
 
 
 # the saddlepoint tail is off by up to ~5% of p (relative) in the bulk,
@@ -455,6 +440,10 @@ def _log_sf_chi2_mixture(q: float, w: np.ndarray) -> float:
     # the law is scale-free: put the mean at 1
     mean = float(np.sum(w))
     q, w = q / mean, w / mean
+    if w.size == 1:
+        # chi-square with one df: P(Z^2 > q) = 2 phi(z) M(z) at z = sqrt(q)
+        return min(math.log(2.0) - 0.5 * q - 0.5 * math.log(2.0 * math.pi)
+                   + math.log(_mills_ratio(math.sqrt(q))), 0.0)
     log_p = _saddlepoint_log_sf(q, w)
     if log_p < math.log(_IMHOF_MIN_P):
         return log_p
@@ -581,9 +570,9 @@ def _table_test(side_a, side_b, n_permutations, seed, stream):
     """(dcor, p, log mid-p) of the discretized dCov test of two
     variables, each given as its (level ids, level counts).
 
-    The spectral null runs on tables with at least
-    SPECTRAL_MIN_CELL_MEAN points per cell, the sampled one elsewhere,
-    on the (seed, stream) generator.
+    Tables sparse enough for Boyett's shuffle, n <= log(n + 1) x cells
+    (scipy.stats.random_table's own rule), sample the null on the
+    (seed, stream) generator; every denser table takes the spectral law.
     """
     (ga, counts_a), (gb, counts_b) = side_a, side_b
     n = ga.shape[0]
@@ -597,7 +586,7 @@ def _table_test(side_a, side_b, n_permutations, seed, stream):
     N = N.astype(np.float64)
     s_obs = _table_dcov(N, At, Bt, n)
     dcor = _dcor_from_parts(s_obs, dva, dvb)
-    if n >= SPECTRAL_MIN_CELL_MEAN * na * nb:
+    if n > np.log(n + 1) * (na * nb):
         # (n - 1) rather than n: the hypergeometric covariance carries
         # n / (n - 1), so this matches the null mean exactly
         log_p = _log_sf_chi2_mixture((n - 1) * s_obs, _null_weights(pa, At, pb, Bt))

@@ -48,9 +48,10 @@ CONFIG_KEYS = ("rho1", "rho2", "n", "seed", "alpha", "n_permutations",
 
 # an audit's numpy heap (tracemalloc peak) grows by 86.1-86.7 bytes per
 # row from n = 5e5 to 4e6, where every level table takes the spectral
-# null; below that the sampled null's fixed ~30 MB dominates.  The
-# ceiling, at 98 bytes per row, keeps the heap within 4 GiB, so
-# 43,826,196 rows
+# null (from about n = 187,300 on, where the conditional bins pass Boyett's
+# bound); in audits small enough to sample tables, the sampled null's
+# fixed ~30 MB dominates.  The ceiling, at 98 bytes per row, keeps the
+# heap within 4 GiB, so 43,826,196 rows
 AUDIT_HEAP_BYTES_PER_ROW = 98
 AUDIT_HEAP_BUDGET_BYTES = 4 << 30
 MAX_N = AUDIT_HEAP_BUDGET_BYTES // AUDIT_HEAP_BYTES_PER_ROW

@@ -2,11 +2,11 @@
 
 This module holds the exact machinery behind the three impossibility
 results for the running portfolio model: the conditional law of X1
-given (Y=0, X2, D=0), the unnormalized X2 posterior under the same
+given (Y=0, X2, D=0) and the X2 posterior weight under the same
 conditioning, the ratio-of-expectations estimator for
-E[X1^2 | Y=0, D=0] (Monte Carlo and quadrature routes), the two
-variance decompositions, and the analytic verdict for each fairness
-axiom as a function of (rho1, rho2), for the x1 and the constant price.
+E[X1^2 | Y=0, D=0] (Monte Carlo and quadrature routes), and the
+analytic verdict for each fairness axiom as a function of
+(rho1, rho2), for the x1 and the constant price.
 """
 
 from __future__ import annotations
@@ -75,20 +75,6 @@ def x1_given_y0_x2_d0(rho1: float, rho2: float, x2: float) -> tuple[float, float
     _, v = _posterior_weight_and_variance(x2, rho1, rho2)
     mean = -rho1 * rho2 * x2 * v / (1.0 - rho1**2 - rho2**2)
     return float(mean), float(v)
-
-
-def x2_unnormalized_density_y0_d0(rho1: float, rho2: float, x2) -> np.ndarray | float:
-    """Unnormalized density of X2 given (Y=0, D=0); even in x2.
-
-    A leading 1/sqrt(1+x2^2) factor cancels against sqrt(1+x2^2)
-    inside the square root, which leaves the posterior weight times
-    exp(-x2^2/2); at rho1=rho2=0 that is (2+x2^2)^(-1/2) * exp(-x2^2/2).
-    """
-    require_valid_rho_pair(rho1, rho2)
-    x2 = np.asarray(x2, dtype=np.float64)
-    w, _ = _posterior_weight_and_variance(x2, rho1, rho2)
-    core = w * np.exp(-0.5 * x2**2)
-    return core if core.ndim else float(core)
 
 
 def _ratio_with_delta_se(num, den, num2, den2, cross, n):
@@ -221,14 +207,6 @@ def second_moment_x1_given_y0_d0_quad(
     den = _adaptive_even_quadrature(
         lambda x: _posterior_weight_and_variance(x, rho1, rho2)[0] * phi(x), tol)
     return MomentEstimate(value=num / den, std_error=0.0, n=0, method="quadrature")
-
-
-def var_y_given_price_and_d(rho1: float, rho2: float, x1: float, d: float) -> float:
-    """Var(Y | X1=x1, D=d) = 1 + m^2 + v via the X2 | (X1, D) conditional."""
-    require_valid_rho_pair(rho1, rho2)
-    m = rho2 / (1.0 - rho1**2) * (d - rho1 * x1)
-    v = (1.0 - rho1**2 - rho2**2) / (1.0 - rho1**2)
-    return 1.0 + m * m + v
 
 
 def analytic_verdict(axiom: str, rho1: float, rho2: float,

@@ -2,11 +2,14 @@
 
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
-distance correlation, the generic permutation p-value, scipy's ranks,
-numpy's quantiles and quantile levels by comparison, the chi-square
-tail in 40-digit decimals, the saddlepoint tail on scipy's special
-functions and root finder, the Gaussian log density and Schur-complement
-conditioning) that the tests hold the fast code against.
+distance correlation, the generic permutation p-value, the level-table
+test's mid-p over scipy's sampled tables, scipy's ranks, numpy's
+quantiles and quantile levels by comparison, the chi-square tail in
+40-digit decimals, the saddlepoint tail on scipy's special functions
+and root finder, the Gaussian log density and Schur-complement
+conditioning, and the closed-form X2 posterior density and
+Var(Y | X1, D) of the portfolio model) that the tests hold the fast
+code against.
 """
 
 import decimal
@@ -18,8 +21,11 @@ import numpy as np
 from scipy import optimize, special
 from scipy import stats as sps
 
+from fairlens import fairness
 from fairlens.errors import ConfigError, LengthMismatch
 from fairlens.fairness import _as_columns, _dcor_from_parts
+from fairlens.model import require_valid_rho_pair
+from fairlens.oracles import _posterior_weight_and_variance
 from fairlens.streams import generator
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -159,6 +165,28 @@ def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
     return (1 + exceed) / (n_permutations + 1)
 
 
+def sampled_table_mid_p(side_a, side_b, n_draws: int, seed: int) -> float:
+    """Mid-p of the level-table dCov test of two variables, each given
+    as its (level ids, level counts), against n_draws tables that
+    scipy.stats.random_table draws on the observed table's margins by
+    its default method, scored with fairness._table_dcov."""
+    (ga, counts_a), (gb, counts_b) = side_a, side_b
+    n = ga.shape[0]
+    _, At, _ = fairness._level_side(counts_a, n)
+    _, Bt, _ = fairness._level_side(counts_b, n)
+    na, nb = counts_a.shape[0], counts_b.shape[0]
+    N = np.zeros((na, nb))
+    np.add.at(N, (ga.astype(np.intp), gb.astype(np.intp)), 1.0)
+    observed = fairness._table_dcov(N, At, Bt, n)
+    rows, cols = (N.sum(axis=k).astype(np.int64) for k in (1, 0))
+    tables = sps.random_table(rows, cols).rvs(
+        size=n_draws, random_state=np.random.default_rng(seed))
+    null = np.array([fairness._table_dcov(t, At, Bt, n) for t in tables])
+    greater = int(np.sum(null > observed))
+    ties = int(np.sum(null == observed))
+    return (greater + 0.5 * (ties + 1)) / (n_draws + 1)
+
+
 # ---------------------------------------------------------------------------
 # copula ranks and quantile levels by their definitions
 # ---------------------------------------------------------------------------
@@ -239,6 +267,32 @@ def saddlepoint_log_sf_scipy(q: float, w: np.ndarray) -> float:
                    + math.log(mills + 1.0 / u - 1.0 / z), 0.0)
     p = special.ndtr(-z) + pdf(z) * (1.0 / u - 1.0 / z)
     return min(math.log(p), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the portfolio model
+# ---------------------------------------------------------------------------
+
+def x2_unnormalized_density_y0_d0(rho1: float, rho2: float, x2) -> np.ndarray | float:
+    """Unnormalized density of X2 given (Y=0, D=0); even in x2.
+
+    A leading 1/sqrt(1+x2^2) factor cancels against sqrt(1+x2^2)
+    inside the square root, which leaves the posterior weight times
+    exp(-x2^2/2); at rho1=rho2=0 that is (2+x2^2)^(-1/2) * exp(-x2^2/2).
+    """
+    require_valid_rho_pair(rho1, rho2)
+    x2 = np.asarray(x2, dtype=np.float64)
+    w, _ = _posterior_weight_and_variance(x2, rho1, rho2)
+    core = w * np.exp(-0.5 * x2**2)
+    return core if core.ndim else float(core)
+
+
+def var_y_given_price_and_d(rho1: float, rho2: float, x1: float, d: float) -> float:
+    """Var(Y | X1=x1, D=d) = 1 + m^2 + v via the X2 | (X1, D) conditional."""
+    require_valid_rho_pair(rho1, rho2)
+    m = rho2 / (1.0 - rho1**2) * (d - rho1 * x1)
+    v = (1.0 - rho1**2 - rho2**2) / (1.0 - rho1**2)
+    return 1.0 + m * m + v
 
 
 # ---------------------------------------------------------------------------

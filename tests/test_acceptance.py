@@ -14,8 +14,7 @@ import pytest
 
 from fairlens import (RunConfig, TestConfig, check_independence,
                       check_separation, check_sufficiency, cmd_audit,
-                      make_example_model, simulate,
-                      var_y_given_price_and_d, x1_given_y0_x2_d0)
+                      make_example_model, simulate, x1_given_y0_x2_d0)
 from fairlens.fairness import HOLDS, VIOLATED
 from fairlens.harness import (cmd_reproduce_separation, cmd_table,
                               determinism_digest, report_json_bytes,
@@ -24,7 +23,8 @@ from fairlens.model import PRICE_IS_X1
 from fairlens.oracles import (second_moment_x1_given_y0_d0_mc,
                               second_moment_x1_given_y0_d0_quad)
 
-from brute_force import condition, grid_moments, slice_rejection_moments
+from brute_force import (condition, grid_moments, slice_rejection_moments,
+                         var_y_given_price_and_d)
 from conftest import (PANEL_SEEDS, native_draws_fn, response_log_density,
                       trivariate_log_density)
 

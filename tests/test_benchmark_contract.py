@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fairlens import RunConfig, TestConfig, fairness, harness
+from fairlens import RunConfig, TestConfig, harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,30 +52,15 @@ def test_rebound_names_exist_and_are_restored(tmp_path):
         assert getattr(module, attr) is original, attr
 
 
-def test_patefield_tables_are_traced_through_the_rebound_stats():
-    """A constant price collapses sufficiency to one 20,000-point table
-    on 32 x 32 levels, denser than scipy's Boyett rule allows and below
-    the spectral floor, so its null comes from scipy's Patefield sampler,
-    read through the rebound fairness.sps."""
-    n, levels, cfg = 20_000, 32, TestConfig(n_permutations=199, seed=5)
-    assert levels**2 * np.log(n + 1) < n < levels**2 * fairness.SPECTRAL_MIN_CELL_MEAN
-    rng = np.random.default_rng(8)
-    y, d = rng.normal(size=(2, n))
-    tracer = spans.Tracer()
-    with spans.installed(tracer):
-        fairness.check_sufficiency(y, d, np.zeros(n), cfg)
-    null = [span for span in tracer.spans if span["name"] == "fairness.null"]
-    assert [span["counts"]["tables"] for span in null] == [cfg.n_permutations]
-
-
 def test_audit_above_the_floor_ranks_once_and_samples_no_table():
-    """At n = 5e5 every level table of an audit holds at least
-    SPECTRAL_MIN_CELL_MEAN points per cell (independence 122, the
-    25,000-point bins 24), so no table is sampled, and each of the
-    three columns is scored once for both conditional checks.  The
+    """At n = 5e5 every level table of an audit lies past Boyett's
+    bound n <= log(n + 1) x cells (independence on 64 x 64 levels, the
+    25,000-point bins on 32 x 32), so no table is sampled, and each of
+    the three columns is scored once for both conditional checks.  The
     ranks come from numpy's argsort, so scipy's rankdata never runs."""
     n = 500_000
-    assert n / 20 / 32**2 >= fairness.SPECTRAL_MIN_CELL_MEAN
+    for points, levels in ((n, 64), (n // 20, 32)):
+        assert points > np.log(points + 1) * levels**2
     tracer = spans.Tracer()
     with spans.installed(tracer):
         harness.cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=n, seed=5,

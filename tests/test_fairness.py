@@ -26,8 +26,9 @@ from fairlens.streams import generator, normal_ppf
 
 from brute_force import (chi2_even_sf_decimal, copula_ranks,
                          distance_correlation, permutation_pvalue,
-                         quantile_level_ids, saddlepoint_log_sf_scipy,
-                         saddlepoint_root_brentq, sorted_quantiles)
+                         quantile_level_ids, sampled_table_mid_p,
+                         saddlepoint_log_sf_scipy, saddlepoint_root_brentq,
+                         sorted_quantiles)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
 
@@ -239,16 +240,23 @@ QUANTILE_PROBS = [np.linspace(0.0, 1.0, k + 1)[1:-1]
                             fairness.N_BINS, 4)]
 
 
+def quantiles_by_index(xs, probs):
+    """np.quantile(xs, probs) of the sorted column xs, read off by index
+    as the level edges are."""
+    return fairness._read_quantiles(
+        xs, fairness._quantile_positions(xs.shape[0], probs))
+
+
 class TestQuantileByIndex:
-    """_sorted_quantiles reads np.quantile's default linear-method
-    values off a sorted column by index, byte for byte."""
+    """_read_quantiles reads np.quantile's default linear-method values
+    off a sorted column by index, byte for byte."""
 
     @pytest.mark.parametrize("kind", ORDER_KINDS)
     @pytest.mark.parametrize("n", [2, 3, 500, 50_000, 1_000_000])
     def test_matches_np_quantile(self, n, kind):
         xs = np.sort(_order_inputs(kind, n))
         for probs in QUANTILE_PROBS:
-            got = fairness._sorted_quantiles(xs, probs)
+            got = quantiles_by_index(xs, probs)
             want = sorted_quantiles(xs, probs)
             if kind == "signed_zeros":
                 # np.quantile partitions its copy of the column first,
@@ -265,7 +273,7 @@ class TestQuantileByIndex:
         # + 0.0 makes every zero positive, so the bytes are defined
         xs = np.sort(np.array(values) + 0.0)
         probs = np.array(probs)
-        got = fairness._sorted_quantiles(xs, probs)
+        got = quantiles_by_index(xs, probs)
         assert got.tobytes() == sorted_quantiles(xs, probs).tobytes()
 
 
@@ -355,8 +363,9 @@ def _spread(n, k):
 
 class TestRandomTables:
     """The sampled null's tables are the ones scipy.stats.random_table
-    draws by its default method on the same generator: numpy's shuffle
-    on sparse tables, scipy's Patefield sampler on denser ones."""
+    draws by its default method on the same generator, on every table
+    sparse enough that the method is Boyett's shuffle, the only tables
+    the checkers sample."""
 
     # on 18 x 18 cells, scipy's rule n <= log(n + 1) x cells takes
     # Boyett's shuffle up to 2,540 points and Patefield's from 2,541
@@ -368,20 +377,17 @@ class TestRandomTables:
 
     @pytest.mark.parametrize("n_draws", [99, 999])
     @pytest.mark.parametrize("rows,cols", [
-        # 500-point bins on 31 levels: Boyett
+        # 500-point bins on 31 levels
         (_spread(500, 31), None),
-        # both sides of the rule on 18 x 18 cells
+        # the last table of the rule on 18 x 18 cells
         (_spread(BOYETT_MAX_18, 18), None),
-        (_spread(BOYETT_MAX_18 + 1, 18), None),
-        # one 20,000-point table on 32 x 32 levels: Patefield
-        (_spread(20_000, 32), None),
-        # zero margins on either side, both regimes
+        # zero margins on either side
         (np.array([0, 40, 0, 25, 35, 0]), np.array([50, 0, 30, 20])),
-        (np.array([0, 4000, 0, 2500, 3500, 0]), np.array([5000, 0, 3000, 2000])),
-        (np.array([0, 0, 7]), np.array([7])),
-    ])
+    ], ids=["rows0-None", "rows1-None", "rows4-cols4"])  # ids kept stable
     def test_equal_to_scipy_random_table(self, rows, cols, n_draws):
         cols = rows if cols is None else cols
+        n = rows.sum()
+        assert n <= np.log(n + 1) * (rows.size * cols.size)
         got = fairness._random_tables(rows, cols, n_draws, generator(3, 0xFB05))
         want = sps.random_table(rows, cols).rvs(size=n_draws,
                                                 random_state=generator(3, 0xFB05))
@@ -433,6 +439,28 @@ class TestScipyLoadsOnlyWhereNeeded:
             cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=500_000, seed=5,
                                 test=TestConfig(seed=5)))
             """) == []
+
+    def test_null_price_audit_loads_no_scipy_stats(self):
+        """A constant price collapses sufficiency to one 20,000-point
+        table on 32 x 32 levels, past Boyett's bound, so the spectral law
+        decides it and no table is sampled by scipy."""
+        loaded = _scipy_modules_after("""
+            from fairlens import RunConfig, TestConfig, cmd_audit
+            cmd_audit(RunConfig(rho1=-0.3, rho2=0.0, n=20_000, seed=42,
+                                functional="null",
+                                test=TestConfig(n_permutations=199, seed=3)))
+            """)
+        assert "scipy.stats" not in loaded, f"scipy modules loaded: {loaded}"
+
+    def test_mid_n_audit_loads_no_scipy_stats(self):
+        """At n = 2e5 the conditional bins hold 10,000 points on
+        32 x 32 levels, past Boyett's bound: every table is spectral."""
+        loaded = _scipy_modules_after("""
+            from fairlens import RunConfig, TestConfig, cmd_audit
+            cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=200_000, seed=11,
+                                test=TestConfig(n_permutations=199, seed=3)))
+            """)
+        assert "scipy.stats" not in loaded, f"scipy modules loaded: {loaded}"
 
     def test_raw_column_separation_loads_no_scipy(self):
         """Sampled 500-point bins, scored from raw columns, and Fisher's
@@ -568,6 +596,21 @@ class TestTailKernels:
             compared += 1
         assert compared > 100
 
+    def test_one_weight_takes_the_exact_tail(self):
+        """One weight is the chi-square law with one df, whose tail
+        erfc(sqrt(q / 2)) the mixture returns in log space, finite far
+        past the point where erfc underflows."""
+        w = np.array([1.0])
+        for q in np.geomspace(0.01, 700.0, 301):
+            got = math.exp(fairness._log_sf_chi2_mixture(float(q), w))
+            want = math.erfc(math.sqrt(q / 2.0))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), q
+        for q in (1e3, 1e4):
+            got = fairness._log_sf_chi2_mixture(q, w)
+            want = math.log(2.0) + float(special.log_ndtr(-math.sqrt(q)))
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-13), q
+
     def test_one_weight_is_one_degree_of_freedom(self):
         """With one weight P(Q > q) = erfc(sqrt(q / 2)).  The saddlepoint's
         relative error on one df climbs, past q = 2, to the limit of
@@ -596,8 +639,9 @@ class TestCheckIndependence:
         ds = simulate(reference_model, 10**5, seed=41)
         v = check_independence(ds.x1, ds.d, TestConfig(seed=13))
         assert v.verdict == VIOLATED
-        # 24 points per cell: the spectral null, whose p-value is not
-        # held at or above the 1/1000 floor of 999 sampled tables
+        # 64 x 64 levels past Boyett's bound: the spectral null, whose
+        # p-value is not held at or above the 1/1000 floor of 999
+        # sampled tables
         assert v.p_value < 1.0 / 1000.0
         assert v.n_used == 10**5
         assert v.statistic == pytest.approx(0.089, abs=0.03)
@@ -607,6 +651,20 @@ class TestCheckIndependence:
         v = check_independence(ds.x1, ds.d, TestConfig(seed=13))
         assert v.verdict == HOLDS
         assert v.p_value >= 0.01
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binary_pair_takes_the_exact_one_df_tail(self, seed):
+        """Two binary columns leave one null weight, p (1 - p) per side,
+        and (n - 1) dCov^2 over it is (n - 1) r^2 for their correlation
+        r: the p-value is the one-df chi-square tail of that."""
+        rng = np.random.default_rng(seed)
+        n = 1000
+        a = (rng.random(n) < 0.3).astype(float)
+        b = (rng.random(n) < 0.6 + 0.1 * a).astype(float)
+        r = np.corrcoef(a, b)[0, 1]
+        want = math.erfc(math.sqrt((n - 1) * r * r / 2.0))
+        got = check_independence(a, b, FAST).p_value
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_constant_price_holds_with_zero_statistic(self):
         rng = np.random.default_rng(3)
@@ -712,24 +770,16 @@ class TestConditionalCheckers:
         assert v.p_value > 0.01
 
 
-def _both_nulls(monkeypatch, a, b, levels, n_permutations):
-    """(spectral p, sampled mid-p) of the level-table test of (a, b)."""
-    log_ps = []
-    for floor in (0.0, math.inf):
-        monkeypatch.setattr(fairness, "SPECTRAL_MIN_CELL_MEAN", floor)
-        log_ps.append(table_test(a, b, levels, n_permutations,
-                                 seed=1, stream=1)[2])
-    return tuple(math.exp(lp) for lp in log_ps)
-
-
 class TestSpectralNull:
     @pytest.mark.parametrize("levels,cell_mean", [
-        (8, 21.0), (32, 21.0), (64, 21.0), (32, 50.0)])
-    def test_agrees_with_sampled_null(self, monkeypatch, levels, cell_mean):
+        (8, 21.0), (32, 21.0), (64, 21.0), (32, 50.0), (32, 10_000 / 32**2)])
+    def test_agrees_with_sampled_null(self, levels, cell_mean):
         """On independent pairs and on weak linear and quadratic
-        dependence, from just above the floor up, the spectral p-value
-        lies within 4 Monte Carlo standard errors of the sampled mid-p."""
+        dependence, from just past Boyett's bound up, the spectral
+        p-value lies within 4 Monte Carlo standard errors of the mid-p
+        over tables that scipy samples on the same margins."""
         n = int(cell_mean * levels**2)
+        assert n > np.log(n + 1) * levels**2
         draws = 999
         rng = np.random.default_rng(levels + int(cell_mean))
         for rep in range(6):
@@ -737,19 +787,25 @@ class TestSpectralNull:
             noise = rng.normal(size=n)
             effect = (rep // 2) * 1.5 / math.sqrt(n)
             b = noise + effect * (a if rep % 2 else (a * a - 1.0))
-            spec, perm = _both_nulls(monkeypatch, a, b, levels, draws)
+            sides = [fairness._quantile_level_ids(x, levels) for x in (a, b)]
+            spec = fairness._table_test(*sides, draws, seed=1, stream=1)[1]
+            perm = sampled_table_mid_p(*sides, draws, seed=rep)
+            # a sampled mid-p lies on the grid of half-steps 1 / (2 (B + 1))
+            steps = 2.0 * (draws + 1) * perm
+            assert abs(steps - round(steps)) < 1e-9, perm
             se = math.sqrt(max(perm * (1.0 - perm), 1.0 / draws) / draws)
             assert abs(spec - perm) <= 4.0 * se, (rep, spec, perm)
 
-    def test_floor_routes_tables(self, monkeypatch):
-        """64 x 64 tables: 81,920 points reach 20 per cell and draw no
-        table, whatever the test seed; one point fewer samples them."""
+    def test_boyett_bound_routes_tables(self, monkeypatch):
+        """64 x 64 tables: 43,774 points lie past Boyett's bound and
+        draw no table, whatever the test seed; one point fewer samples
+        them, so p x 200 is an integer with 199 draws."""
         sampled = []
         original = fairness._null_dcov_draws
         monkeypatch.setattr(fairness, "_null_dcov_draws",
                             lambda *args: sampled.append(1) or original(*args))
         rng = np.random.default_rng(12)
-        a, b = rng.normal(size=(2, 81_920))
+        a, b = rng.normal(size=(2, 43_774))
         p1 = check_independence(a, b, TestConfig(n_permutations=199, seed=1))
         p2 = check_independence(a, b, TestConfig(n_permutations=199, seed=2))
         assert sampled == [] and p1.p_value == p2.p_value

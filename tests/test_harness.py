@@ -49,9 +49,9 @@ class TestRunConfig:
                      "--n", str(harness.MAX_N + 1)]) == 2
 
     def test_audit_heap_per_row_within_the_estimate(self):
-        """Above the spectral floor the audit's heap is linear in n; at
-        n = 5e5 its tracemalloc peak stays within the per-row figure
-        that MAX_N is derived from."""
+        """Where every table is spectral the audit's heap is linear in
+        n; at n = 5e5 its tracemalloc peak stays within the per-row
+        figure that MAX_N is derived from."""
         n = 500_000
         tracemalloc.start()
         try:
@@ -461,6 +461,19 @@ class TestCli:
         monkeypatch.setattr(harness, "cmd_audit", audits.append)
         assert main(["table", "--seed", str((1 << 64) - 3)]) == 2
         assert audits == []
+
+    def test_table_without_flags_keeps_the_library_defaults(
+            self, monkeypatch, capsys):
+        """Flags left out are not passed on: cmd_table keeps its own n
+        and seed, and TestConfig its alpha; --permutations 199 is the
+        table's own value."""
+        calls = []
+        monkeypatch.setattr(harness, "cmd_table",
+                            lambda **kwargs: calls.append(kwargs) or [])
+        assert main(["table"]) == 0
+        assert calls == [{"rho_pairs": None,
+                          "test": TestConfig(n_permutations=199)}]
+        capsys.readouterr()
 
     def test_table_bad_pair_exits_two(self):
         assert main(["table", "--pairs", "0.5;0.9"]) == 2

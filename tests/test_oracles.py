@@ -5,14 +5,13 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
 
-from fairlens import (MomentEstimate, NotPositiveDefinite,
-                      var_y_given_price_and_d, x1_given_y0_x2_d0,
-                      x2_unnormalized_density_y0_d0)
+from fairlens import MomentEstimate, NotPositiveDefinite, x1_given_y0_x2_d0
 from fairlens.errors import QuadratureError
 from fairlens.oracles import (analytic_verdict, second_moment_x1_given_y0_d0_mc,
                               second_moment_x1_given_y0_d0_quad)
 
-from brute_force import grid_moments, slice_rejection_moments
+from brute_force import (grid_moments, slice_rejection_moments,
+                         var_y_given_price_and_d, x2_unnormalized_density_y0_d0)
 from conftest import response_log_density, trivariate_log_density
 
 
