@@ -41,8 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--n", type=int)
     audit.add_argument("--seed", type=int)
     audit.add_argument("--alpha", type=float)
-    audit.add_argument("--permutations", type=int, dest="n_permutations")
-    audit.add_argument("--test-seed", type=int, dest="test_seed")
+    # neither acts on a p-value (every table takes the spectral law);
+    # both stay valid options for the configs and scripts that pass them
+    audit.add_argument("--permutations", type=int, dest="n_permutations",
+                       help="validated in [99, 32768] and recorded; no "
+                            "p-value depends on it")
+    audit.add_argument("--test-seed", type=int, dest="test_seed",
+                       help="validated and recorded; no p-value depends on it")
     audit.add_argument("--functional", choices=harness.FUNCTIONALS)
     audit.add_argument("--out", dest="output_path")
     audit.add_argument("--format", dest="output_format", choices=harness.OUTPUT_FORMATS)
@@ -61,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--seed", type=int)
     table.add_argument("--alpha", type=float)
     table.add_argument("--permutations", type=int, default=199,
-                       dest="n_permutations")
+                       dest="n_permutations",
+                       help="validated and recorded; no p-value depends on it")
     table.add_argument("--out", dest="output_path")
     table.add_argument("--format", dest="output_format",
                        choices=harness.OUTPUT_FORMATS, default="csv")

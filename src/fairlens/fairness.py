@@ -14,32 +14,29 @@ data:
 The core discretizes both variables into quantile levels and works on
 the resulting contingency table: the distance covariance of the
 discretized pair is <N, A~ N B~> for fixed centered level-distance
-matrices, at O(levels^3) per table instead of O(n^2).  Permuting one
-variable induces exactly the fixed-margins hypergeometric law on
-tables, and one rule, the one scipy.stats.random_table picks its
-sampler by, chooses between two nulls that stand for it:
+matrices, at O(levels^3) per table instead of O(n^2).  Every table takes
+the same deterministic null: under independence (n - 1) dCov^2 of the
+table tends to Q = sum_kl lambda_k mu_l Z_kl^2 (Szekely, Rizzo & Bakirov
+2007), with lambda and mu the eigenvalues of diag(sqrt p) A~ diag(sqrt p)
+for each side's level probabilities p.  This law, and everything its
+tail needs, depends on the two sides' level counts alone, so it is built
+once per pair of level counts (_spectral_law): the untied bins of a
+check, all of one size, share one.  Its upper tail comes from
 
-* sampled, while n <= log(n + 1) x cells, as on 500-point bins on 31
-  levels: n_permutations tables drawn from the hypergeometric law by
-  Boyett's label shuffle, in numpy, on streams keyed by the test seed.
-  They are the tables random_table draws on the same generator.
-* spectral, on every denser table: under independence (n - 1) dCov^2
-  of the table tends to sum_kl lambda_k mu_l Z_kl^2 (Szekely, Rizzo &
-  Bakirov 2007), with lambda and mu the eigenvalues of
-  diag(sqrt p) A~ diag(sqrt p) for each side's level probabilities p.
-  Its upper tail comes from the Lugannani-Rice saddlepoint
-  approximation (Kuonen 1999), kept in log space so that no p-value
-  underflows before Fisher's combination, and from Imhof's (1961)
-  inversion where p > 1e-3; one weight takes the exact chi-square tail
-  with one degree of freedom.  This null draws nothing: the test seed
-  does not affect its p-values.
+* the exact chi-square tail with one degree of freedom, for one weight;
+* in the bulk, Imhof's (1961) inversion of the characteristic function
+  summed on a fixed midpoint grid whose step and length follow from
+  stated error bounds (Davies 1980, AS 155), or, where that grid would
+  be long and the weights are few, Ruben's (1962) chi-square series;
+* the Lugannani-Rice saddlepoint approximation (Kuonen 1999) where the
+  bulk puts p below 1e-3 or q lies past the grid's aliasing range, kept
+  in log space so that no p-value underflows before Fisher's
+  combination.
 
-scipy is imported where it is used, not with this module: integrate
-only for Imhof's inversion.  Fisher's combination (the closed-form
-chi-square tail for even df), the saddlepoint's normal tail (Mills'
-ratio) and its root (Newton's method) run on numpy and math, so a
-sampled check, and an audit whose spectral p-values all lie below
-1e-3, load no scipy module.
+Nothing is drawn: no p-value depends on a test seed or a permutation
+count, and the tail runs on numpy and math alone, as do Fisher's
+combination (the closed-form chi-square tail for even df), Mills' ratio
+and the saddlepoint's root, so no check loads a scipy module.
 
 Each full-length column is sorted once: normal_scores reads the copula
 ranks, the normal scores and the level ids of both checkers off one
@@ -49,10 +46,9 @@ it again.  Quantile edges are read off the sorted column by index.
 Within conditioning bins, both tested variables are linearly detrended
 on the conditioning variable (all three on the normal-scores scale), to
 remove the spurious dependence that finite-width bins otherwise leak in
-the tails of the conditioning variable.  Per-bin mid-p values feed
-Fisher's combination so that the combined statistic keeps its
-chi-square reference despite the permutation p-value grid; the
-spectral p-value is continuous and is its own mid-p.
+the tails of the conditioning variable.  Per-bin log p-values feed
+Fisher's combination, which keeps its chi-square reference because
+each p-value is continuous.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ import numpy as np
 
 from .errors import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                      TooFewSamples)
-from .streams import check_seed, generator, normal_ppf
+from .streams import check_seed, normal_ppf
 
 POWER_GUARD_N = 100_000  # HOLDS requires at least this many observations
 
@@ -74,12 +70,9 @@ MIN_BIN_COUNT = 30
 N_LEVELS = 64  # quantile levels per variable; conditional bins use half
 N_BINS = 20  # equal-probability bins of the conditioning variable
 
-# the sampled null holds all n_permutations tables at once, at most
-# N_LEVELS x N_LEVELS 8-byte cells each (independence below n = 43,774);
-# the ceiling keeps that batch within 1 GiB (its two float64 products
-# take as much again each), so 32,768 permutations
-NULL_BATCH_BUDGET_BYTES = 1 << 30
-MAX_PERMUTATIONS = NULL_BATCH_BUDGET_BYTES // (N_LEVELS * N_LEVELS * 8)
+# the ceiling a sampled null once had (2^30 bytes of 64 x 64 tables);
+# n_permutations keeps it as its valid range, see TestConfig
+MAX_PERMUTATIONS = 32768
 
 
 def __getattr__(name):
@@ -103,13 +96,6 @@ SEPARATION = "separation"
 SUFFICIENCY = "sufficiency"
 AXIOM_KINDS = (INDEPENDENCE, SEPARATION, SUFFICIENCY)
 
-# pre-assigned permutation sub-streams (one per bin index) so results do
-# not depend on scheduling; the two conditional checkers share the same
-# streams, which makes the separation/sufficiency role exchange an exact
-# identity on the same inputs
-_STREAM_INDEPENDENCE = 0xFA01
-_STREAM_BIN_BASE = 0xFB00
-
 
 @dataclass(frozen=True)
 class Axiom:
@@ -124,12 +110,12 @@ class Axiom:
 class TestConfig:
     """Knobs for the statistical checkers.
 
-    alpha and the permutation budget follow the usual trade-off; the
-    permutation RNG is keyed by `seed` only, independent of the seeds
-    that generated the data.  Both the budget and `seed` act only on
-    tables sparse enough for Boyett's shuffle, n <= log(n + 1) x cells,
-    whose null is sampled.  The resolution of the tests (N_LEVELS,
-    N_BINS) is fixed.
+    alpha is the level of every check.  n_permutations and seed act on
+    no p-value: every table takes the spectral law, which draws
+    nothing.  They are still validated and recorded in each verdict
+    and report, because existing configs, command lines and the
+    benchmark pass them; they go when those callers stop.  The
+    resolution of the tests (N_LEVELS, N_BINS) is fixed.
     """
 
     alpha: float = 0.01
@@ -338,7 +324,7 @@ def normal_scores(x) -> NormalScores:
 
 
 # ---------------------------------------------------------------------------
-# discretized distance correlation with a spectral or a sampled null
+# discretized distance correlation and its spectral null
 # ---------------------------------------------------------------------------
 
 def _level_side(counts: np.ndarray, n: int):
@@ -370,38 +356,6 @@ def _dcor_from_parts(dcov2, dvar_a, dvar_b) -> float:
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_a * dvar_b))
 
 
-def _random_tables(rows: np.ndarray, cols: np.ndarray, n_draws: int, rng):
-    """n_draws tables with margins rows and cols from the fixed-margins
-    hypergeometric law by Boyett's (1979, AS 144) label shuffle, shape
-    (n_draws, len(rows), len(cols)).
-
-    The column labels, laid out in column order, are shuffled once per
-    table, each shuffle continuing from the last arrangement as scipy's
-    rcont1 does, and the first rows[0] labels fall in row 0, the next
-    rows[1] in row 1 and so on.  numpy's shuffle draws the same swaps
-    from the same bit generator, so on the tables _table_test samples,
-    n <= log(n + 1) x cells, these are the tables
-    scipy.stats.random_table draws on rng by its default method,
-    counted into a float64 batch.
-    """
-    na, nb = rows.shape[0], cols.shape[0]
-    labels = np.repeat(np.arange(nb), cols)
-    cells = np.repeat(np.arange(0, na * nb, nb), rows)
-    tables = np.empty((n_draws, na * nb))
-    for table in tables:
-        rng.shuffle(labels)
-        table[:] = np.bincount(cells + labels, minlength=na * nb)
-    return tables.reshape(n_draws, na, nb)
-
-
-def _null_dcov_draws(N, At, Bt, n, n_draws, rng):
-    rows = N.sum(axis=1).astype(np.int64)
-    cols = N.sum(axis=0).astype(np.int64)
-    tables = _random_tables(rows, cols, n_draws, rng)
-    inner = np.matmul(np.matmul(At, tables), Bt)
-    return np.einsum("bij,bij->b", tables, inner) / n**2
-
-
 def _null_weights(pa, At, pb, Bt) -> np.ndarray:
     """The positive weights lambda_k mu_l of the limiting null law.
 
@@ -420,11 +374,27 @@ def _null_weights(pa, At, pb, Bt) -> np.ndarray:
     return w[w > np.finfo(float).eps * (pa.shape[0] + pb.shape[0]) * np.max(w)]
 
 
+# every bound on the error of the bulk tail (the grid's aliasing and
+# truncation, Ruben's remainder) is held to this absolute error in p
+_TAIL_EPS = 1e-9
+
 # the saddlepoint tail is off by up to ~5% of p (relative) in the bulk,
-# so p-values it puts above this bound are recomputed by Imhof's
-# inversion, within ~1e-7 of the exact tail; far below it the inversion
-# loses its relative accuracy while the saddlepoint keeps it
-_IMHOF_MIN_P = 1e-3
+# so it gives way there to the grid or Ruben's series, within a few
+# _TAIL_EPS of the exact tail; below this bound their absolute error
+# would be a large part of p, while the saddlepoint keeps its relative
+# accuracy
+_BULK_MIN_P = 1e-3
+
+# no grid of more nodes, and no series of more terms, than this is
+# built: laws of a few weights spread over orders of magnitude need more
+# of both, and the saddlepoint decides their whole tail
+_BULK_MAX_TERMS = 4096
+
+# grid weights w with w u <= this at the last node u are summed as
+# power series of _FOLD_TERMS terms, whose remainders are below
+# 0.5^(2 _FOLD_TERMS) relative
+_FOLD_MAX_WU = 0.5
+_FOLD_TERMS = 12
 
 # below this |w|, the saddlepoint formula loses digits to cancellation
 # and the one-term Edgeworth expansion at the mean takes over
@@ -433,22 +403,247 @@ _SADDLEPOINT_CENTRAL = 1e-3
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
 
-def _log_sf_chi2_mixture(q: float, w: np.ndarray) -> float:
-    """log P(sum_j w_j Z_j^2 > q) for iid standard normal Z_j and w_j > 0."""
-    if w.size == 0 or q <= 0.0:
-        return 0.0
-    # the law is scale-free: put the mean at 1
-    mean = float(np.sum(w))
-    q, w = q / mean, w / mean
-    if w.size == 1:
-        # chi-square with one df: P(Z^2 > q) = 2 phi(z) M(z) at z = sqrt(q)
-        return min(math.log(2.0) - 0.5 * q - 0.5 * math.log(2.0 * math.pi)
-                   + math.log(_mills_ratio(math.sqrt(q))), 0.0)
-    log_p = _saddlepoint_log_sf(q, w)
-    if log_p < math.log(_IMHOF_MIN_P):
-        return log_p
-    p = _imhof_sf(q, w)
-    return log_p if p is None else math.log(p)
+class _MixtureTail:
+    """The upper tail of Q = sum_j w_j Z_j^2 for iid standard normal Z_j
+    and weights w_j > 0, with what its bulk needs built once.
+
+    The law is scale-free, so the weights are kept over their mean.
+    One weight is the chi-square law with one df.  Otherwise a bulk
+    P(Q > q) within a few _TAIL_EPS is built for q below x_hi, past
+    which P(Q > q) <= _TAIL_EPS (_bulk_tail); the saddlepoint takes the
+    rest of the tail.
+    """
+
+    def __init__(self, w: np.ndarray):
+        self.mean = float(np.sum(w))
+        self.weights = w / self.mean if w.size else w
+        self.x_hi, self._bulk_sf = (_bulk_tail(self.weights) if w.size > 1
+                                    else (0.0, None))
+
+    def log_sf(self, q: float) -> float:
+        """log P(Q > q)."""
+        w = self.weights
+        if w.size == 0 or q <= 0.0:
+            return 0.0
+        q = q / self.mean
+        if w.size == 1:
+            # chi-square with one df: P(Z^2 > q) = 2 phi(z) M(z) at z = sqrt(q)
+            return min(math.log(2.0) - 0.5 * q - 0.5 * math.log(2.0 * math.pi)
+                       + math.log(_mills_ratio(math.sqrt(q))), 0.0)
+        if q < self.x_hi:
+            p = self._bulk_sf(q)
+            if p >= _BULK_MIN_P:
+                return math.log(min(p, 1.0))
+        return _saddlepoint_log_sf(q, w)
+
+
+def _bulk_tail(w: np.ndarray):
+    """(x_hi, sf): P(Q > x_hi) <= _TAIL_EPS, and sf(q), P(Q > q) for
+    q < x_hi within a few _TAIL_EPS, Q the mixture of the weights w
+    (mean 1, at least two).
+
+    sf sums Imhof's integrand on a midpoint grid (_imhof_grid) or
+    Ruben's chi-square series (_ruben_series), whichever its error bound
+    says takes less work to build: nodes times weights evaluated at each
+    node, or the series' quadratic recurrence.  Many weights make the
+    integrand decay fast and the grid short; few weights of similar size
+    make the series short.  Where neither fits in _BULK_MAX_TERMS, sf is
+    None and x_hi is 0.
+    """
+    x_hi = _chernoff_upper(w)
+    h = 2.0 * math.pi / x_hi
+    nodes = math.ceil(_last_node(w) / h + 0.5)
+    beta, terms = _ruben_terms(w)
+    grid_work = ruben_work = math.inf
+    if nodes <= _BULK_MAX_TERMS:
+        explicit = int(np.sum(w > _FOLD_MAX_WU / ((nodes - 0.5) * h)))
+        grid_work = nodes * (explicit + _FOLD_TERMS)
+    if terms <= _BULK_MAX_TERMS:
+        ruben_work = terms * (terms // 2 + w.size)
+    if grid_work == ruben_work == math.inf:
+        return 0.0, None
+    if grid_work <= ruben_work:
+        return x_hi, functools.partial(_grid_sf, *_imhof_grid(w, h, nodes))
+    return x_hi, functools.partial(_ruben_sf, *_ruben_series(w, beta, terms))
+
+
+def _chernoff_upper(w: np.ndarray) -> float:
+    """An x_hi with P(Q > x_hi) <= _TAIL_EPS, Q the mean-1 mixture.
+
+    With K(t) = -sum log(1 - 2 t w) / 2, Chernoff's bound
+    P(Q > K'(t)) <= exp(f(t)), f(t) = K(t) - t K'(t), holds at every t
+    in (0, 1 / (2 w_max)).  f falls from 0 there, f' = -t K'', and is
+    concave, so Newton's method on f(t) = log _TAIL_EPS, started right
+    of the root, stays right of it, every step a valid bound, and falls
+    monotonically into it.
+    """
+    target = math.log(_TAIL_EPS)
+    t_pole = 0.5 / float(np.max(w))
+
+    def chernoff(t):
+        r = w / (1.0 - 2.0 * t * w)
+        return -0.5 * float(np.sum(np.log1p(-2.0 * t * w))) - t * float(np.sum(r)), r
+
+    t = 0.5 * t_pole
+    f, r = chernoff(t)
+    while f > target:
+        t = 0.5 * (t + t_pole)
+        f, r = chernoff(t)
+    for _ in range(_ROOT_MAX_ITER):
+        step = (f - target) / (2.0 * t * float(np.sum(r * r)))
+        if -step <= 1e-3 * t:
+            break
+        t += step
+        f, r = chernoff(t)
+    return float(np.sum(r))
+
+
+def _last_node(w: np.ndarray) -> float:
+    """The least u, to 1%, past which Imhof's integrand adds at most
+    _TAIL_EPS to P(Q > q), for every q.
+
+    The integrand is sin(theta(u)) / (pi u rho(u)) with
+    log rho(u) = sum log(1 + w^2 u^2) / 4, which is convex in log u with
+    slope c(u) / 2, c(u) = sum w^2 u^2 / (1 + w^2 u^2).  Past U,
+    rho(u) >= rho(U) (u / U)^(c(U) / 2), so the integral of
+    1 / (pi u rho(u)) beyond U is at most 2 / (pi c(U) rho(U)).  That
+    integrand decreases, so the same bound holds for the midpoint nodes
+    past a last node at U.
+    """
+    target = math.log(_TAIL_EPS)
+
+    def log_bound(u):
+        x2 = (w * u) ** 2
+        return (math.log(2.0 / math.pi) - math.log(float(np.sum(x2 / (1.0 + x2))))
+                - 0.25 * float(np.sum(np.log1p(x2))))
+
+    hi = 1.0
+    while log_bound(hi) > target:
+        hi *= 2.0
+    lo = 0.5 * hi
+    while hi > 1.01 * lo:
+        mid = math.sqrt(lo * hi)
+        if log_bound(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _imhof_grid(w: np.ndarray, h: float, nodes: int):
+    """(u, half-angle, envelope) of Imhof's integrand on the midpoint
+    nodes u_k = (k + 1/2) h: sum arctan(w u) / 2 and h / (pi u rho(u)).
+
+    Davies (1980, AS 155): the midpoint sum at step h = 2 pi / x_hi
+    differs from P(Q > q), q < x_hi, by at most P(Q > q + x_hi), which
+    _chernoff_upper holds below _TAIL_EPS; _last_node bounds the nodes
+    left out.  Weights w with w u <= _FOLD_MAX_WU at every node enter
+    through their power sums, in _FOLD_TERMS terms of the series of
+    arctan(x) and log(1 + x^2): the exact characteristic function up to
+    the series' remainder.
+    """
+    u = (np.arange(nodes) + 0.5) * h
+    explicit = w > _FOLD_MAX_WU / u[-1]
+    x = np.multiply.outer(u, w[explicit])
+    half_angle = 0.5 * np.sum(np.arctan(x), axis=1)
+    log_rho = 0.25 * np.sum(np.log1p(x * x), axis=1)
+    small = w[~explicit]
+    if small.size:
+        # sums[k - 1] = sum small^k
+        sums = np.sum(np.cumprod(np.broadcast_to(small, (2 * _FOLD_TERMS, small.size)),
+                                 axis=0), axis=1)
+        j = np.arange(_FOLD_TERMS)
+        sign = np.where(j % 2 == 0, 1.0, -1.0)
+        # arctan(x) = sum_j (-1)^j x^(2j+1) / (2j+1),
+        # log(1 + x^2) = sum_j (-1)^j x^(2j+2) / (j+1), by Horner in u^2
+        u2 = u * u
+        odd = np.zeros(nodes)
+        even = np.zeros(nodes)
+        for c_odd, c_even in zip((sign * sums[0::2] / (2 * j + 1))[::-1],
+                                 (sign * sums[1::2] / (j + 1))[::-1]):
+            odd = odd * u2 + c_odd
+            even = even * u2 + c_even
+        half_angle += 0.5 * u * odd
+        log_rho += 0.25 * u2 * even
+    envelope = h / (math.pi * u) * np.exp(-log_rho)
+    for a in (u, half_angle, envelope):
+        a.flags.writeable = False
+    return u, half_angle, envelope
+
+
+def _grid_sf(u, half_angle, envelope, q: float) -> float:
+    """P(Q > q) = 1/2 + sum_k sin(theta_k - q u_k / 2) envelope_k, with
+    elementwise products summed by numpy's pairwise sum, not a BLAS dot
+    product."""
+    return 0.5 + float(np.sum(np.sin(half_angle - (0.5 * q) * u) * envelope))
+
+
+def _ruben_terms(w: np.ndarray):
+    """(beta, K): the scale of Ruben's series and its number of terms.
+
+    Ruben (1962): P(Q > q) = sum_k a_k P(chi2_{m+2k} > q / beta) for the
+    m weights, where the a_k are the coefficients of
+    G(s) = a_0 prod_j (1 - c_j s)^(-1/2), c_j = 1 - beta / w_j,
+    a_0 = prod_j sqrt(beta / w_j).  beta = 2 / (1/w_min + 1/w_max) makes
+    max |c_j| smallest.  The a_k may take either sign, but |a_k| is at
+    most the k-th coefficient of B(s) = a_0 prod_j (1 - |c_j| s)^(-1/2),
+    all nonnegative, so the terms from K on add at most B(s) s^(-K), for
+    every s in [1, 1 / max |c_j|).  K is the least count that this bound,
+    taken over a fixed set of s, holds below _TAIL_EPS.
+    """
+    beta = 2.0 / (1.0 / float(np.min(w)) + 1.0 / float(np.max(w)))
+    c = np.abs(1.0 - beta / w)
+    delta = float(np.max(c))
+    if delta == 0.0:
+        # equal weights: the law is beta times chi-square with m df
+        return beta, 1
+    # each factor of B(s) is at least 1 for s >= 1, so the bound is above
+    # delta^K: spread weights need more terms than any series is given,
+    # and the search over s is skipped
+    least = math.ceil(math.log(_TAIL_EPS) / math.log(delta))
+    if least > _BULK_MAX_TERMS:
+        return beta, least
+    log_a0 = 0.5 * float(np.sum(np.log(beta / w)))
+    s = 1.0 + (1.0 / delta - 1.0) * (1.0 - np.exp2(-0.25 * np.arange(1.0, 81.0)))
+    log_b = log_a0 - 0.5 * np.sum(np.log1p(-np.multiply.outer(s, c)), axis=1)
+    terms = np.ceil((log_b - math.log(_TAIL_EPS)) / np.log(s))
+    return beta, max(1, int(np.min(terms)))
+
+
+def _ruben_series(w: np.ndarray, beta: float, terms: int):
+    """(beta, m, a, log_gammas): the coefficients a_0..a_{terms-1} of
+    Ruben's series, by the recurrence a_k = sum_{r<k} g_{k-r} a_r / (2k)
+    with g_r = sum_j c_j^r, and the log Gamma values _ruben_sf needs."""
+    m = w.size
+    c = 1.0 - beta / w
+    g = np.sum(np.cumprod(np.broadcast_to(c, (terms, m)), axis=0), axis=1)
+    a = np.empty(terms)
+    a[0] = math.exp(0.5 * float(np.sum(np.log(beta / w))))
+    for k in range(1, terms):
+        a[k] = float(np.sum(g[k - 1::-1] * a[:k])) / (2 * k)
+    half_df0 = 1.0 - 0.5 * (m % 2)
+    log_gammas = np.array([math.lgamma(half_df0 + i + 1.0)
+                           for i in range((m - 1) // 2 + terms - 1)])
+    a.flags.writeable = False
+    log_gammas.flags.writeable = False
+    return beta, m, a, log_gammas
+
+
+def _ruben_sf(beta: float, m: int, a, log_gammas, q: float) -> float:
+    """P(Q > q) = sum_k a_k P(chi2_{m+2k} > q / beta).
+
+    The chi-square tails rise from the one- or two-df tail (by the
+    parity of m), erfc(sqrt(y)) or exp(-y) at y = q / (2 beta): each 2
+    more df add exp(-y) y^(nu/2) / Gamma(nu/2 + 1) at nu df, summed in
+    log space.
+    """
+    y = 0.5 * q / beta
+    half_df0 = 1.0 - 0.5 * (m % 2)
+    base = math.exp(-y) if m % 2 == 0 else math.erfc(math.sqrt(y))
+    half_df = half_df0 + np.arange(log_gammas.size)
+    steps = np.exp(half_df * math.log(y) - y - log_gammas)
+    tails = base + np.concatenate(([0.0], np.cumsum(steps)))
+    return float(np.sum(a * tails[(m - 1) // 2:]))
 
 
 def _normal_pdf(z: float) -> float:
@@ -545,39 +740,35 @@ def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
     return min(math.log(p), 0.0)
 
 
-def _imhof_sf(q: float, w: np.ndarray) -> Optional[float]:
-    """P(Q > q) by Imhof's (1961) inversion of the characteristic
-    function, or None where the integral does not converge."""
-    from scipy import integrate
-
-    def integrand(u):
-        x = w * u
-        theta = 0.5 * (float(np.arctan(x).sum()) - q * u)
-        log_rho = 0.25 * float(np.log1p(x * x).sum())
-        return math.sin(theta) * math.exp(-log_rho) / u
-
-    # with full_output, quad reports a failure in its return value
-    # instead of warning
-    out = integrate.quad(integrand, 0.0, math.inf, epsabs=1e-9,
-                         epsrel=1e-7, limit=500, full_output=1)
-    if len(out) > 3:
-        return None
-    p = 0.5 + out[0] / math.pi
-    return min(p, 1.0) if p > 0.0 else None
+# level-count pairs whose law is kept: the untied bins of one check
+# share one, and an audit meets a few
+_SPECTRAL_LAWS = 64
 
 
-def _table_test(side_a, side_b, n_permutations, seed, stream):
-    """(dcor, p, log mid-p) of the discretized dCov test of two
-    variables, each given as its (level ids, level counts).
+@functools.lru_cache(maxsize=_SPECTRAL_LAWS)
+def _spectral_law(counts_a: tuple, counts_b: tuple):
+    """(side a, side b, tail) of a table with these level counts (tuples
+    of ints): each side's _level_side and the _MixtureTail of the
+    table's null weights, whose arrays are read-only.  A constant side
+    leaves no weight."""
+    n = sum(counts_a)
+    side_a, side_b = (_level_side(np.array(c), n) for c in (counts_a, counts_b))
+    (pa, At, dva), (pb, Bt, dvb) = side_a, side_b
+    for a in (pa, At, pb, Bt):
+        a.flags.writeable = False
+    w = (_null_weights(pa, At, pb, Bt) if dva > 0.0 and dvb > 0.0
+         else np.empty(0))
+    return side_a, side_b, _MixtureTail(w)
 
-    Tables sparse enough for Boyett's shuffle, n <= log(n + 1) x cells
-    (scipy.stats.random_table's own rule), sample the null on the
-    (seed, stream) generator; every denser table takes the spectral law.
-    """
+
+def _table_test(side_a, side_b):
+    """(dcor, p, log p) of the discretized dCov test of two variables,
+    each given as its (level ids, level counts), against the spectral
+    law of the two level counts."""
     (ga, counts_a), (gb, counts_b) = side_a, side_b
     n = ga.shape[0]
-    pa, At, dva = _level_side(counts_a, n)
-    pb, Bt, dvb = _level_side(counts_b, n)
+    (pa, At, dva), (pb, Bt, dvb), tail = _spectral_law(
+        tuple(counts_a.tolist()), tuple(counts_b.tolist()))
     if dva <= 0.0 or dvb <= 0.0:
         # a constant side is independent of anything
         return 0.0, 1.0, 0.0
@@ -585,18 +776,10 @@ def _table_test(side_a, side_b, n_permutations, seed, stream):
     N = np.bincount(ga.astype(np.intp) * nb + gb, minlength=na * nb).reshape(na, nb)
     N = N.astype(np.float64)
     s_obs = _table_dcov(N, At, Bt, n)
-    dcor = _dcor_from_parts(s_obs, dva, dvb)
-    if n > np.log(n + 1) * (na * nb):
-        # (n - 1) rather than n: the hypergeometric covariance carries
-        # n / (n - 1), so this matches the null mean exactly
-        log_p = _log_sf_chi2_mixture((n - 1) * s_obs, _null_weights(pa, At, pb, Bt))
-        return dcor, math.exp(log_p), log_p
-    null = _null_dcov_draws(N, At, Bt, n, n_permutations, generator(seed, stream))
-    greater = int(np.sum(null > s_obs))
-    ties = int(np.sum(null == s_obs))
-    p_exact = (1 + greater + ties) / (n_permutations + 1)
-    p_mid = (greater + 0.5 * (ties + 1)) / (n_permutations + 1)
-    return dcor, p_exact, float(np.log(p_mid))
+    # (n - 1) rather than n: the hypergeometric covariance carries
+    # n / (n - 1), so this matches the null mean exactly
+    log_p = tail.log_sf((n - 1) * s_obs)
+    return _dcor_from_parts(s_obs, dva, dvb), math.exp(log_p), log_p
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +834,7 @@ def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
     side_p, side_d = (getattr(orig, "levels", None)
                       or _quantile_level_ids(col, levels)
                       for orig, col in zip((prices, d), cols))
-    dcor, p, _ = _table_test(side_p, side_d, cfg.n_permutations,
-                             cfg.seed, _STREAM_INDEPENDENCE)
+    dcor, p, _ = _table_test(side_p, side_d)
     return FairnessVerdict(
         axiom=Axiom(INDEPENDENCE), statistic=dcor, p_value=p,
         analytic_criterion=None,
@@ -721,9 +903,8 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
         ak = _residualize(a[rows], gk)
         bk = _residualize(b[rows], gk)
         levels = max(2, min(N_LEVELS // 2, int(counts[k]) // 16))
-        _, _, log_ps[k] = _table_test(
-            _quantile_level_ids(ak, levels), _quantile_level_ids(bk, levels),
-            cfg.n_permutations, cfg.seed, _STREAM_BIN_BASE + k)
+        _, _, log_ps[k] = _table_test(_quantile_level_ids(ak, levels),
+                                      _quantile_level_ids(bk, levels))
     stat, p_comb = _fisher_from_logs(log_ps)
     return FairnessVerdict(
         axiom=Axiom(axiom), statistic=stat, p_value=p_comb,

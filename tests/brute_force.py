@@ -6,7 +6,9 @@ distance correlation, the generic permutation p-value, the level-table
 test's mid-p over scipy's sampled tables, scipy's ranks, numpy's
 quantiles and quantile levels by comparison, the chi-square tail in
 40-digit decimals, the saddlepoint tail on scipy's special functions
-and root finder, the Gaussian log density and Schur-complement
+and root finder, the chi-square mixture's tail by Imhof's inversion on
+scipy's adaptive quadrature and by Monte Carlo, the Gaussian log
+density and Schur-complement
 conditioning, and the closed-form X2 posterior density and
 Var(Y | X1, D) of the portfolio model) that the tests hold the fast
 code against.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import integrate, optimize, special
 from scipy import stats as sps
 
 from fairlens import fairness
@@ -267,6 +269,42 @@ def saddlepoint_log_sf_scipy(q: float, w: np.ndarray) -> float:
                    + math.log(mills + 1.0 / u - 1.0 / z), 0.0)
     p = special.ndtr(-z) + pdf(z) * (1.0 / u - 1.0 / z)
     return min(math.log(p), 0.0)
+
+
+def imhof_sf(q: float, w: np.ndarray, epsabs: float = 1e-13,
+             epsrel: float = 1e-10) -> float:
+    """P(sum_j w_j Z_j^2 > q) by Imhof's (1961) inversion of the
+    characteristic function, integrated by scipy's adaptive quad; raises
+    where quad reports that the integral did not converge (as it does on
+    a few weights, whose integrand decays slowly)."""
+    def integrand(u):
+        x = w * u
+        theta = 0.5 * (float(np.arctan(x).sum()) - q * u)
+        log_rho = 0.25 * float(np.log1p(x * x).sum())
+        return math.sin(theta) * math.exp(-log_rho) / u
+
+    # with full_output, quad reports a failure in its return value
+    # instead of warning
+    out = integrate.quad(integrand, 0.0, math.inf, epsabs=epsabs,
+                         epsrel=epsrel, limit=2000, full_output=1)
+    if len(out) > 3:
+        raise RuntimeError(f"quad did not converge at q={q}: {out[3]}")
+    return 0.5 + out[0] / math.pi
+
+
+def chi2_mixture_sf_monte_carlo(qs, w: np.ndarray, draws: int, seed: int):
+    """(p, standard errors) of P(sum_j w_j Z_j^2 > q) at each q of qs,
+    from `draws` independent vectors Z."""
+    qs = np.asarray(qs, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    hits = np.zeros(qs.size)
+    block = 1 << 18
+    for lo in range(0, draws, block):
+        z = rng.standard_normal((min(block, draws - lo), w.size))
+        mix = np.sum(z * z * w, axis=1)
+        hits += np.sum(mix[:, None] > qs[None, :], axis=0)
+    p = hits / draws
+    return p, np.sqrt(p * (1.0 - p) / draws)
 
 
 # ---------------------------------------------------------------------------

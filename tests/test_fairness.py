@@ -22,23 +22,22 @@ from fairlens import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                       make_example_model, simulate)
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 from fairlens.harness import MAX_N
-from fairlens.streams import generator, normal_ppf
+from fairlens.streams import normal_ppf
 
-from brute_force import (chi2_even_sf_decimal, copula_ranks,
-                         distance_correlation, permutation_pvalue,
-                         quantile_level_ids, sampled_table_mid_p,
-                         saddlepoint_log_sf_scipy, saddlepoint_root_brentq,
-                         sorted_quantiles)
+from brute_force import (chi2_even_sf_decimal, chi2_mixture_sf_monte_carlo,
+                         copula_ranks, distance_correlation, imhof_sf,
+                         permutation_pvalue, quantile_level_ids,
+                         sampled_table_mid_p, saddlepoint_log_sf_scipy,
+                         saddlepoint_root_brentq, sorted_quantiles)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
 
 
-def table_test(a, b, levels, n_permutations, seed, stream):
+def table_test(a, b, levels):
     """The level-table test of two raw columns, each cut into `levels`
     quantile levels."""
-    return fairness._table_test(
-        fairness._quantile_level_ids(a, levels),
-        fairness._quantile_level_ids(b, levels), n_permutations, seed, stream)
+    return fairness._table_test(fairness._quantile_level_ids(a, levels),
+                                fairness._quantile_level_ids(b, levels))
 
 
 def brute_force_dcor(a, b):
@@ -84,17 +83,11 @@ class TestTestConfig:
         cfg = TestConfig(seed=seed)
         assert type(cfg.seed) is int and cfg.seed == seed
 
-    def test_permutation_ceiling_bounds_the_sampled_batch(self):
-        """The largest sampled batch, MAX_PERMUTATIONS tables of
-        N_LEVELS x N_LEVELS cells, fits the budget; one more table does
-        not.  The cell size comes from a two-table draw, not assumed."""
-        margins = np.full(fairness.N_LEVELS, 10)
-        two = fairness._random_tables(margins, margins, 2, generator(0, 0))
-        per_table = two[0].size * two.itemsize
-        assert per_table == fairness.N_LEVELS**2 * 8
-        budget = fairness.NULL_BATCH_BUDGET_BYTES
-        assert fairness.MAX_PERMUTATIONS * per_table <= budget
-        assert (fairness.MAX_PERMUTATIONS + 1) * per_table > budget
+    def test_permutation_ceiling_is_kept(self):
+        """n_permutations acts on no p-value, but keeps its valid range
+        [99, 32768], so configs that were valid stay valid and no other
+        value is accepted."""
+        assert fairness.MAX_PERMUTATIONS == 32768
         assert TestConfig(n_permutations=fairness.MAX_PERMUTATIONS)
         for too_many in (fairness.MAX_PERMUTATIONS + 1, 99999999999999999999):
             with pytest.raises(ConfigError, match="n_permutations"):
@@ -146,7 +139,7 @@ class TestDistanceCorrelation:
             ids, counts = fairness._quantile_level_ids(x, levels)
             probs = counts / n
             positions.append((np.cumsum(probs) - probs / 2.0)[ids])
-        got = table_test(a, b, levels, 99, seed=0, stream=0)[0]
+        got = table_test(a, b, levels)[0]
         assert got == pytest.approx(distance_correlation(*positions), abs=1e-12)
 
     def test_length_validation(self):
@@ -356,45 +349,6 @@ class TestPermutationPvalue:
                                np.arange(10.0), 50, seed=0)
 
 
-def _spread(n, k):
-    """k margins as even as possible, summing to n."""
-    return n // k + (np.arange(k) < n % k)
-
-
-class TestRandomTables:
-    """The sampled null's tables are the ones scipy.stats.random_table
-    draws by its default method on the same generator, on every table
-    sparse enough that the method is Boyett's shuffle, the only tables
-    the checkers sample."""
-
-    # on 18 x 18 cells, scipy's rule n <= log(n + 1) x cells takes
-    # Boyett's shuffle up to 2,540 points and Patefield's from 2,541
-    BOYETT_MAX_18 = 2540
-
-    def test_rule_bound_on_18_levels(self):
-        n = self.BOYETT_MAX_18
-        assert n <= np.log(n + 1) * 18**2 < n + 1
-
-    @pytest.mark.parametrize("n_draws", [99, 999])
-    @pytest.mark.parametrize("rows,cols", [
-        # 500-point bins on 31 levels
-        (_spread(500, 31), None),
-        # the last table of the rule on 18 x 18 cells
-        (_spread(BOYETT_MAX_18, 18), None),
-        # zero margins on either side
-        (np.array([0, 40, 0, 25, 35, 0]), np.array([50, 0, 30, 20])),
-    ], ids=["rows0-None", "rows1-None", "rows4-cols4"])  # ids kept stable
-    def test_equal_to_scipy_random_table(self, rows, cols, n_draws):
-        cols = rows if cols is None else cols
-        n = rows.sum()
-        assert n <= np.log(n + 1) * (rows.size * cols.size)
-        got = fairness._random_tables(rows, cols, n_draws, generator(3, 0xFB05))
-        want = sps.random_table(rows, cols).rvs(size=n_draws,
-                                                random_state=generator(3, 0xFB05))
-        assert got.shape == want.shape == (n_draws, rows.size, cols.size)
-        np.testing.assert_array_equal(got, want)
-
-
 def _fresh_stdout(code, **env):
     """The last stdout line of code run in a fresh interpreter, with this
     fairlens first on its path and the environment updated by env, where
@@ -422,7 +376,13 @@ def _scipy_modules_after(code):
 
 
 class TestScipyLoadsOnlyWhereNeeded:
+    """Every level table takes the spectral law, whose tail runs on
+    numpy and math, so no check loads a scipy module, whatever its
+    p-values."""
+
     def test_import_and_a_sampled_check_load_no_scipy(self):
+        """A 500-point check, whose 31 x 31 table a sampled null once
+        decided."""
         assert _scipy_modules_after("""
             import fairlens
             from fairlens import fairness, model
@@ -432,8 +392,8 @@ class TestScipyLoadsOnlyWhereNeeded:
             """) == []
 
     def test_audit_above_the_floor_loads_no_scipy(self):
-        """Spectral tables whose p-values lie below 1e-3, and Fisher's
-        combination of them, run on numpy and math alone."""
+        """Spectral tables whose p-values lie below 1e-3 (the saddlepoint),
+        and Fisher's combination of them."""
         assert _scipy_modules_after("""
             from fairlens import RunConfig, TestConfig, cmd_audit
             cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=500_000, seed=5,
@@ -442,28 +402,44 @@ class TestScipyLoadsOnlyWhereNeeded:
 
     def test_null_price_audit_loads_no_scipy_stats(self):
         """A constant price collapses sufficiency to one 20,000-point
-        table on 32 x 32 levels, past Boyett's bound, so the spectral law
-        decides it and no table is sampled by scipy."""
+        table on 32 x 32 levels; the n = 2e4 bins hold 1,000 points."""
         loaded = _scipy_modules_after("""
             from fairlens import RunConfig, TestConfig, cmd_audit
             cmd_audit(RunConfig(rho1=-0.3, rho2=0.0, n=20_000, seed=42,
                                 functional="null",
                                 test=TestConfig(n_permutations=199, seed=3)))
             """)
-        assert "scipy.stats" not in loaded, f"scipy modules loaded: {loaded}"
+        assert loaded == [], f"scipy modules loaded: {loaded}"
 
     def test_mid_n_audit_loads_no_scipy_stats(self):
         """At n = 2e5 the conditional bins hold 10,000 points on
-        32 x 32 levels, past Boyett's bound: every table is spectral."""
+        32 x 32 levels."""
         loaded = _scipy_modules_after("""
             from fairlens import RunConfig, TestConfig, cmd_audit
             cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=200_000, seed=11,
                                 test=TestConfig(n_permutations=199, seed=3)))
             """)
-        assert "scipy.stats" not in loaded, f"scipy modules loaded: {loaded}"
+        assert loaded == [], f"scipy modules loaded: {loaded}"
+
+    def test_audit_that_holds_loads_no_scipy(self):
+        """A (0, 0) audit at n = 2e5, every verdict HOLDS: its p-values
+        lie in the bulk of each law, where the grid or Ruben's series
+        gives them."""
+        out = _fresh_stdout("""
+            import json, sys
+            from fairlens import RunConfig, TestConfig, cmd_audit
+            report = cmd_audit(RunConfig(rho1=0.0, rho2=0.0, n=200_000, seed=11,
+                                         test=TestConfig(n_permutations=199, seed=3)))
+            print(json.dumps([[o.statistical.verdict for o in report.verdicts],
+                              sorted(m for m in sys.modules
+                                     if m == "scipy" or m.startswith("scipy."))]))
+            """)
+        verdicts, loaded = json.loads(out)
+        assert verdicts == [HOLDS] * 3
+        assert loaded == [], f"scipy modules loaded: {loaded}"
 
     def test_raw_column_separation_loads_no_scipy(self):
-        """Sampled 500-point bins, scored from raw columns, and Fisher's
+        """500-point bins, scored from raw columns, and Fisher's
         combination of their p-values."""
         assert _scipy_modules_after("""
             from fairlens import fairness, model
@@ -517,14 +493,18 @@ class TestFisherCombination:
         assert ks < 0.05
 
 
+def _mixture_tail(levels_a, levels_b, n=10**5):
+    """The _MixtureTail of a table of n points on equal-probability
+    levels_a x levels_b levels."""
+    counts = [tuple(int(c) for c in n // k + (np.arange(k) < n % k))
+              for k in (levels_a, levels_b)]
+    return fairness._spectral_law(*counts)[2]
+
+
 def _table_weights(levels, n=10**6):
     """Mean-1 spectral weights of a levels x levels table of
     equal-probability levels."""
-    counts = np.full(levels, float(n // levels))
-    counts[:n % levels] += 1.0
-    probs, dist, _ = fairness._level_side(counts, n)
-    w = fairness._null_weights(probs, dist, probs, dist)
-    return w / np.sum(w)
+    return _mixture_tail(levels, levels, n).weights
 
 
 TABLE_LEVELS = (5, 31, 32, 64)
@@ -602,11 +582,11 @@ class TestTailKernels:
         past the point where erfc underflows."""
         w = np.array([1.0])
         for q in np.geomspace(0.01, 700.0, 301):
-            got = math.exp(fairness._log_sf_chi2_mixture(float(q), w))
+            got = math.exp(fairness._MixtureTail(w).log_sf(float(q)))
             want = math.erfc(math.sqrt(q / 2.0))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), q
         for q in (1e3, 1e4):
-            got = fairness._log_sf_chi2_mixture(q, w)
+            got = fairness._MixtureTail(w).log_sf(q)
             want = math.log(2.0) + float(special.log_ndtr(-math.sqrt(q)))
             assert math.isfinite(got)
             assert got == pytest.approx(want, rel=1e-13), q
@@ -632,6 +612,74 @@ class TestTailKernels:
         beyond = [gap for q, gap in gaps if q >= 2.0]
         assert beyond == sorted(beyond)
         assert gaps[-1][1] == pytest.approx(limit, abs=1e-3)
+
+
+class TestMixtureTail:
+    """The bulk of the spectral null's tail against independent
+    references: the grid against Imhof's integral on scipy's adaptive
+    quadrature, Ruben's series against Monte Carlo draws, and the
+    hand-over to the saddlepoint.  q is on the scale of the law's mean."""
+
+    @pytest.mark.parametrize("levels", [8, 31, 32, 64])
+    def test_grid_matches_imhof_quadrature(self, levels):
+        tail = _mixture_tail(levels, levels)
+        assert tail._bulk_sf.func is fairness._grid_sf
+        for q in np.linspace(0.3, 4.0, 38):
+            want = imhof_sf(float(q), tail.weights)
+            assert tail._bulk_sf(float(q)) == pytest.approx(want, rel=1e-6, abs=0.0), q
+
+    @pytest.mark.parametrize("levels", [8, 31])
+    def test_hand_over_to_the_saddlepoint(self, levels):
+        """Just above p = 1e-3 the tail is the grid's, the quadrature's
+        p within 1e-6; just below it it is the saddlepoint's, and so it
+        is past x_hi, where the grid's sum aliases the law onto q (at
+        3 x_hi it reads above 1/2).  At x_hi itself the tail lies below
+        the grid's error bound."""
+        tail = _mixture_tail(levels, levels)
+        w, mean = tail.weights, tail.mean
+        lo, hi = 1.0, tail.x_hi
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            if tail._bulk_sf(mid) >= fairness._BULK_MIN_P:
+                lo = mid
+            else:
+                hi = mid
+        above, below, past = 0.999 * lo, 1.001 * hi, 3.0 * tail.x_hi
+        assert tail._bulk_sf(past) > 0.5
+        assert math.exp(tail.log_sf(above * mean)) == pytest.approx(
+            imhof_sf(above, w), rel=1e-6, abs=0.0)
+        assert math.exp(tail.log_sf(above * mean)) > fairness._BULK_MIN_P
+        for q in (below, past):
+            assert tail.log_sf(q * mean) == pytest.approx(
+                fairness._saddlepoint_log_sf(q, w), rel=1e-12), q
+        assert math.exp(fairness._saddlepoint_log_sf(tail.x_hi, w)) < fairness._TAIL_EPS
+
+    @pytest.mark.parametrize("levels_a,levels_b", [(2, 3), (3, 3), (2, 5), (3, 4)])
+    def test_few_weights_match_monte_carlo(self, levels_a, levels_b):
+        """Tables of discrete columns leave 2-6 null weights, whose
+        integrand decays too slowly for a short grid: they take Ruben's
+        series.  Against 4e6 draws of the mixture its p lies within 3
+        standard errors at every q, where the saddlepoint that stood in
+        was up to 4% low (0.4081 against 0.4216 on 2 x 3 levels at
+        q = 0.8)."""
+        tail = _mixture_tail(levels_a, levels_b)
+        assert tail._bulk_sf.func is fairness._ruben_sf
+        qs = np.array([0.5, 0.8, 1.5, 3.0])
+        want, se = chi2_mixture_sf_monte_carlo(qs, tail.weights, 4_000_000,
+                                               seed=10 * levels_a + levels_b)
+        got = np.array([math.exp(tail.log_sf(q * tail.mean)) for q in qs])
+        assert np.all(np.abs(got - want) <= 3.0 * se), (got, want, se)
+
+    def test_law_past_both_bounds_takes_the_saddlepoint(self):
+        """A binary column against one with 99% of its points on one
+        level leaves two weights 400 times apart: the grid would need
+        ~1e9 nodes and the series 4,104 terms, so neither is built and
+        the saddlepoint gives the whole tail."""
+        tail = fairness._spectral_law((50_000, 50_000), (99_000, 500, 500))[2]
+        assert tail.weights.size == 2 and tail._bulk_sf is None
+        for q in (0.5, 1.0, 3.0):
+            assert tail.log_sf(q * tail.mean) == pytest.approx(
+                fairness._saddlepoint_log_sf(q, tail.weights), rel=1e-12)
 
 
 class TestCheckIndependence:
@@ -788,7 +836,7 @@ class TestSpectralNull:
             effect = (rep // 2) * 1.5 / math.sqrt(n)
             b = noise + effect * (a if rep % 2 else (a * a - 1.0))
             sides = [fairness._quantile_level_ids(x, levels) for x in (a, b)]
-            spec = fairness._table_test(*sides, draws, seed=1, stream=1)[1]
+            spec = fairness._table_test(*sides)[1]
             perm = sampled_table_mid_p(*sides, draws, seed=rep)
             # a sampled mid-p lies on the grid of half-steps 1 / (2 (B + 1))
             steps = 2.0 * (draws + 1) * perm
@@ -796,22 +844,34 @@ class TestSpectralNull:
             se = math.sqrt(max(perm * (1.0 - perm), 1.0 / draws) / draws)
             assert abs(spec - perm) <= 4.0 * se, (rep, spec, perm)
 
-    def test_boyett_bound_routes_tables(self, monkeypatch):
-        """64 x 64 tables: 43,774 points lie past Boyett's bound and
-        draw no table, whatever the test seed; one point fewer samples
-        them, so p x 200 is an integer with 199 draws."""
-        sampled = []
-        original = fairness._null_dcov_draws
-        monkeypatch.setattr(fairness, "_null_dcov_draws",
-                            lambda *args: sampled.append(1) or original(*args))
+    @pytest.mark.parametrize("n", [500, 43_773, 43_774])
+    def test_no_table_is_sampled_at_any_n(self, n):
+        """A 500-point table on 31 x 31 levels, and 64 x 64 tables on
+        either side of the bound below which a null used to be sampled,
+        give one p whatever the test seed and the permutation count, and
+        not one on the grid 1 / (B + 1) of B sampled tables."""
         rng = np.random.default_rng(12)
-        a, b = rng.normal(size=(2, 43_774))
-        p1 = check_independence(a, b, TestConfig(n_permutations=199, seed=1))
-        p2 = check_independence(a, b, TestConfig(n_permutations=199, seed=2))
-        assert sampled == [] and p1.p_value == p2.p_value
-        below = check_independence(a[1:], b[1:], FAST)
-        assert sampled == [1]
-        assert (below.p_value * 200).is_integer()
+        a, b = rng.normal(size=(2, n))
+        ps = {check_independence(a, b, TestConfig(n_permutations=perms, seed=seed)).p_value
+              for seed in (1, 2) for perms in (99, 199)}
+        assert len(ps) == 1
+        (p,) = ps
+        assert not any((p * (perms + 1)).is_integer() for perms in (99, 199))
+
+    def test_per_table_p_is_uniform_on_sparse_tables(self):
+        """Fisher's combination reads the whole distribution of the
+        per-bin p, not only its 5% point: over 2,000 independent
+        500-point tables on 31 x 31 levels (0.52 points per cell), the
+        p-values pass a Kolmogorov-Smirnov test of uniformity, and the
+        rejection rates at 0.05 and 0.01 lie within 3 standard errors."""
+        rng = np.random.default_rng(31)
+        tables = 2000
+        ps = np.array([table_test(*rng.normal(size=(2, 500)), 31)[1]
+                       for _ in range(tables)])
+        assert sps.kstest(ps, "uniform").pvalue > 0.01
+        for alpha in (0.05, 0.01):
+            se = math.sqrt(alpha * (1.0 - alpha) / tables)
+            assert abs(np.mean(ps < alpha) - alpha) <= 3.0 * se, alpha
 
     def test_tail_matches_chi_square(self):
         """Equal weights make the mixture a scaled chi-square; the tail
@@ -819,9 +879,9 @@ class TestSpectralNull:
         w = np.full(50, 0.3)
         for q in (5.0, 15.0, 25.0, 60.0, 150.0):
             want = sps.chi2.logsf(q / 0.3, 50)
-            got = fairness._log_sf_chi2_mixture(q, w)
+            got = fairness._MixtureTail(w).log_sf(q)
             assert got == pytest.approx(want, rel=1e-3, abs=1e-6), q
-        far = fairness._log_sf_chi2_mixture(3000.0, w)
+        far = fairness._MixtureTail(w).log_sf(3000.0)
         assert math.isfinite(far) and far < math.log(5e-324)
 
     def test_reference_bins_keep_finite_log_p(self, reference_model,
@@ -830,9 +890,9 @@ class TestSpectralNull:
         n=1e6 independence table whose p underflows to 0.0, both give a
         finite log p that Fisher's combination takes."""
         ds = simulate(reference_model, 50_000, seed=3)
-        _, _, log_bin = table_test(ds.x1, ds.d, 32, 199, 0, 0)
+        _, _, log_bin = table_test(ds.x1, ds.d, 32)
         ds = reference_dataset_cache(1)
-        _, p, log_full = table_test(ds.x1, ds.d, 64, 199, 0, 0)
+        _, p, log_full = table_test(ds.x1, ds.d, 64)
         assert p == 0.0
         assert math.isfinite(log_full) and log_full < math.log(5e-324)
         assert math.isfinite(log_bin) and log_bin < math.log(1e-3)
