@@ -41,7 +41,8 @@ and the saddlepoint's root, so no check loads a scipy module.
 Each full-length column is sorted once: normal_scores reads the copula
 ranks, the normal scores and the level ids of both checkers off one
 order, and the checkers take a scored column's ids instead of sorting
-it again.  Quantile edges are read off the sorted column by index.
+it again.  Level j of L starts at sorted position ceil((n - 1) j / L),
+computed in integers and moved back to the start of its tie block.
 
 Within conditioning bins, both tested variables are linearly detrended
 on the conditioning variable (all three on the normal-scores scale), to
@@ -163,9 +164,10 @@ def _verdict_from_p(p: float, alpha: float, n_used: int) -> str:
     return HOLDS if n_used >= POWER_GUARD_N else INCONCLUSIVE
 
 
-def _independence_levels(n: int) -> int:
-    """Quantile levels per variable of check_independence at n points."""
-    return max(4, min(N_LEVELS, n // 16))
+def _n_levels(n: int, most: int) -> int:
+    """Quantile levels per variable of a table of n points: one per 16
+    points, at least 2 and at most `most`."""
+    return max(2, min(most, n // 16))
 
 
 def _as_columns(*cols):
@@ -198,59 +200,31 @@ def _sorted_ranks(xs: np.ndarray) -> np.ndarray:
     return np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)
 
 
-def _quantile_positions(n: int, probs: np.ndarray):
-    """Where np.quantile's default "linear" method reads probs off n
-    sorted values: the order statistics at floor((n - 1) p) and the
-    next index, the fraction gamma between them, 1 - gamma, and which
-    side numpy's _lerp interpolates from."""
-    vi = (n - 1) * probs
-    lo = np.floor(vi)
-    gamma = vi - lo
-    lo = lo.astype(np.intp)
-    return lo, np.minimum(lo + 1, n - 1), gamma, 1.0 - gamma, gamma >= 0.5
-
-
 @functools.lru_cache(maxsize=256)
-def _level_positions(n: int, n_levels: int):
-    """_quantile_positions of the n_levels - 1 inner level edges, kept
-    per (n, n_levels): the bins of one check mostly share both."""
-    positions = _quantile_positions(n, np.linspace(0.0, 1.0, n_levels + 1)[1:-1])
-    for a in positions:
-        a.flags.writeable = False
-    return positions
-
-
-def _read_quantiles(xs: np.ndarray, positions) -> np.ndarray:
-    """The quantiles of the sorted column xs at _quantile_positions.
-
-    numpy's linear method partitions its input to find the two order
-    statistics; in a sorted column they already sit there.  The
-    two-sided interpolation is numpy's own (_lerp), so the result is
-    the same bytes without the partition.
-    """
-    lo, hi, gamma, one_minus_gamma, upper = positions
-    below, above = xs[lo], xs[hi]
-    diff = above - below
-    out = below + diff * gamma
-    np.subtract(above, diff * one_minus_gamma, out=out, where=upper)
-    return out
+def _level_starts(n: int, n_levels: int) -> np.ndarray:
+    """The sorted positions ceil((n - 1) j / n_levels), j = 1 .. n_levels - 1,
+    at which the inner levels of n values start, computed in integers.
+    Kept per (n, n_levels), read-only: the bins of one check mostly
+    share both."""
+    starts = -((-(n - 1) * np.arange(1, n_levels)) // n_levels)
+    starts.flags.writeable = False
+    return starts
 
 
 def _level_counts(xs: np.ndarray, n_levels: int) -> np.ndarray:
     """Number of values of the sorted column xs at each quantile level.
 
-    A value's level is its count of distinct quantile edges at or below
-    it, so each level is the run of xs cut where the edges fall.  The
-    edges of a sorted column do not decrease, so equal ones are
-    neighbours.
+    Each inner level starts at its _level_starts position, moved back
+    to the first position of the tie block that holds it.  Cuts that
+    meet merge and a cut at 0 goes, so no level is empty.  The cut uses
+    only positions and comparisons, so any increasing map of xs keeps
+    it.
     """
     n = xs.shape[0]
-    edges = _read_quantiles(xs, _level_positions(n, n_levels))
-    distinct = np.ones(edges.shape[0], dtype=bool)
-    np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
-    cuts = np.searchsorted(xs, edges[distinct], side="left")
+    cuts = np.searchsorted(xs, xs[_level_starts(n, n_levels)], side="left")
     bounds = np.concatenate(([0], cuts, [n]))
-    return bounds[1:] - bounds[:-1]
+    counts = bounds[1:] - bounds[:-1]
+    return counts[counts > 0]
 
 
 def _level_ids(order: np.ndarray, counts: np.ndarray):
@@ -280,11 +254,11 @@ class NormalScores(np.ndarray):
     sort of the column.
 
     ``levels`` is the (ids, counts) pair of check_independence's level
-    count, cut on the raw values; ``bins`` is the (ids, counts) pair of
-    the N_BINS conditioning bins, cut on the scores.  The checkers take
-    such a column, and these pairs, as they are instead of sorting the
-    column again, so an audit sorts each column once.  Views and copies
-    carry None for both pairs, and the checkers then cut again.
+    count; ``bins`` is the (ids, counts) pair of the N_BINS conditioning
+    bins.  The checkers take such a column, and these pairs, as they are
+    instead of sorting the column again, so an audit sorts each column
+    once.  Views and copies carry None for both pairs, and the checkers
+    then cut again.
     """
 
     levels = None
@@ -295,21 +269,18 @@ def normal_scores(x) -> NormalScores:
     """normal_ppf of the copula ranks of x, marked as scored and carrying
     the level ids of both checkers, all from one sort of x.
 
-    The independence ids are cut on the sorted raw values, as
-    check_independence cuts a raw column, so they equal what it would
-    compute from x.  The bin ids are cut on the sorted scores, which are
-    normal_ppf of the sorted ranks: ranks are multiples of 1 / (2 (n + 1))
-    and normal_ppf rises by far more between two of them than its
-    rounding can take back, so the sorted scores are the scores in
-    sorted order, and the cut equals the one _conditional_check makes
-    on the scored column.  The scores are read-only, so the ids cannot
-    go stale.
+    Both pairs are cut on the sorted raw values.  A level cut reads only
+    the order and the ties of a column, and the scores keep both (see
+    TestScoresKeepTheirOrder), so each pair equals a cut of x and of the
+    scored column alike.  The scores are read-only, so the ids cannot go
+    stale.
     """
     (x,) = _as_columns(x)
     n = x.shape[0]
     order = np.argsort(x)
     xs = x[order]
-    levels = _level_counts(xs, _independence_levels(n))
+    levels = _level_counts(xs, _n_levels(n, N_LEVELS))
+    bins = _level_counts(xs, N_BINS)
     ranks = _sorted_ranks(xs)
     del xs
     ranks /= n + 1.0
@@ -318,7 +289,7 @@ def normal_scores(x) -> NormalScores:
     scores = np.empty(n).view(NormalScores)
     scores[order] = sorted_scores
     scores.levels = _level_ids(order, levels)
-    scores.bins = _level_ids(order, _level_counts(sorted_scores, N_BINS))
+    scores.bins = _level_ids(order, bins)
     scores.flags.writeable = False
     return scores
 
@@ -364,8 +335,8 @@ def _null_weights(pa, At, pb, Bt) -> np.ndarray:
     negative eigenvalues is a positive weight.  eigvalsh leaves each
     eigenvalue within O(eps x levels x max |eigenvalue|) of the exact
     one, so products below eps x (levels_a + levels_b) times the
-    largest weight are rounding of a zero eigenvalue (the centering's,
-    or an empty level's) and are dropped.
+    largest weight are rounding of the centering's zero eigenvalue and
+    are dropped.
     """
     sa, sb = np.sqrt(pa), np.sqrt(pb)
     lam = np.linalg.eigvalsh(sa[:, None] * At * sa[None, :])
@@ -830,7 +801,7 @@ def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
     n = cols[0].shape[0]
     if n < 100:
         raise TooFewSamples(f"need >= 100 observations, got {n}")
-    levels = _independence_levels(n)
+    levels = _n_levels(n, N_LEVELS)
     side_p, side_d = (getattr(orig, "levels", None)
                       or _quantile_level_ids(col, levels)
                       for orig, col in zip((prices, d), cols))
@@ -878,13 +849,9 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
             f"need >= {100 * N_BINS} observations for {N_BINS} bins, got {n}")
     a, b, given = (c if isinstance(c, NormalScores) else normal_scores(c)
                    for c in (a, b, given))
+    # ties merge quantile bins, so there may be fewer than N_BINS, none
+    # empty; a bin below the minimum count is a genuine data problem
     bin_ids, counts = given.bins or _quantile_level_ids(given, N_BINS)
-    # ties can leave quantile bins with no points at all; those are a
-    # degenerate-edge artifact and collapse away, while nonempty bins
-    # below the minimum count are a genuine data problem
-    keep = counts > 0
-    bin_ids = (np.cumsum(keep) - 1).astype(bin_ids.dtype)[bin_ids]
-    counts = counts[keep]
     n_bins = counts.shape[0]
     if counts.min() < MIN_BIN_COUNT:
         raise EmptyBin(
@@ -902,7 +869,7 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
         gk = given[rows]
         ak = _residualize(a[rows], gk)
         bk = _residualize(b[rows], gk)
-        levels = max(2, min(N_LEVELS // 2, int(counts[k]) // 16))
+        levels = _n_levels(int(counts[k]), N_LEVELS // 2)
         _, _, log_ps[k] = _table_test(_quantile_level_ids(ak, levels),
                                       _quantile_level_ids(bk, levels))
     stat, p_comb = _fisher_from_logs(log_ps)

@@ -77,20 +77,9 @@ def x1_given_y0_x2_d0(rho1: float, rho2: float, x2: float) -> tuple[float, float
     return float(mean), float(v)
 
 
-def _ratio_with_delta_se(num, den, num2, den2, cross, n):
-    """Delta-method standard error for a ratio of sample means."""
-    mean_n = num / n
-    mean_d = den / n
-    ratio = mean_n / mean_d
-    var_n = num2 / n - mean_n**2
-    var_d = den2 / n - mean_d**2
-    cov_nd = cross / n - mean_n * mean_d
-    var_ratio = (var_n - 2.0 * ratio * cov_nd + ratio**2 * var_d) / (n * mean_d**2)
-    return ratio, float(np.sqrt(max(var_ratio, 0.0)))
-
-
 def _ratio_covariance(first, second, n):
-    """Delta-method covariance of the ratios first[2j] / first[2j+1].
+    """(ratios, cov): the ratios of sample means first[2j] / first[2j+1]
+    and their delta-method covariance.
 
     first holds the sums of the columns (num_0, den_0, num_1, ...) and
     second the upper triangle of their product sums.  Ratio j has the
@@ -108,7 +97,7 @@ def _ratio_covariance(first, second, n):
     grad[1::2] = -ratio / mean[1::2]
     k = ratio.shape[0]
     terms = grad[:, None] * cov_cols * grad[None, :]
-    return terms.reshape(k, 2, k, 2).sum(axis=(1, 3)) / n
+    return ratio, terms.reshape(k, 2, k, 2).sum(axis=(1, 3)) / n
 
 
 def second_moment_x1_given_y0_d0_mc(pairs, n: int, seed: int):
@@ -123,8 +112,8 @@ def second_moment_x1_given_y0_d0_mc(pairs, n: int, seed: int):
     Returns (estimates, cov): one MomentEstimate per pair, and the k x k
     delta-method covariance of their values.  The shared draws correlate
     the estimates, so the standard error of a difference of two needs
-    the off-diagonal terms; the diagonal is each std_error squared, up
-    to rounding.
+    the off-diagonal terms; each std_error is the square root of its
+    diagonal entry.
     """
     pairs = tuple(pairs)
     for rho1, rho2 in pairs:
@@ -158,14 +147,12 @@ def second_moment_x1_given_y0_d0_mc(pairs, n: int, seed: int):
                 second[a, b] += prod[:take].sum()
         done += take
         block += 1
-    estimates = []
-    for num in range(0, n_cols, 2):
-        den = num + 1
-        value, se = _ratio_with_delta_se(first[num], first[den], second[num, num],
-                                         second[den, den], second[num, den], n)
-        estimates.append(MomentEstimate(value=float(value), std_error=se, n=n,
-                                        method="monte_carlo"))
-    return tuple(estimates), _ratio_covariance(first, second, n)
+    ratios, cov = _ratio_covariance(first, second, n)
+    estimates = tuple(
+        MomentEstimate(value=float(value), std_error=float(np.sqrt(max(var, 0.0))),
+                       n=n, method="monte_carlo")
+        for value, var in zip(ratios, np.diag(cov)))
+    return estimates, cov
 
 
 def _adaptive_even_quadrature(f, tol: float) -> float:

@@ -51,11 +51,6 @@ def _bit_generator(seed: int, stream: int) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
-def generator(seed: int, stream: int) -> np.random.Generator:
-    """A numpy Generator on its own (seed, stream) Philox key."""
-    return np.random.Generator(_bit_generator(seed, stream))
-
-
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     """Uniforms strictly inside (0, 1), one raw 64-bit word per value.
 

@@ -3,8 +3,8 @@
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
 distance correlation, the generic permutation p-value, the level-table
-test's mid-p over scipy's sampled tables, scipy's ranks, numpy's
-quantiles and quantile levels by comparison, the chi-square tail in
+test's mid-p over scipy's sampled tables, scipy's ranks, quantile
+levels from scipy's minimum ranks, the chi-square tail in
 40-digit decimals, the saddlepoint tail on scipy's special functions
 and root finder, the chi-square mixture's tail by Imhof's inversion on
 scipy's adaptive quadrature and by Monte Carlo, the Gaussian log
@@ -28,7 +28,7 @@ from fairlens.errors import ConfigError, LengthMismatch
 from fairlens.fairness import _as_columns, _dcor_from_parts
 from fairlens.model import require_valid_rho_pair
 from fairlens.oracles import _posterior_weight_and_variance
-from fairlens.streams import generator
+from fairlens.streams import _bit_generator
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -150,6 +150,11 @@ def _abs_row_means(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def generator(seed: int, stream: int) -> np.random.Generator:
+    """A numpy Generator on its own (seed, stream) Philox key."""
+    return np.random.Generator(_bit_generator(seed, stream))
+
+
 def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
                        seed: int) -> float:
     """p = (1 + #{permuted statistic >= observed}) / (n_permutations + 1).
@@ -199,16 +204,20 @@ def copula_ranks(x) -> np.ndarray:
     return sps.rankdata(x) / (x.shape[0] + 1.0)
 
 
-def sorted_quantiles(xs, probs) -> np.ndarray:
-    """np.quantile with numpy's default linear method."""
-    return np.quantile(xs, probs)
-
-
 def quantile_level_ids(x, n_levels: int) -> np.ndarray:
-    """Each value's count of distinct quantile edges at or below it, the
-    edges at the n_levels - 1 inner equal-probability points."""
-    probs = np.linspace(0.0, 1.0, n_levels + 1)[1:-1]
-    return np.searchsorted(np.unique(np.quantile(x, probs)), x, side="right")
+    """Each value's level among n_levels equal-count levels, by ranks.
+
+    Inner level j starts at sorted position ceil((n - 1) j / n_levels),
+    in Python ints, moved back to the first position of its tie block,
+    which is scipy's minimum rank there less one.  A value's level is the
+    number of distinct nonzero starts at or below its own tie block's.
+    """
+    n = len(x)
+    block = sps.rankdata(x, method="min").astype(np.int64) - 1
+    block_at = np.sort(block)  # the block start of each sorted position
+    starts = {int(block_at[-(-(n - 1) * j // n_levels)]) for j in range(1, n_levels)}
+    return np.searchsorted(np.array(sorted(starts - {0}), dtype=np.int64), block,
+                           side="right")
 
 
 # ---------------------------------------------------------------------------

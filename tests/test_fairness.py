@@ -28,7 +28,7 @@ from brute_force import (chi2_even_sf_decimal, chi2_mixture_sf_monte_carlo,
                          copula_ranks, distance_correlation, imhof_sf,
                          permutation_pvalue, quantile_level_ids,
                          sampled_table_mid_p, saddlepoint_log_sf_scipy,
-                         saddlepoint_root_brentq, sorted_quantiles)
+                         saddlepoint_root_brentq)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
 
@@ -151,7 +151,7 @@ class TestDistanceCorrelation:
 
 def _order_inputs(kind, n):
     """Columns that stress a sort-based ranking: ties, signed zeros,
-    subnormals and values equal to a quantile edge."""
+    subnormals and tie blocks across level starts."""
     rng = np.random.default_rng(n)
     x = rng.normal(size=n)
     if kind == "distinct":
@@ -168,7 +168,7 @@ def _order_inputs(kind, n):
         # 2^-1060 x keeps at most 14 significant bits: subnormal, with ties
         return np.ldexp(x, -1060)
     assert kind == "on_edges"
-    # 65 values over 64 levels: most edges fall inside a tie block
+    # 65 values over 64 levels: most level starts fall inside a tie block
     return (rng.permutation(n) % 65).astype(np.float64)
 
 
@@ -186,8 +186,8 @@ def _assert_level_ids(pair, want):
 
 class TestOneSortPerColumn:
     """The sort-based scores and level ids equal their definitions:
-    normal_ppf of scipy's average ranks over n + 1, and the count of
-    distinct quantile edges at or below each value."""
+    normal_ppf of scipy's average ranks over n + 1, and the levels that
+    scipy's minimum ranks give (brute_force.quantile_level_ids)."""
 
     @pytest.mark.parametrize("kind", ORDER_KINDS)
     @pytest.mark.parametrize("n", [500, 50_000, 1_000_000])
@@ -197,9 +197,10 @@ class TestOneSortPerColumn:
         want_scores = normal_ppf(copula_ranks(x))
         assert scores.tobytes() == want_scores.tobytes()
         # the ids normal_scores carries: independence's levels cut on
-        # the raw values, the conditioning bins cut on the scores
+        # the raw values, and the conditioning bins, which must equal a
+        # cut of the scores
         _assert_level_ids(scores.levels, quantile_level_ids(
-            x, fairness._independence_levels(n)))
+            x, fairness._n_levels(n, fairness.N_LEVELS)))
         _assert_level_ids(scores.bins,
                           quantile_level_ids(want_scores, fairness.N_BINS))
         for levels in (fairness.N_LEVELS, fairness.N_LEVELS // 2,
@@ -223,56 +224,92 @@ class TestOneSortPerColumn:
         assert signs.any() and not signs.all()
         sub = _order_inputs("subnormals", n)
         assert (np.abs(sub[sub != 0.0]) < np.finfo(np.float64).tiny).all()
-        x = _order_inputs("on_edges", n)
-        probs = np.linspace(0.0, 1.0, fairness.N_LEVELS + 1)[1:-1]
-        assert np.isin(np.quantile(x, probs), x).sum() > fairness.N_LEVELS // 2
+        xs = np.sort(_order_inputs("on_edges", n))
+        starts = [-(-(n - 1) * j // fairness.N_LEVELS)
+                  for j in range(1, fairness.N_LEVELS)]
+        inside = sum(xs[s - 1] == xs[s] for s in starts)
+        assert inside > fairness.N_LEVELS // 2
+
+    @pytest.mark.parametrize("n,levels", [(6, 5), (1001, 20), (10_001, 20)])
+    def test_distinct_columns_get_equal_counts(self, n, levels):
+        """Where (n - 1) j / levels is an integer, a float index of it may
+        round up past that position; the integer starts do not, so
+        distinct values fill the levels within one point of each other."""
+        x = np.random.default_rng(n).permutation(n).astype(np.float64)
+        ids, counts = fairness._quantile_level_ids(x, levels)
+        assert counts.shape[0] == levels
+        assert counts.max() - counts.min() <= 1
+        np.testing.assert_array_equal(ids, quantile_level_ids(x, levels))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=400),
+           st.integers(2, 70))
+    def test_no_level_is_empty_on_tied_columns(self, values, levels):
+        """Tie blocks merge levels but never leave one empty: every
+        count is positive, the counts sum to n and the ids hold them.
+        A constant column is one level."""
+        x = np.array(values, dtype=np.float64)
+        ids, counts = fairness._quantile_level_ids(x, levels)
+        assert (counts > 0).all()
+        assert counts.sum() == x.shape[0]
+        np.testing.assert_array_equal(np.bincount(ids), counts)
+        np.testing.assert_array_equal(ids, quantile_level_ids(x, levels))
+        if (x == x[0]).all():
+            assert counts.tolist() == [x.shape[0]]
 
 
-QUANTILE_PROBS = [np.linspace(0.0, 1.0, k + 1)[1:-1]
-                  for k in (fairness.N_LEVELS, fairness.N_LEVELS // 2,
-                            fairness.N_BINS, 4)]
+# level counts whose probabilities j / L are binary fractions, so that
+# np.quantile's float index ceil((n - 1) j / L) is exact
+EXACT_LEVELS = (fairness.N_LEVELS, fairness.N_LEVELS // 2, 4)
 
 
-def quantiles_by_index(xs, probs):
-    """np.quantile(xs, probs) of the sorted column xs, read off by index
-    as the level edges are."""
-    return fairness._read_quantiles(
-        xs, fairness._quantile_positions(xs.shape[0], probs))
+def level_start_values(xs, n_levels):
+    """The values of the sorted column xs where its inner levels start,
+    read off by index before ties move the starts back."""
+    return xs[fairness._level_starts(xs.shape[0], n_levels)]
+
+
+def higher_quantiles(xs, n_levels):
+    """np.quantile at j / n_levels by its "higher" method, the order
+    statistic at ceil((n - 1) j / n_levels)."""
+    return np.quantile(xs, np.arange(1, n_levels) / n_levels, method="higher")
 
 
 class TestQuantileByIndex:
-    """_read_quantiles reads np.quantile's default linear-method values
-    off a sorted column by index, byte for byte."""
+    """The level starts read np.quantile's "higher" values off a sorted
+    column by index, byte for byte, at power-of-two level counts, where
+    numpy's float index is exact."""
 
     @pytest.mark.parametrize("kind", ORDER_KINDS)
     @pytest.mark.parametrize("n", [2, 3, 500, 50_000, 1_000_000])
     def test_matches_np_quantile(self, n, kind):
         xs = np.sort(_order_inputs(kind, n))
-        for probs in QUANTILE_PROBS:
-            got = quantiles_by_index(xs, probs)
-            want = sorted_quantiles(xs, probs)
+        for levels in EXACT_LEVELS:
+            got = level_start_values(xs, levels)
+            want = higher_quantiles(xs, levels)
             if kind == "signed_zeros":
                 # np.quantile partitions its copy of the column first,
                 # which may swap an equal -0.0 and 0.0: only the sign of
                 # a zero may differ, and no cut or id depends on it
                 np.testing.assert_array_equal(got, want)
                 got, want = got + 0.0, want + 0.0
-            assert got.tobytes() == want.tobytes(), probs.shape
+            assert got.tobytes() == want.tobytes(), levels
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=300),
-           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
-    def test_matches_np_quantile_on_drawn_columns(self, values, probs):
+           st.integers(1, 6))
+    def test_matches_np_quantile_on_drawn_columns(self, values, log2_levels):
         # + 0.0 makes every zero positive, so the bytes are defined
         xs = np.sort(np.array(values) + 0.0)
-        probs = np.array(probs)
-        got = quantiles_by_index(xs, probs)
-        assert got.tobytes() == sorted_quantiles(xs, probs).tobytes()
+        levels = 1 << log2_levels
+        got = level_start_values(xs, levels)
+        assert got.tobytes() == higher_quantiles(xs, levels).tobytes()
 
 
 class TestScoresKeepTheirOrder:
-    """The bin ids are cut on normal_ppf of the sorted ranks, which
-    must therefore be non-decreasing.  Ranks over n + 1 lie on the grid
+    """normal_scores cuts the bin ids on the raw values, and they must
+    equal a cut of the scores, so normal_ppf of the sorted ranks must
+    keep their order and ties.  Ranks over n + 1 lie on the grid
     k / (2 (n + 1)); one step of that grid at MAX_N raises normal_ppf
     far more than its rounding takes back where AS 241 switches between
     its central and tail rationals (p = 0.075 and 0.925)."""
