@@ -28,6 +28,8 @@ check, all of one size, share one.  Its upper tail comes from
   summed on a fixed midpoint grid whose step and length follow from
   stated error bounds (Davies 1980, AS 155), or, where that grid would
   be long and the weights are few, Ruben's (1962) chi-square series;
+  two weights too far apart for either take one Gauss-Legendre
+  integral over the smaller weight's normal;
 * the Lugannani-Rice saddlepoint approximation (Kuonen 1999) where the
   bulk puts p below 1e-3 or q lies past the grid's aliasing range, kept
   in log space so that no p-value underflows before Fisher's
@@ -41,15 +43,20 @@ and the saddlepoint's root, so no check loads a scipy module.
 Each full-length column is sorted once: normal_scores reads the copula
 ranks, the normal scores and the level ids of both checkers off one
 order, and the checkers take a scored column's ids instead of sorting
-it again.  Level j of L starts at sorted position ceil((n - 1) j / L),
-computed in integers and moved back to the start of its tie block.
+it again.  A conditional check scores a raw column itself and cuts only
+the ids it reads, the conditioning column's bins.  Level j of L starts
+at sorted position ceil((n - 1) j / L), computed in integers and moved
+back to the start of its tie block.  A column without ties has the
+sorted scores normal_ppf(k / (n + 1)), k = 1 .. n, which depend on n
+alone: up to 2^17 values (1 MiB) they are computed once per n and kept.
 
 Within conditioning bins, both tested variables are linearly detrended
 on the conditioning variable (all three on the normal-scores scale), to
 remove the spurious dependence that finite-width bins otherwise leak in
-the tails of the conditioning variable.  Per-bin log p-values feed
-Fisher's combination, which keeps its chi-square reference because
-each p-value is continuous.
+the tails of the conditioning variable.  The centered conditioning
+scores and their sum of squares are computed once per bin for both.
+Per-bin log p-values feed Fisher's combination, which keeps its
+chi-square reference because each p-value is continuous.
 """
 
 from __future__ import annotations
@@ -184,20 +191,34 @@ def _as_columns(*cols):
 # one sort per column: ranks, normal scores and quantile level ids
 # ---------------------------------------------------------------------------
 
-def _sorted_ranks(xs: np.ndarray) -> np.ndarray:
-    """Average ranks of the sorted column xs.
+def _sorted_ranks(new_block: np.ndarray, n: int) -> np.ndarray:
+    """Average ranks of a sorted column of n values, from its tie mask
+    new_block = xs[1:] != xs[:-1].
 
     Each block of equal values gets the mean of the positions it covers,
     (start + 1) + (count - 1) / 2, an exact half-integer, so the ranks
     divided by n + 1 equal scipy's rankdata(x) / (n + 1) byte for byte.
     """
-    n = xs.shape[0]
-    new_block = xs[1:] != xs[:-1]
     if new_block.all():
         return np.arange(1.0, n + 1.0)
     starts = np.flatnonzero(np.concatenate(([True], new_block)))
     counts = np.diff(starts, append=n)
     return np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)
+
+
+# untied score vectors of at most this many values (1 MiB) are kept, for
+# 8 lengths at most: a calibration loop scores columns of one length over
+# and over, while an audit's long columns would each pin 8 bytes a row
+_CACHED_SCORES_MAX_N = 1 << 17
+
+
+@functools.lru_cache(maxsize=8)
+def _untied_scores(n: int) -> np.ndarray:
+    """normal_ppf((1 .. n) / (n + 1)), the sorted scores of every column
+    of n distinct values, read-only."""
+    scores = normal_ppf(np.arange(1.0, n + 1.0) / (n + 1.0))
+    scores.flags.writeable = False
+    return scores
 
 
 @functools.lru_cache(maxsize=256)
@@ -248,6 +269,35 @@ def _quantile_level_ids(x: np.ndarray, n_levels: int):
     return _level_ids(order, _level_counts(x[order], n_levels))
 
 
+def _scored(x: np.ndarray, *cuts: int):
+    """(scores, pairs): normal_ppf of the copula ranks of the validated
+    column x, and the (ids, counts) pair of x at each level count in
+    cuts, all from one sort of x.
+
+    The pairs are cut on the sorted raw values, and only those asked
+    for.  A column of at most _CACHED_SCORES_MAX_N distinct values
+    takes its sorted scores from _untied_scores, which depend on n
+    alone; any other column runs the inverse CDF on its own ranks.
+    """
+    n = x.shape[0]
+    order = np.argsort(x)
+    xs = x[order]
+    counts = [_level_counts(xs, k) for k in cuts]
+    new_block = xs[1:] != xs[:-1]
+    del xs
+    if n <= _CACHED_SCORES_MAX_N and new_block.all():
+        sorted_scores = _untied_scores(n)
+    else:
+        ranks = _sorted_ranks(new_block, n)
+        del new_block
+        ranks /= n + 1.0
+        sorted_scores = normal_ppf(ranks)
+        del ranks
+    scores = np.empty(n)
+    scores[order] = sorted_scores
+    return scores, [_level_ids(order, c) for c in counts]
+
+
 class NormalScores(np.ndarray):
     """A column already mapped to the normal scores of its copula ranks,
     read-only, with the level ids of both checkers cut from the same
@@ -258,7 +308,9 @@ class NormalScores(np.ndarray):
     bins.  The checkers take such a column, and these pairs, as they are
     instead of sorting the column again, so an audit sorts each column
     once.  Views and copies carry None for both pairs, and the checkers
-    then cut again.
+    then cut again.  The conditional checks score a raw column
+    themselves, without this class: they cut the bins of the
+    conditioning column only, and no pair of a tested column.
     """
 
     levels = None
@@ -267,7 +319,7 @@ class NormalScores(np.ndarray):
 
 def normal_scores(x) -> NormalScores:
     """normal_ppf of the copula ranks of x, marked as scored and carrying
-    the level ids of both checkers, all from one sort of x.
+    the level ids of both checkers, all from one sort of x (_scored).
 
     Both pairs are cut on the sorted raw values.  A level cut reads only
     the order and the ties of a column, and the scores keep both (see
@@ -276,20 +328,9 @@ def normal_scores(x) -> NormalScores:
     stale.
     """
     (x,) = _as_columns(x)
-    n = x.shape[0]
-    order = np.argsort(x)
-    xs = x[order]
-    levels = _level_counts(xs, _n_levels(n, N_LEVELS))
-    bins = _level_counts(xs, N_BINS)
-    ranks = _sorted_ranks(xs)
-    del xs
-    ranks /= n + 1.0
-    sorted_scores = normal_ppf(ranks)
-    del ranks
-    scores = np.empty(n).view(NormalScores)
-    scores[order] = sorted_scores
-    scores.levels = _level_ids(order, levels)
-    scores.bins = _level_ids(order, bins)
+    scores, (levels, bins) = _scored(x, _n_levels(x.shape[0], N_LEVELS), N_BINS)
+    scores = scores.view(NormalScores)
+    scores.levels, scores.bins = levels, bins
     scores.flags.writeable = False
     return scores
 
@@ -358,7 +399,8 @@ _BULK_MIN_P = 1e-3
 
 # no grid of more nodes, and no series of more terms, than this is
 # built: laws of a few weights spread over orders of magnitude need more
-# of both, and the saddlepoint decides their whole tail
+# of both; two such weights take _two_weight_sf's integral, and for more
+# the saddlepoint decides their whole tail
 _BULK_MAX_TERMS = 4096
 
 # grid weights w with w u <= this at the last node u are summed as
@@ -418,8 +460,9 @@ def _bulk_tail(w: np.ndarray):
     says takes less work to build: nodes times weights evaluated at each
     node, or the series' quadratic recurrence.  Many weights make the
     integrand decay fast and the grid short; few weights of similar size
-    make the series short.  Where neither fits in _BULK_MAX_TERMS, sf is
-    None and x_hi is 0.
+    make the series short.  Where neither fits in _BULK_MAX_TERMS, two
+    weights take the exact integral of _two_weight_sf; for more weights
+    sf is None and x_hi is 0.
     """
     x_hi = _chernoff_upper(w)
     h = 2.0 * math.pi / x_hi
@@ -432,6 +475,9 @@ def _bulk_tail(w: np.ndarray):
     if terms <= _BULK_MAX_TERMS:
         ruben_work = terms * (terms // 2 + w.size)
     if grid_work == ruben_work == math.inf:
+        if w.size == 2:
+            return x_hi, functools.partial(_two_weight_sf, float(np.max(w)),
+                                           float(np.min(w)), *_legendre_nodes())
         return 0.0, None
     if grid_work <= ruben_work:
         return x_hi, functools.partial(_grid_sf, *_imhof_grid(w, h, nodes))
@@ -615,6 +661,48 @@ def _ruben_sf(beta: float, m: int, a, log_gammas, q: float) -> float:
     steps = np.exp(half_df * math.log(y) - y - log_gammas)
     tails = base + np.concatenate(([0.0], np.cumsum(steps)))
     return float(np.sum(a * tails[(m - 1) // 2:]))
+
+
+# Gauss-Legendre nodes of _two_weight_sf's integral, and the |z| past
+# which it leaves out the normal mass, 2 P(Z > 9) = 2.3e-19
+_TWO_WEIGHT_NODES = 64
+_TWO_WEIGHT_MAX_Z = 9.0
+
+
+@functools.lru_cache(maxsize=1)
+def _legendre_nodes():
+    """(nodes, weights) of _TWO_WEIGHT_NODES-point Gauss-Legendre
+    quadrature on [0, 1], read-only.  numpy's leggauss polishes the
+    eigenvalues of the Jacobi matrix by a Newton step; the nodes hash
+    the same under the SkylakeX, SandyBridge and Haswell OpenBLAS
+    kernels."""
+    x, wx = np.polynomial.legendre.leggauss(_TWO_WEIGHT_NODES)
+    x, wx = 0.5 * (x + 1.0), 0.5 * wx
+    x.flags.writeable = wx.flags.writeable = False
+    return x, wx
+
+
+def _two_weight_sf(w_big: float, w_small: float, x, wx, q: float) -> float:
+    """P(w_big Z1^2 + w_small Z2^2 > q) by one integral over Z2.
+
+    With s = sqrt(q / w_small), P(Q > q) = P(|Z2| > s)
+    + E[erfc(sqrt((q - w_small Z2^2) / (2 w_big))); |Z2| <= s].  The
+    substitution Z2 = s sin(theta) turns q - w_small Z2^2 into
+    q cos(theta)^2, so the integrand phi(s sin) erfc(c cos) s cos,
+    c = sqrt(q / (2 w_big)), is smooth on [0, pi/2]; Gauss-Legendre sums
+    it up to the angle where s sin(theta) reaches _TWO_WEIGHT_MAX_Z,
+    which keeps the normal's peak, of width 1 / s in theta, under all
+    the nodes however far apart the weights are.
+    """
+    s = math.sqrt(q / w_small)
+    c = math.sqrt(q / (2.0 * w_big))
+    top = math.asin(min(1.0, _TWO_WEIGHT_MAX_Z / s))
+    theta = top * x
+    cos = np.cos(theta)
+    inner = np.array([math.erfc(v) for v in (c * cos).tolist()])
+    vals = np.exp(-0.5 * (s * np.sin(theta)) ** 2) * inner * cos
+    return (math.erfc(s / math.sqrt(2.0))
+            + 2.0 * top * s / _SQRT_2PI * float(np.sum(vals * wx)))
 
 
 def _normal_pdf(z: float) -> float:
@@ -832,26 +920,41 @@ def check_sufficiency(y, d, prices, cfg: TestConfig) -> FairnessVerdict:
     return _conditional_check(a=y, b=d, given=prices, cfg=cfg, axiom=SUFFICIENCY)
 
 
-def _residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # elementwise products summed by numpy's pairwise sum, not BLAS dot
-    # products, whose rounding depends on the CPU kernel
-    gc = g - g.mean()
-    den = float(np.sum(gc * gc))
+def _detrend(gc: np.ndarray, *columns: np.ndarray) -> None:
+    """Center gc, the conditioning scores of one bin, and subtract from
+    each column its least-squares slope on them, all in place.
+
+    gc and its sum of squares are computed once for every column.  The
+    sums are np.add.reduce of elementwise products, numpy's pairwise
+    sum, not BLAS dot products, whose rounding depends on the CPU
+    kernel.  A constant gc leaves the columns as they are.
+    """
+    gc -= np.add.reduce(gc) / gc.shape[0]
+    den = float(np.add.reduce(gc * gc))
     if den <= 0.0:
-        return v
-    return v - (float(np.sum(v * gc)) / den) * gc
+        return
+    for v in columns:
+        v -= (float(np.add.reduce(v * gc)) / den) * gc
 
 
 def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerdict:
-    n = _as_columns(a, b, given)[0].shape[0]
+    cols = _as_columns(a, b, given)
+    n = cols[0].shape[0]
     if n < 100 * N_BINS:
         raise TooFewSamples(
             f"need >= {100 * N_BINS} observations for {N_BINS} bins, got {n}")
-    a, b, given = (c if isinstance(c, NormalScores) else normal_scores(c)
-                   for c in (a, b, given))
-    # ties merge quantile bins, so there may be fewer than N_BINS, none
-    # empty; a bin below the minimum count is a genuine data problem
-    bin_ids, counts = given.bins or _quantile_level_ids(given, N_BINS)
+    # a scored column is taken as it is; a raw one is scored from its
+    # validated column, and of its level ids only the conditioning bins
+    # are cut.  Ties merge quantile bins, so there may be fewer than
+    # N_BINS, none empty; a bin below the minimum count is a genuine
+    # data problem
+    a, b = (col if isinstance(orig, NormalScores) else _scored(col)[0]
+            for orig, col in zip((a, b), cols))
+    if isinstance(given, NormalScores):
+        bin_ids, counts = given.bins or _quantile_level_ids(cols[2], N_BINS)
+        given = cols[2]
+    else:
+        given, ((bin_ids, counts),) = _scored(cols[2], N_BINS)
     n_bins = counts.shape[0]
     if counts.min() < MIN_BIN_COUNT:
         raise EmptyBin(
@@ -861,14 +964,12 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
     # ids, numpy sorts by radix.  Each bin gathers its own rows, so no
     # sorted copy of the three columns is held alongside them
     order = np.argsort(bin_ids, kind="stable")
-    a, b, given = (np.asarray(c) for c in (a, b, given))
     ends = np.cumsum(counts)
     log_ps = np.empty(n_bins)
     for k in range(n_bins):
         rows = order[ends[k] - counts[k]:ends[k]]
-        gk = given[rows]
-        ak = _residualize(a[rows], gk)
-        bk = _residualize(b[rows], gk)
+        ak, bk = a[rows], b[rows]
+        _detrend(given[rows], ak, bk)
         levels = _n_levels(int(counts[k]), N_LEVELS // 2)
         _, _, log_ps[k] = _table_test(_quantile_level_ids(ak, levels),
                                       _quantile_level_ids(bk, levels))

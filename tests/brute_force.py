@@ -3,15 +3,16 @@
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
 distance correlation, the generic permutation p-value, the level-table
-test's mid-p over scipy's sampled tables, scipy's ranks, quantile
-levels from scipy's minimum ranks, the chi-square tail in
-40-digit decimals, the saddlepoint tail on scipy's special functions
-and root finder, the chi-square mixture's tail by Imhof's inversion on
-scipy's adaptive quadrature and by Monte Carlo, the Gaussian log
-density and Schur-complement
-conditioning, and the closed-form X2 posterior density and
-Var(Y | X1, D) of the portfolio model) that the tests hold the fast
-code against.
+test's mid-p over scipy's sampled tables, the conditional checks'
+per-bin loop as first written, scipy's ranks, quantile levels from
+scipy's minimum ranks, the chi-square tail in 40-digit decimals, the
+saddlepoint tail on scipy's special functions and root finder, the
+chi-square mixture's tail by Imhof's inversion on scipy's adaptive
+quadrature and by Monte Carlo, the two-weight tail by adaptive
+quadrature over the smaller weight's normal, the Gaussian log density
+and Schur-complement conditioning, and the closed-form X2 posterior
+density and Var(Y | X1, D) of the portfolio model) that the tests hold
+the fast code against.
 """
 
 import decimal
@@ -24,7 +25,7 @@ from scipy import integrate, optimize, special
 from scipy import stats as sps
 
 from fairlens import fairness
-from fairlens.errors import ConfigError, LengthMismatch
+from fairlens.errors import ConfigError, EmptyBin, LengthMismatch
 from fairlens.fairness import _as_columns, _dcor_from_parts
 from fairlens.model import require_valid_rho_pair
 from fairlens.oracles import _posterior_weight_and_variance
@@ -194,6 +195,40 @@ def sampled_table_mid_p(side_a, side_b, n_draws: int, seed: int) -> float:
     return (greater + 0.5 * (ties + 1)) / (n_draws + 1)
 
 
+def residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """v less its least-squares line on g, the per-bin detrend as first
+    written: one tested column at a time, centering g again for each,
+    every sum numpy's pairwise np.sum of elementwise products."""
+    gc = g - g.mean()
+    den = float(np.sum(gc * gc))
+    if den <= 0.0:
+        return v
+    return v - (float(np.sum(v * gc)) / den) * gc
+
+
+def conditional_check_reference(a, b, given) -> tuple[float, float]:
+    """(statistic, p) of a conditional check by its per-bin loop as
+    first written: each raw column scored by the public normal_scores,
+    which cuts both id pairs, each bin's rows picked by a boolean mask
+    of the conditioning bin ids, each tested column residualized on its
+    own, and each bin's level table tested by fairness._table_test.
+    Raises EmptyBin where a bin holds fewer than MIN_BIN_COUNT points."""
+    a, b, given = (c if isinstance(c, fairness.NormalScores)
+                   else fairness.normal_scores(c) for c in (a, b, given))
+    bin_ids, counts = given.bins or fairness._quantile_level_ids(given, fairness.N_BINS)
+    if counts.min() < fairness.MIN_BIN_COUNT:
+        raise EmptyBin(f"a conditioning bin holds {counts.min()} points")
+    a, b, given = (np.asarray(c) for c in (a, b, given))
+    log_ps = []
+    for k in range(counts.shape[0]):
+        rows = bin_ids == k
+        levels = fairness._n_levels(int(counts[k]), fairness.N_LEVELS // 2)
+        sides = [fairness._quantile_level_ids(residualize(c[rows], given[rows]), levels)
+                 for c in (a, b)]
+        log_ps.append(fairness._table_test(*sides)[2])
+    return fairness._fisher_from_logs(np.array(log_ps))
+
+
 # ---------------------------------------------------------------------------
 # copula ranks and quantile levels by their definitions
 # ---------------------------------------------------------------------------
@@ -299,6 +334,24 @@ def imhof_sf(q: float, w: np.ndarray, epsabs: float = 1e-13,
     if len(out) > 3:
         raise RuntimeError(f"quad did not converge at q={q}: {out[3]}")
     return 0.5 + out[0] / math.pi
+
+
+def two_weight_sf_quad(q: float, w_big: float, w_small: float) -> float:
+    """P(w_big Z1^2 + w_small Z2^2 > q) integrated over Z2 itself by
+    scipy's adaptive quad: P(|Z2| > s) plus the integral over |z| < s,
+    s = sqrt(q / w_small), of phi(z) P(Z1^2 > (q - w_small z^2) / w_big),
+    whose derivative is singular at z = s."""
+    s = math.sqrt(q / w_small)
+
+    def integrand(z):
+        rest = max(q - w_small * z * z, 0.0) / w_big
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * math.erfc(
+            math.sqrt(0.5 * rest))
+
+    breaks = [z for z in (1.0, 3.0, 6.0) if z < s] or None
+    inner, _ = integrate.quad(integrand, 0.0, s, epsabs=1e-15, epsrel=1e-13,
+                              limit=500, points=breaks)
+    return math.erfc(s / math.sqrt(2.0)) + 2.0 * inner
 
 
 def chi2_mixture_sf_monte_carlo(qs, w: np.ndarray, draws: int, seed: int):

@@ -25,10 +25,11 @@ from fairlens.harness import MAX_N
 from fairlens.streams import normal_ppf
 
 from brute_force import (chi2_even_sf_decimal, chi2_mixture_sf_monte_carlo,
-                         copula_ranks, distance_correlation, imhof_sf,
-                         permutation_pvalue, quantile_level_ids,
-                         sampled_table_mid_p, saddlepoint_log_sf_scipy,
-                         saddlepoint_root_brentq)
+                         conditional_check_reference, copula_ranks,
+                         distance_correlation, imhof_sf, permutation_pvalue,
+                         quantile_level_ids, residualize, sampled_table_mid_p,
+                         saddlepoint_log_sf_scipy, saddlepoint_root_brentq,
+                         two_weight_sf_quad)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
 
@@ -488,9 +489,9 @@ class TestScipyLoadsOnlyWhereNeeded:
 
 class TestResidualsDoNotDependOnTheBlasKernel:
     def test_same_bytes_under_the_sandybridge_kernel(self):
-        """The residualized normal scores of 50,000-point columns hash the
-        same with the host's OpenBLAS kernel and with SandyBridge's, whose
-        dot products round differently."""
+        """The normal scores of 50,000-point columns, detrended in place
+        by _detrend, hash the same with the host's OpenBLAS kernel and
+        with SandyBridge's, whose dot products round differently."""
         script = """
             import hashlib
             import numpy as np
@@ -498,8 +499,9 @@ class TestResidualsDoNotDependOnTheBlasKernel:
             digest = hashlib.sha256()
             for seed in range(3):
                 ds = model.simulate(model.make_example_model(0.1, 0.9), 50_000, seed)
-                a, g = (np.asarray(fairness.normal_scores(c)) for c in (ds.x1, ds.y))
-                digest.update(fairness._residualize(a, g).tobytes())
+                a, b, g = (np.array(fairness.normal_scores(c)) for c in (ds.x1, ds.d, ds.y))
+                fairness._detrend(g, a, b)
+                digest.update(a.tobytes() + b.tobytes())
             print(digest.hexdigest())
             """
         assert (_fresh_stdout(script, OPENBLAS_CORETYPE=None)
@@ -707,13 +709,33 @@ class TestMixtureTail:
         got = np.array([math.exp(tail.log_sf(q * tail.mean)) for q in qs])
         assert np.all(np.abs(got - want) <= 3.0 * se), (got, want, se)
 
-    def test_law_past_both_bounds_takes_the_saddlepoint(self):
+    def test_two_spread_weights_take_the_exact_integral(self):
         """A binary column against one with 99% of its points on one
         level leaves two weights 400 times apart: the grid would need
-        ~1e9 nodes and the series 4,104 terms, so neither is built and
-        the saddlepoint gives the whole tail."""
+        ~1e9 nodes and the series 4,104 terms, so neither is built, and
+        one integral over the smaller weight's normal gives the bulk.
+        It matches adaptive quadrature in z to 1e-12, and 4e6 draws of
+        the mixture within 3 standard errors, where the saddlepoint that
+        stood in was up to 2% off (0.4701 against 0.4801 at q = 0.5)."""
         tail = fairness._spectral_law((50_000, 50_000), (99_000, 500, 500))[2]
-        assert tail.weights.size == 2 and tail._bulk_sf is None
+        w = tail.weights
+        assert w.size == 2 and tail._bulk_sf.func is fairness._two_weight_sf
+        for q in np.geomspace(1e-3, tail.x_hi, 40):
+            assert tail._bulk_sf(float(q)) == pytest.approx(
+                two_weight_sf_quad(float(q), w.max(), w.min()), rel=0.0, abs=1e-12), q
+        qs = np.array([0.5, 1.0, 3.0, 6.0])
+        want, se = chi2_mixture_sf_monte_carlo(qs, w, 4_000_000, seed=2)
+        got = np.array([math.exp(tail.log_sf(q * tail.mean)) for q in qs])
+        assert np.all(np.abs(got - want) <= 3.0 * se), (got, want, se)
+        saddle = np.exp([fairness._saddlepoint_log_sf(q, w) for q in qs])
+        assert np.max(np.abs(saddle - want) / se) > 20.0
+
+    def test_more_weights_past_both_bounds_take_the_saddlepoint(self):
+        """Two 99%-on-one-level columns leave four weights spread over
+        five orders of magnitude; no bulk is built for them, and the
+        saddlepoint gives the whole tail."""
+        tail = fairness._spectral_law((99_000, 500, 500), (99_000, 500, 500))[2]
+        assert tail.weights.size == 4 and tail._bulk_sf is None
         for q in (0.5, 1.0, 3.0):
             assert tail.log_sf(q * tail.mean) == pytest.approx(
                 fairness._saddlepoint_log_sf(q, tail.weights), rel=1e-12)
@@ -853,6 +875,138 @@ class TestConditionalCheckers:
         v = check_sufficiency(y, d, np.zeros(5000), FAST)
         assert v.verdict == INCONCLUSIVE  # n below the power guard
         assert v.p_value > 0.01
+
+
+def _hex_pair(stat, p):
+    return float(stat).hex(), float(p).hex()
+
+
+def _assert_matches_the_reference(check, cols):
+    """check (check_separation or _sufficiency) on cols, tested column
+    first and conditioning column last, gives the reference loop's
+    statistic and p bit for bit, or raises where the loop raises."""
+    try:
+        want = _hex_pair(*conditional_check_reference(cols[0], cols[1], cols[2]))
+    except EmptyBin:
+        with pytest.raises(EmptyBin):
+            check(*cols, FAST)
+        return
+    v = check(*cols, FAST)
+    assert _hex_pair(v.statistic, v.p_value) == want
+
+
+class TestConditionalChecksMatchTheReferenceLoop:
+    """The checks score raw columns without the unused cuts and detrend
+    each bin once; the per-bin loop as first written
+    (brute_force.conditional_check_reference) gives the same bits, for
+    raw and for scored columns."""
+
+    @pytest.mark.parametrize("n", [10_000, 10_001])
+    @pytest.mark.parametrize("rhos", [(0.0, 0.0), (0.1, 0.9)])
+    def test_raw_and_scored_columns(self, n, rhos):
+        """n = 1e4 cuts 20 bins of 500 points; n = 10,001 one of 501,
+        whose spectral law differs."""
+        ds = simulate(make_example_model(*rhos), n, seed=n % 7)
+        raw = (ds.x1, ds.d, ds.y)
+        scored = [fairness.normal_scores(c) for c in raw]
+        if n == 10_001:
+            assert sorted(set(scored[2].bins[1].tolist())) == [500, 501]
+        for cols in (raw, scored, (scored[0], raw[1], raw[2])):
+            _assert_matches_the_reference(check_separation, cols)
+            _assert_matches_the_reference(check_sufficiency,
+                                          (cols[2], cols[1], cols[0]))
+
+    def test_detrend_keeps_the_residual_bytes(self):
+        """Statistic and p see the residuals only through their ranks, so
+        the residuals themselves are compared: _detrend, sharing the
+        centered scores, gives brute_force.residualize's bytes in every
+        bin of a 1e5-point dataset, tied and untied."""
+        ds = simulate(make_example_model(0.1, 0.9), 100_000, seed=4)
+        for cols in ((ds.x1, ds.d, ds.y), [np.round(c, 1) for c in (ds.x1, ds.d, ds.y)]):
+            a, b, g = (np.asarray(fairness.normal_scores(c)) for c in cols)
+            bin_ids, counts = fairness.normal_scores(cols[2]).bins
+            for k in range(counts.shape[0]):
+                rows = bin_ids == k
+                ak, bk = a[rows], b[rows]
+                fairness._detrend(g[rows], ak, bk)
+                assert ak.tobytes() == residualize(a[rows], g[rows]).tobytes()
+                assert bk.tobytes() == residualize(b[rows], g[rows]).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([0, 1, 2]),
+           n=st.sampled_from([2000, 4000]))
+    def test_tie_heavy_rounded_columns(self, seed, decimals, n):
+        ds = simulate(make_example_model(0.3, 0.5), n, seed)
+        cols = [np.round(c, decimals) for c in (ds.x1, ds.d, ds.y)]
+        _assert_matches_the_reference(check_separation, cols)
+        _assert_matches_the_reference(check_sufficiency, cols[::-1])
+
+    def test_bin_of_constant_conditioning_scores(self):
+        """The middle 1,600 of 4,000 conditioning values are tied and fill
+        one bin, from the cut at 1,200 to the cut at 2,800.  Their mean
+        rank is (n + 1) / 2, so their scores are exactly 0: the bin's sum
+        of squares is 0, and the tested columns enter it undetrended."""
+        rng = np.random.default_rng(12)
+        given = rng.permutation(np.concatenate(
+            [-1.0 - rng.random(1200), np.zeros(1600), 1.0 + rng.random(1200)]))
+        a = rng.normal(size=4000) + given
+        b = rng.normal(size=4000)
+        g = fairness.normal_scores(given)
+        bin_ids, counts = g.bins
+        assert 1600 in counts.tolist()
+        assert np.all(np.asarray(g)[bin_ids == counts.tolist().index(1600)] == 0.0)
+        _assert_matches_the_reference(check_separation, (a, b, given))
+        _assert_matches_the_reference(check_separation,
+                                      [fairness.normal_scores(c) for c in (a, b, given)])
+
+
+class TestScoresCacheAndCuts:
+    def test_cached_vector_is_normal_ppf_of_the_ranks(self):
+        n = 10_000
+        cached = fairness._untied_scores(n)
+        want = normal_ppf(np.arange(1.0, n + 1.0) / (n + 1.0))
+        assert cached.tobytes() == want.tobytes()
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+    def test_untied_column_scores_come_from_the_cache(self):
+        x = np.random.default_rng(13).normal(size=3001)
+        fairness._untied_scores.cache_clear()
+        scores = fairness.normal_scores(x)
+        assert fairness._untied_scores.cache_info().currsize == 1
+        assert np.asarray(scores).tobytes() == normal_ppf(copula_ranks(x)).tobytes()
+
+    def test_tied_columns_bypass_the_cache(self):
+        x = np.round(np.random.default_rng(14).normal(size=3001), 1)
+        fairness._untied_scores.cache_clear()
+        scores = fairness.normal_scores(x)
+        assert fairness._untied_scores.cache_info().currsize == 0
+        assert np.asarray(scores).tobytes() == normal_ppf(copula_ranks(x)).tobytes()
+
+    def test_long_column_adds_no_entry(self):
+        n = 500_000
+        assert n > fairness._CACHED_SCORES_MAX_N
+        fairness._untied_scores.cache_clear()
+        fairness.normal_scores(np.arange(n, 0, -1.0))
+        assert fairness._untied_scores.cache_info().currsize == 0
+
+    def test_raw_conditional_check_cuts_one_pair_outside_its_bins(self, monkeypatch):
+        """Of the six full-length id pairs normal_scores would cut for
+        three raw columns, the check cuts only the conditioning bins;
+        every other cut is a per-bin level cut."""
+        ds = simulate(make_example_model(0.1, 0.9), 10_000, seed=3)
+        lengths = []
+        level_ids = fairness._level_ids
+
+        def counting(order, counts):
+            lengths.append(order.shape[0])
+            return level_ids(order, counts)
+
+        monkeypatch.setattr(fairness, "_level_ids", counting)
+        check_separation(ds.x1, ds.d, ds.y, FAST)
+        assert lengths.count(10_000) == 1
+        assert lengths.count(500) == 2 * fairness.N_BINS
 
 
 class TestSpectralNull:
