@@ -7,8 +7,9 @@ reproduce   separation-moments: the Monte Carlo counterexample numbers
 table       YES/NO grid over (rho1, rho2) regimes, analytic vs statistical
 
 Flags override values from an optional flat JSON --config file.  Exit
-codes: 0 success, 2 configuration error, 3 statistical/analytic verdict
-disagreement (calibration alarm), 4 I/O error.
+codes, all set in main: 0 success, 2 configuration error (any refused
+input), 3 statistical/analytic verdict disagreement (calibration
+alarm), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--n", type=int)
     table.add_argument("--seed", type=int)
     table.add_argument("--alpha", type=float)
-    table.add_argument("--permutations", type=int, default=199,
-                       dest="n_permutations",
-                       help="validated and recorded; no p-value depends on it")
     table.add_argument("--out", dest="output_path")
     table.add_argument("--format", dest="output_format",
                        choices=harness.OUTPUT_FORMATS, default="csv")
@@ -77,12 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _audit_config(args) -> harness.RunConfig:
     raw = {}
     if args.config:
+        # a JSON, encoding or integer-length error is a ValueError
         try:
-            raw = json.loads(Path(args.config).read_text())
-        except OSError as exc:
+            raw = json.loads(Path(args.config).read_bytes())
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
     raw.update({key: value for key, value in vars(args).items()
@@ -94,11 +91,7 @@ def _run_audit(args) -> int:
     cfg = _audit_config(args)
     report = harness.cmd_audit(cfg)
     if cfg.output_path:
-        try:
-            harness.emit_report(report, cfg.output_format, cfg.output_path)
-        except OSError as exc:
-            print(f"fairlens: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_IO
+        harness.emit_report(report, cfg.output_format, cfg.output_path)
     else:
         sys.stdout.write(harness.render_report(report, cfg.output_format))
     for outcome in report.verdicts:
@@ -145,16 +138,12 @@ def _given(args, *keys) -> dict:
 def _run_table(args) -> int:
     pairs = _parse_pairs(args.pairs) if args.pairs else None
     # flags left out keep the defaults of cmd_table and TestConfig
-    test = TestConfig(**_given(args, "alpha", "n_permutations"))
+    test = TestConfig(**_given(args, "alpha"))
     cells = harness.cmd_table(rho_pairs=pairs, test=test,
                               **_given(args, "n", "seed"))
     print(harness.format_table(cells))
     if args.output_path:
-        try:
-            harness.emit_table(cells, args.output_format, args.output_path)
-        except OSError as exc:
-            print(f"fairlens: cannot write table: {exc}", file=sys.stderr)
-            return EXIT_IO
+        harness.emit_table(cells, args.output_format, args.output_path)
     disagreements = [c for c in cells if not c["agree"]]
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 

@@ -110,12 +110,6 @@ class AuditReport:
     def all_agree(self) -> bool:
         return all(v.agree for v in self.verdicts)
 
-    def verdict_for(self, axiom: str) -> AxiomOutcome:
-        for v in self.verdicts:
-            if v.axiom == axiom:
-                return v
-        raise KeyError(axiom)
-
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds").replace(
@@ -272,7 +266,10 @@ def _config_to_dict(cfg: RunConfig) -> dict:
 def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the largest float
+        raise ConfigError(f"{key} is too large for a float") from None
 
 
 def _integer(key: str, value) -> int:

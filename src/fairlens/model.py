@@ -44,10 +44,13 @@ PRICE_IS_X1 = {
 def valid_rho_pair(rho1: float, rho2: float) -> bool:
     """1 - rho1^2 - rho2^2 > 0: the covariance is positive definite.
 
-    Implies |rho1|, |rho2| < 1; NaN fails the comparison.  The one
-    validity rule for the config, the model, the dataset and the oracles.
+    Implies |rho1|, |rho2| < 1, which is checked first so that a huge
+    value is refused rather than overflowing its square; NaN fails the
+    comparisons.  The one validity rule for the config, the model, the
+    dataset and the oracles.
     """
-    return 1.0 - rho1**2 - rho2**2 > 0.0
+    return (abs(rho1) < 1.0 and abs(rho2) < 1.0
+            and 1.0 - rho1**2 - rho2**2 > 0.0)
 
 
 def require_valid_rho_pair(rho1: float, rho2: float) -> None:

@@ -8,6 +8,14 @@ from fairlens import make_example_model, simulate
 PANEL_SEEDS = tuple(range(1, 21))
 
 
+def verdict_for(report, axiom):
+    """The AxiomOutcome of an AuditReport for the named axiom."""
+    for outcome in report.verdicts:
+        if outcome.axiom == axiom:
+            return outcome
+    raise KeyError(axiom)
+
+
 @pytest.fixture(scope="session")
 def reference_model():
     return make_example_model(0.1, 0.9)

@@ -26,7 +26,7 @@ from fairlens.oracles import (second_moment_x1_given_y0_d0_mc,
 from brute_force import (condition, grid_moments, slice_rejection_moments,
                          var_y_given_price_and_d)
 from conftest import (PANEL_SEEDS, native_draws_fn, response_log_density,
-                      trivariate_log_density)
+                      trivariate_log_density, verdict_for)
 
 
 def announce(criterion, detail):
@@ -250,7 +250,7 @@ def test_criterion_09_pricing_identities():
                          functional="null",
                          test=TestConfig(n_permutations=199, seed=3))
     report = cmd_audit(null_cfg)
-    ind = report.verdict_for("independence")
+    ind = verdict_for(report, "independence")
     assert ind.statistical.verdict == HOLDS
     assert ind.statistical.statistic == 0.0
     assert ind.analytic.verdict == HOLDS
@@ -259,7 +259,7 @@ def test_criterion_09_pricing_identities():
                            functional="subset:x1",
                            test=TestConfig(n_permutations=199, seed=3))
     report = cmd_audit(subset_cfg)
-    ind = report.verdict_for("independence")
+    ind = verdict_for(report, "independence")
     assert ind.statistical.verdict == HOLDS
     assert ind.analytic.verdict == HOLDS
     announce("9", "prices coincide exactly; null and subset(x1) audits HOLD")

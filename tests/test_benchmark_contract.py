@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fairlens import RunConfig, TestConfig, harness
 
@@ -26,6 +27,20 @@ def _load(name):
 
 spans = _load("spans")
 workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_every_workload_runs_its_first_op_clean(name, tmp_path):
+    """Op 0 of each workload passes its own check, untraced: the audit's
+    CLI argv, the calibration checks and the reproduction's CSV round
+    trip all still run as the benchmark calls them."""
+    workload = workloads.WORKLOADS[name](seed=1, work_dir=tmp_path)
+    inputs = workload.inputs(0)
+    try:
+        failures, _ = workload.check(inputs, workload.op(inputs))
+    finally:
+        workload.cleanup()
+    assert failures == []
 
 
 def test_rebound_names_exist_and_are_restored(tmp_path):

@@ -17,6 +17,8 @@ from fairlens.harness import (AuditReport, cmd_reproduce_separation,
                               report_from_dict, report_json_bytes,
                               report_to_dict, table_csv_text)
 
+from conftest import verdict_for
+
 QUICK_TEST = TestConfig(alpha=0.01, n_permutations=199, seed=3)
 
 
@@ -150,12 +152,12 @@ class TestCmdAudit:
         cfg = quick_config(n=10**5, functional="null",
                            test=TestConfig(n_permutations=199, seed=3))
         report = cmd_audit(cfg)
-        ind = report.verdict_for("independence")
+        ind = verdict_for(report, "independence")
         assert ind.statistical.verdict == HOLDS
         assert ind.statistical.statistic == 0.0
         assert ind.analytic.verdict == HOLDS
         # constant prices cannot satisfy sufficiency off the diagonal
-        suf = report.verdict_for("sufficiency")
+        suf = verdict_for(report, "sufficiency")
         assert suf.analytic.verdict == VIOLATED
 
     def test_negative_correlations_supported(self):
@@ -164,21 +166,21 @@ class TestCmdAudit:
         cfg = RunConfig(rho1=-0.1, rho2=0.9, n=2 * 10**4, seed=6,
                         test=QUICK_TEST)
         report = cmd_audit(cfg)
-        ind = report.verdict_for("independence")
+        ind = verdict_for(report, "independence")
         assert ind.analytic.verdict == VIOLATED
         assert ind.statistical.verdict == VIOLATED
         cfg = RunConfig(rho1=-0.2, rho2=0.0, n=2 * 10**4, seed=6,
                         test=QUICK_TEST)
         report = cmd_audit(cfg)
-        assert report.verdict_for("sufficiency").analytic.verdict == HOLDS
-        assert report.verdict_for("separation").analytic.verdict == VIOLATED
+        assert verdict_for(report, "sufficiency").analytic.verdict == HOLDS
+        assert verdict_for(report, "separation").analytic.verdict == VIOLATED
 
     def test_constant_price_sufficiency_when_rho_squares_underflow(self):
         """rho1**2 underflows to 0, yet Cov(Y, D) = rho1 != 0, so Y and D
         are dependent and the constant price violates sufficiency."""
         cfg = RunConfig(rho1=1e-200, rho2=0.0, n=10**3, functional="null",
                         test=QUICK_TEST)
-        suf = cmd_audit(cfg).verdict_for("sufficiency").analytic
+        suf = verdict_for(cmd_audit(cfg), "sufficiency").analytic
         assert suf.verdict == VIOLATED
         assert suf.analytic_criterion == 0.0
 
@@ -406,37 +408,62 @@ class TestCli:
     def test_missing_config_file_exits_two(self):
         assert main(["audit", "--config", "/nonexistent/cfg.json"]) == 2
 
-    def test_unwritable_output_exits_four(self, tmp_path):
+    # (argv, config file bytes or None): each ended in a traceback
+    # before the pair check and the config file's one clause
+    OVERFLOWING_INPUTS = {
+        "huge-rho-flag": (["audit", "--rho1", "1e200", "--rho2", "0"], None),
+        "huge-rho-pair": (["table", "--pairs", "1e200,0"], None),
+        "huge-rho-in-file": ([], b'{"rho1": 0, "rho2": 1e200}'),
+        "not-utf8": ([], b'{"rho1": 0.1, "rho2": 0.9, "functional": "\xff"}'),
+        "int-past-float": ([], b'{"rho1": 1' + b"0" * 400 + b', "rho2": 0}'),
+        "int-past-digit-limit": (
+            [], b'{"rho1": 0.1, "rho2": 0.9, "n": 1' + b"0" * 4999 + b"}"),
+    }
+
+    @pytest.mark.parametrize("argv,config", OVERFLOWING_INPUTS.values(),
+                             ids=list(OVERFLOWING_INPUTS))
+    def test_overflowing_input_exits_two(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_bytes(config)
+            argv = ["audit", "--config", str(cfg_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fairlens: config error:")
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_four(self, tmp_path, capsys):
         code = main(["audit", "--rho1", "0.1", "--rho2", "0.9",
                      "--n", "20000", "--permutations", "199",
                      "--out", str(tmp_path / "no_dir" / "r.json")])
         assert code == 4
+        assert "fairlens: I/O error:" in capsys.readouterr().err
 
     def test_table_command(self, tmp_path):
         out = tmp_path / "table.csv"
         code = main(["table", "--n", "20000", "--seed", "11",
-                     "--permutations", "199", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 13
         out = tmp_path / "table.json"
         assert main(["table", "--n", "20000", "--seed", "11",
-                     "--permutations", "199", "--format", "json",
-                     "--out", str(out)]) == 0
+                     "--format", "json", "--out", str(out)]) == 0
         cells = json.loads(out.read_text())
         assert len(cells) == 12
         assert all(set(c) == {"rho1", "rho2", "axiom", "analytic",
                               "statistical", "agree"} for c in cells)
 
-    def test_table_custom_pairs(self, tmp_path):
+    def test_table_custom_pairs(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code = main(["table", "--pairs", "0,0", "--n", "20000",
-                     "--permutations", "99", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
+        capsys.readouterr()
         assert main(["table", "--pairs", "0,0", "--n", "20000",
-                     "--permutations", "99",
                      "--out", str(tmp_path / "no_dir" / "t.csv")]) == 4
+        assert "fairlens: I/O error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["audit", "--rho1", "0.1", "--rho2", "0.9", "--n", "20000"],
@@ -465,15 +492,18 @@ class TestCli:
     def test_table_without_flags_keeps_the_library_defaults(
             self, monkeypatch, capsys):
         """Flags left out are not passed on: cmd_table keeps its own n
-        and seed, and TestConfig its alpha; --permutations 199 is the
-        table's own value."""
+        and seed, and TestConfig its defaults.  The table takes no
+        --permutations: no p-value and no cell depends on it."""
         calls = []
         monkeypatch.setattr(harness, "cmd_table",
                             lambda **kwargs: calls.append(kwargs) or [])
         assert main(["table"]) == 0
-        assert calls == [{"rho_pairs": None,
-                          "test": TestConfig(n_permutations=199)}]
+        assert calls == [{"rho_pairs": None, "test": TestConfig()}]
         capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--permutations", "199"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --permutations" in capsys.readouterr().err
 
     def test_table_bad_pair_exits_two(self):
         assert main(["table", "--pairs", "0.5;0.9"]) == 2

@@ -40,6 +40,8 @@ class TestModelConstruction:
             # factorization of the covariance matrix accepts this pair
             (0.2699624701089316, 0.9628708453020499),
             (math.nan, 0.0),
+            # squares that overflow: refused, not an OverflowError
+            (1e200, 0.0), (0.0, -1e200),
         ]:
             with pytest.raises(NotPositiveDefinite):
                 make_example_model(rho1, rho2)
