@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import harness
 from .errors import ConfigError, FairlensError
-from .fairness import TestConfig
+from .fairness import MAX_PERMUTATIONS, TestConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # neither acts on a p-value (every table takes the spectral law);
     # both stay valid options for the configs and scripts that pass them
     audit.add_argument("--permutations", type=int, dest="n_permutations",
-                       help="validated in [99, 32768] and recorded; no "
-                            "p-value depends on it")
+                       help=f"validated in [99, {MAX_PERMUTATIONS}] and "
+                            "recorded; no p-value depends on it")
     audit.add_argument("--test-seed", type=int, dest="test_seed",
                        help="validated and recorded; no p-value depends on it")
     audit.add_argument("--functional", choices=harness.FUNCTIONALS)

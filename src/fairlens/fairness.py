@@ -40,11 +40,12 @@ count, and the tail runs on numpy and math alone, as do Fisher's
 combination (the closed-form chi-square tail for even df), Mills' ratio
 and the saddlepoint's root, so no check loads a scipy module.
 
-Each full-length column is sorted once: normal_scores reads the copula
-ranks, the normal scores and the level ids of both checkers off one
-order, and the checkers take a scored column's ids instead of sorting
-it again.  A conditional check scores a raw column itself and cuts only
-the ids it reads, the conditioning column's bins.  Level j of L starts
+Each full-length column is sorted once: _scored reads the copula
+ranks, the normal scores and the level ids asked for off one order, and
+the checkers take a scored column's ids (_cut) instead of sorting it
+again.  check_axioms scores the three columns of an audit with the four
+cuts its checks read; a conditional check scores a raw column itself
+and cuts only the conditioning column's bins.  Level j of L starts
 at sorted position ceil((n - 1) j / L), computed in integers and moved
 back to the start of its tie block.  A column without ties has the
 sorted scores normal_ppf(k / (n + 1)), k = 1 .. n, which depend on n
@@ -63,14 +64,16 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from .errors import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                      TooFewSamples)
-from .streams import check_seed, normal_ppf
+from .streams import check_integer, check_seed, normal_ppf
 
 POWER_GUARD_N = 100_000  # HOLDS requires at least this many observations
 
@@ -131,12 +134,18 @@ class TestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ConfigError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        if not 99 <= self.n_permutations <= MAX_PERMUTATIONS:
+        n_permutations = check_integer(self.n_permutations, "n_permutations")
+        if not 99 <= n_permutations <= MAX_PERMUTATIONS:
             raise ConfigError(f"n_permutations must be in [99, {MAX_PERMUTATIONS}], "
-                              f"got {self.n_permutations}")
-        # a frozen field: a numpy seed is stored as the int a report can hold
+                              f"got {n_permutations}")
+        # frozen fields: numpy numbers are stored as the float and the
+        # ints a report can hold
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "n_permutations", n_permutations)
         object.__setattr__(self, "seed", check_seed(self.seed, "test seed"))
 
 
@@ -239,9 +248,11 @@ def _level_counts(xs: np.ndarray, n_levels: int) -> np.ndarray:
     to the first position of the tie block that holds it.  Cuts that
     meet merge and a cut at 0 goes, so no level is empty.  The cut uses
     only positions and comparisons, so any increasing map of xs keeps
-    it.
+    it.  An empty column has no level.
     """
     n = xs.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
     cuts = np.searchsorted(xs, xs[_level_starts(n, n_levels)], side="left")
     bounds = np.concatenate(([0], cuts, [n]))
     counts = bounds[1:] - bounds[:-1]
@@ -269,20 +280,32 @@ def _quantile_level_ids(x: np.ndarray, n_levels: int):
     return _level_ids(order, _level_counts(x[order], n_levels))
 
 
-def _scored(x: np.ndarray, *cuts: int):
-    """(scores, pairs): normal_ppf of the copula ranks of the validated
-    column x, and the (ids, counts) pair of x at each level count in
-    cuts, all from one sort of x.
+class NormalScores(np.ndarray):
+    """A read-only column of normal scores made by _scored.  ``cuts``
+    maps a level count to the column's (ids, counts) pair at that many
+    quantile levels, exactly the cuts _scored was asked for; the
+    checkers read them through _cut instead of sorting the column
+    again.  Views and copies carry no cuts."""
 
-    The pairs are cut on the sorted raw values, and only those asked
-    for.  A column of at most _CACHED_SCORES_MAX_N distinct values
-    takes its sorted scores from _untied_scores, which depend on n
-    alone; any other column runs the inverse CDF on its own ranks.
+    cuts = MappingProxyType({})
+
+
+def _scored(x: np.ndarray, *cuts: int) -> NormalScores:
+    """normal_ppf of the copula ranks of the validated column x, carrying
+    the (ids, counts) pair of x at each level count in cuts, all from
+    one sort of x.
+
+    The pairs are cut on the sorted raw values.  A cut reads only the
+    order and the ties of a column, which the scores keep (see
+    TestScoresKeepTheirOrder), so each pair is a cut of the scores too.
+    A column of at most _CACHED_SCORES_MAX_N distinct values takes its
+    sorted scores from _untied_scores, which depend on n alone; any
+    other column runs the inverse CDF on its own ranks.
     """
     n = x.shape[0]
     order = np.argsort(x)
     xs = x[order]
-    counts = [_level_counts(xs, k) for k in cuts]
+    counts = {k: _level_counts(xs, k) for k in cuts}
     new_block = xs[1:] != xs[:-1]
     del xs
     if n <= _CACHED_SCORES_MAX_N and new_block.all():
@@ -293,46 +316,20 @@ def _scored(x: np.ndarray, *cuts: int):
         ranks /= n + 1.0
         sorted_scores = normal_ppf(ranks)
         del ranks
-    scores = np.empty(n)
+    scores = np.empty(n).view(NormalScores)
     scores[order] = sorted_scores
-    return scores, [_level_ids(order, c) for c in counts]
-
-
-class NormalScores(np.ndarray):
-    """A column already mapped to the normal scores of its copula ranks,
-    read-only, with the level ids of both checkers cut from the same
-    sort of the column.
-
-    ``levels`` is the (ids, counts) pair of check_independence's level
-    count; ``bins`` is the (ids, counts) pair of the N_BINS conditioning
-    bins.  The checkers take such a column, and these pairs, as they are
-    instead of sorting the column again, so an audit sorts each column
-    once.  Views and copies carry None for both pairs, and the checkers
-    then cut again.  The conditional checks score a raw column
-    themselves, without this class: they cut the bins of the
-    conditioning column only, and no pair of a tested column.
-    """
-
-    levels = None
-    bins = None
-
-
-def normal_scores(x) -> NormalScores:
-    """normal_ppf of the copula ranks of x, marked as scored and carrying
-    the level ids of both checkers, all from one sort of x (_scored).
-
-    Both pairs are cut on the sorted raw values.  A level cut reads only
-    the order and the ties of a column, and the scores keep both (see
-    TestScoresKeepTheirOrder), so each pair equals a cut of x and of the
-    scored column alike.  The scores are read-only, so the ids cannot go
-    stale.
-    """
-    (x,) = _as_columns(x)
-    scores, (levels, bins) = _scored(x, _n_levels(x.shape[0], N_LEVELS), N_BINS)
-    scores = scores.view(NormalScores)
-    scores.levels, scores.bins = levels, bins
+    scores.cuts = {k: _level_ids(order, c) for k, c in counts.items()}
     scores.flags.writeable = False
     return scores
+
+
+def _cut(orig, col: np.ndarray, n_levels: int):
+    """The (ids, counts) pair of a column at n_levels quantile levels:
+    the one orig carries, if it is a NormalScores column scored with
+    that cut, else a fresh cut of col, its validated values."""
+    if isinstance(orig, NormalScores) and n_levels in orig.cuts:
+        return orig.cuts[n_levels]
+    return _quantile_level_ids(col, n_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -881,19 +878,16 @@ def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
 
     The level table depends on the order of the values only, so the
     test cuts the raw columns into quantile levels and is still
-    rank-invariant.  A column that comes as NormalScores brings the
-    level ids normal_scores cut on its raw values, the same ids, and is
-    not sorted again.
+    rank-invariant.  A scored column that carries this check's levels
+    (see check_axioms) is not sorted again.
     """
     cols = _as_columns(prices, d)
     n = cols[0].shape[0]
     if n < 100:
         raise TooFewSamples(f"need >= 100 observations, got {n}")
     levels = _n_levels(n, N_LEVELS)
-    side_p, side_d = (getattr(orig, "levels", None)
-                      or _quantile_level_ids(col, levels)
-                      for orig, col in zip((prices, d), cols))
-    dcor, p, _ = _table_test(side_p, side_d)
+    dcor, p, _ = _table_test(*(_cut(orig, col, levels)
+                               for orig, col in zip((prices, d), cols)))
     return FairnessVerdict(
         axiom=Axiom(INDEPENDENCE), statistic=dcor, p_value=p,
         analytic_criterion=None,
@@ -904,9 +898,9 @@ def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
 def check_separation(prices, d, y, cfg: TestConfig) -> FairnessVerdict:
     """Equalized odds: price independent of D conditionally on Y.
 
-    Any column may come as NormalScores, which the check then does not
-    sort again: it takes the scores and, for the conditioning column,
-    the bin ids that normal_scores cut.  The result is the same.
+    A scored column is taken as it is, and a scored y that carries the
+    N_BINS conditioning bins (see check_axioms) is not sorted again; a
+    raw column is scored here.  The result is the same.
     """
     return _conditional_check(a=prices, b=d, given=y, cfg=cfg, axiom=SEPARATION)
 
@@ -918,6 +912,37 @@ def check_sufficiency(y, d, prices, cfg: TestConfig) -> FairnessVerdict:
     response and the price exchanged.
     """
     return _conditional_check(a=y, b=d, given=prices, cfg=cfg, axiom=SUFFICIENCY)
+
+
+def check_axioms(prices, d, y, cfg: TestConfig) -> tuple:
+    """The three checkers' verdicts on one portfolio, in AXIOM_KINDS
+    order; a check that raises TooFewSamples or EmptyBin reads
+    INCONCLUSIVE.
+
+    Each column is validated and sorted once, with the cuts its checks
+    read: the price with independence's levels and the conditioning
+    bins, d with the levels, y with the bins.  Each validated copy goes
+    as soon as its column is scored.  The checkers are called by their
+    module names, so a wrapper bound in their place sees every call.
+    """
+    cols = _as_columns(prices, d, y)
+    n = cols[0].shape[0]
+    levels = _n_levels(n, N_LEVELS)
+    for i, cuts in enumerate(((levels, N_BINS), (levels,), (N_BINS,))):
+        cols[i] = _scored(cols[i], *cuts)
+    sp, sd, sy = cols
+    checks = ((INDEPENDENCE, lambda: check_independence(sp, sd, cfg)),
+              (SEPARATION, lambda: check_separation(sp, sd, sy, cfg)),
+              (SUFFICIENCY, lambda: check_sufficiency(sy, sd, sp, cfg)))
+    verdicts = []
+    for kind, check in checks:
+        try:
+            verdicts.append(check())
+        except (TooFewSamples, EmptyBin):
+            verdicts.append(FairnessVerdict(
+                axiom=Axiom(kind), statistic=0.0, p_value=None, analytic_criterion=None,
+                verdict=INCONCLUSIVE, alpha=cfg.alpha, n_used=n, seed=cfg.seed))
+    return tuple(verdicts)
 
 
 def _detrend(gc: np.ndarray, *columns: np.ndarray) -> None:
@@ -943,18 +968,14 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
     if n < 100 * N_BINS:
         raise TooFewSamples(
             f"need >= {100 * N_BINS} observations for {N_BINS} bins, got {n}")
-    # a scored column is taken as it is; a raw one is scored from its
-    # validated column, and of its level ids only the conditioning bins
-    # are cut.  Ties merge quantile bins, so there may be fewer than
-    # N_BINS, none empty; a bin below the minimum count is a genuine
-    # data problem
-    a, b = (col if isinstance(orig, NormalScores) else _scored(col)[0]
-            for orig, col in zip((a, b), cols))
-    if isinstance(given, NormalScores):
-        bin_ids, counts = given.bins or _quantile_level_ids(cols[2], N_BINS)
-        given = cols[2]
-    else:
-        given, ((bin_ids, counts),) = _scored(cols[2], N_BINS)
+    # a raw column is scored here, with only the conditioning bins cut;
+    # the bin loop reads plain arrays.  Ties merge quantile bins, so there
+    # may be fewer than N_BINS, none empty; a bin below the minimum count
+    # is a genuine data problem
+    scored = [orig if isinstance(orig, NormalScores) else _scored(col, *cuts)
+              for orig, col, cuts in zip((a, b, given), cols, ((), (), (N_BINS,)))]
+    bin_ids, counts = _cut(scored[2], cols[2], N_BINS)
+    a, b, given = (np.asarray(s, dtype=np.float64).ravel() for s in scored)
     n_bins = counts.shape[0]
     if counts.min() < MIN_BIN_COUNT:
         raise EmptyBin(

@@ -19,12 +19,12 @@ from typing import Optional
 import numpy as np
 
 from . import fairness, model, oracles
-from .errors import ConfigError, EmptyBin, TooFewSamples
+from .errors import ConfigError
 from .fairness import (AXIOM_KINDS, HOLDS, INCONCLUSIVE, VIOLATED, Axiom,
                        FairnessVerdict, TestConfig)
 from .model import FLOAT_FMT
 from .oracles import MomentEstimate
-from .streams import check_seed
+from .streams import check_integer, check_seed
 
 VERSION = "0.1.0"
 
@@ -46,14 +46,20 @@ OUTPUT_FORMATS = ("csv", "json")
 CONFIG_KEYS = ("rho1", "rho2", "n", "seed", "alpha", "n_permutations",
                "test_seed", "output_path", "output_format", "functional")
 
-# an audit's numpy heap (tracemalloc peak) is 86.1-86.9 bytes per row
-# from n = 2e5 to 2e6.  Below that a fixed ~1.3 MB counts, ~1.1 MB of it
+# an audit's numpy heap (tracemalloc peak) is 77.0-81.8 bytes per row
+# from n = 2e5 to 4e6.  Below that a fixed ~1.3 MB counts, ~1.1 MB of it
 # the laws the first audit in a process caches: at n = 2e4 a first audit
-# peaks at 154 bytes per row, a second at 97.  The ceiling, at 98 bytes
+# peaks at 160 bytes per row, a second at 80.  The ceiling, at 98 bytes
 # per row, keeps the heap within 4 GiB, so 43,826,196 rows
 AUDIT_HEAP_BYTES_PER_ROW = 98
 AUDIT_HEAP_BUDGET_BYTES = 4 << 30
 MAX_N = AUDIT_HEAP_BUDGET_BYTES // AUDIT_HEAP_BYTES_PER_ROW
+
+# the reproduction's Monte Carlo streams its draws in fixed chunks, so
+# its memory does not grow with n but its time does: a 1e7 run spends
+# 0.78-0.86 s in it (2 vCPUs), so 1e9 draws take 80-90 s, while a
+# mistyped n such as 1e18 would run until killed instead of exiting 2
+MAX_REPRODUCE_N = 10**9
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,11 @@ class RunConfig:
         if not model.valid_rho_pair(self.rho1, self.rho2):
             raise ConfigError(
                 f"(rho1, rho2)=({self.rho1}, {self.rho2}) is not a valid pair")
+        # frozen fields: numpy integers are stored as the ints a report
+        # can hold
+        object.__setattr__(self, "n", check_integer(self.n, "n"))
         if not 10**3 <= self.n <= MAX_N:
             raise ConfigError(f"n must be in [1000, {MAX_N}], got {self.n}")
-        # a frozen field: a numpy seed is stored as the int a report can hold
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
@@ -116,12 +124,6 @@ def _utc_now() -> str:
         "+00:00", "Z")
 
 
-def _inconclusive(axiom: str, cfg: RunConfig, n: int) -> FairnessVerdict:
-    return FairnessVerdict(
-        axiom=Axiom(axiom), statistic=0.0, p_value=None, analytic_criterion=None,
-        verdict=INCONCLUSIVE, alpha=cfg.test.alpha, n_used=n, seed=cfg.test.seed)
-
-
 def _mc_moment(values: np.ndarray) -> MomentEstimate:
     n = values.shape[0]
     se = float(values.std(ddof=1) / np.sqrt(n))
@@ -141,20 +143,9 @@ def cmd_audit(cfg: RunConfig) -> AuditReport:
     price_is_x1 = model.PRICE_IS_X1[cfg.functional]
     prices = data.x1 if price_is_x1 else np.zeros(cfg.n)
 
-    # every check works on the normal scores or on the level ids cut
-    # from the same sort: sort each column once
-    sp, sd, sy = (fairness.normal_scores(c) for c in (prices, data.d, data.y))
     outcomes = []
-    for axiom in AXIOM_KINDS:
-        try:
-            if axiom == fairness.INDEPENDENCE:
-                stat = fairness.check_independence(sp, sd, cfg.test)
-            elif axiom == fairness.SEPARATION:
-                stat = fairness.check_separation(sp, sd, sy, cfg.test)
-            else:
-                stat = fairness.check_sufficiency(sy, sd, sp, cfg.test)
-        except (TooFewSamples, EmptyBin):
-            stat = _inconclusive(axiom, cfg, cfg.n)
+    for axiom, stat in zip(AXIOM_KINDS, fairness.check_axioms(
+            prices, data.d, data.y, cfg.test)):
         criterion, verdict = oracles.analytic_verdict(
             axiom, cfg.rho1, cfg.rho2, price_is_x1)
         analytic = FairnessVerdict(
@@ -183,8 +174,10 @@ def cmd_reproduce_separation(n: int, seed: int) -> dict:
     read the same draws, so the gap's standard error takes their
     covariance into account.
     """
-    if n < 10**6:
-        raise ConfigError("reproduction requires n >= 1e6")
+    n = check_integer(n, "n")
+    if not 10**6 <= n <= MAX_REPRODUCE_N:
+        raise ConfigError(f"reproduction requires n in [{10**6}, {MAX_REPRODUCE_N}], "
+                          f"got {n}")
     check_seed(seed)
     (with_d, without_d), cov = oracles.second_moment_x1_given_y0_d0_mc(
         ((0.1, 0.9), (0.0, 0.0)), n, seed)

@@ -100,8 +100,11 @@ class SimulatedDataset:
 def make_example_model(rho1: float, rho2: float) -> PortfolioModel:
     """The portfolio model with Sigma = [[1,0,r1],[0,1,r2],[r1,r2,1]].
 
-    Raises NotPositiveDefinite unless 1 - rho1^2 - rho2^2 > 0.
+    Raises NotPositiveDefinite unless 1 - rho1^2 - rho2^2 > 0, checked
+    before float(), which would overflow on an integer past the largest
+    float.
     """
+    require_valid_rho_pair(rho1, rho2)
     return PortfolioModel(rho1=float(rho1), rho2=float(rho2))
 
 

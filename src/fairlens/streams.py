@@ -29,20 +29,29 @@ BLOCK_SIZE = 1 << 20
 _MAX_BLOCKS = 1 << 32
 
 
-def check_seed(seed: int, name: str = "seed") -> int:
-    """The seed as a Python int, or ConfigError if it is not one 64-bit
-    word of the generator key.
+def check_integer(value, name: str) -> int:
+    """The value as a Python int, or ConfigError if it is not an integer.
 
-    Python and numpy integers are seeds; bools, floats and other numbers
-    are not, even with an integral value.  Masking an integer outside
-    [0, 2^64) instead would alias seed s with s + 2^64 and -1 with
-    2^64 - 1, and a report would record a seed it did not use.
+    Python and numpy integers pass; bools, floats and other numbers do
+    not, even with an integral value.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {seed!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """The seed as a Python int (check_integer), or ConfigError if it is
+    not one 64-bit word of the generator key.
+
+    Masking an integer outside [0, 2^64) instead would alias seed s with
+    s + 2^64 and -1 with 2^64 - 1, and a report would record a seed it
+    did not use.
+    """
+    seed = check_integer(seed, name)
     if not 0 <= seed <= _MASK64:
         raise ConfigError(f"{name} must be in [0, 2^64), got {seed}")
-    return int(seed)
+    return seed
 
 
 def _bit_generator(seed: int, stream: int) -> np.random.Philox:

@@ -208,14 +208,18 @@ def residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def conditional_check_reference(a, b, given) -> tuple[float, float]:
     """(statistic, p) of a conditional check by its per-bin loop as
-    first written: each raw column scored by the public normal_scores,
-    which cuts both id pairs, each bin's rows picked by a boolean mask
-    of the conditioning bin ids, each tested column residualized on its
-    own, and each bin's level table tested by fairness._table_test.
-    Raises EmptyBin where a bin holds fewer than MIN_BIN_COUNT points."""
+    first written: each raw column scored by fairness._scored with the
+    conditioning bins cut, the bins a scored column carries used as they
+    are (and cut afresh where it carries none), each bin's rows picked
+    by a boolean mask of the conditioning bin ids, each tested column
+    residualized on its own, and each bin's level table tested by
+    fairness._table_test.  Raises EmptyBin where a bin holds fewer than
+    MIN_BIN_COUNT points."""
     a, b, given = (c if isinstance(c, fairness.NormalScores)
-                   else fairness.normal_scores(c) for c in (a, b, given))
-    bin_ids, counts = given.bins or fairness._quantile_level_ids(given, fairness.N_BINS)
+                   else fairness._scored(np.asarray(c, dtype=np.float64), fairness.N_BINS)
+                   for c in (a, b, given))
+    bin_ids, counts = (given.cuts.get(fairness.N_BINS)
+                       or fairness._quantile_level_ids(given, fairness.N_BINS))
     if counts.min() < fairness.MIN_BIN_COUNT:
         raise EmptyBin(f"a conditioning bin holds {counts.min()} points")
     a, b, given = (np.asarray(c) for c in (a, b, given))

@@ -86,7 +86,7 @@ def test_audit_above_the_floor_ranks_once_and_samples_no_table():
 
 def test_audit_sorts_each_full_column_once(monkeypatch):
     """A traced audit at n = 5e5 fully sorts each of its three columns
-    once, in normal_scores; every other full-length order it needs is
+    once, in check_axioms; every other full-length order it needs is
     read off those sorts.  The two stable sorts of the conditioning
     bins' uint8 ids are counted apart."""
     n = 500_000

@@ -74,6 +74,10 @@ class TestTestConfig:
         {"alpha": math.nan}, {"n_permutations": 98},
         {"seed": -1}, {"seed": 1 << 64}, {"seed": 2.5}, {"seed": 2.0},
         {"seed": True}, {"seed": np.float64(3.0)}, {"seed": "3"},
+        # mistyped from Python, as --config refuses them
+        {"n_permutations": 99.5}, {"n_permutations": 199.0},
+        {"n_permutations": True}, {"alpha": "0.1"}, {"alpha": True},
+        {"alpha": None},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -185,6 +189,14 @@ def _assert_level_ids(pair, want):
     assert ids.dtype == np.min_scalar_type(counts.shape[0] - 1)
 
 
+def audit_scored(x):
+    """x scored as check_axioms scores a price: carrying independence's
+    levels and the conditioning bins."""
+    x = np.asarray(x, dtype=np.float64)
+    return fairness._scored(x, fairness._n_levels(x.shape[0], fairness.N_LEVELS),
+                            fairness.N_BINS)
+
+
 class TestOneSortPerColumn:
     """The sort-based scores and level ids equal their definitions:
     normal_ppf of scipy's average ranks over n + 1, and the levels that
@@ -194,15 +206,16 @@ class TestOneSortPerColumn:
     @pytest.mark.parametrize("n", [500, 50_000, 1_000_000])
     def test_matches_the_definitions(self, n, kind):
         x = _order_inputs(kind, n)
-        scores = fairness.normal_scores(x)
+        levels = fairness._n_levels(n, fairness.N_LEVELS)
+        scores = fairness._scored(x, levels, fairness.N_BINS)
         want_scores = normal_ppf(copula_ranks(x))
         assert scores.tobytes() == want_scores.tobytes()
-        # the ids normal_scores carries: independence's levels cut on
-        # the raw values, and the conditioning bins, which must equal a
-        # cut of the scores
-        _assert_level_ids(scores.levels, quantile_level_ids(
-            x, fairness._n_levels(n, fairness.N_LEVELS)))
-        _assert_level_ids(scores.bins,
+        # the ids the scores carry: independence's levels cut on the raw
+        # values, and the conditioning bins, which must equal a cut of
+        # the scores
+        assert sorted(scores.cuts) == sorted((levels, fairness.N_BINS))
+        _assert_level_ids(scores.cuts[levels], quantile_level_ids(x, levels))
+        _assert_level_ids(scores.cuts[fairness.N_BINS],
                           quantile_level_ids(want_scores, fairness.N_BINS))
         for levels in (fairness.N_LEVELS, fairness.N_LEVELS // 2,
                        fairness.N_BINS):
@@ -210,13 +223,15 @@ class TestOneSortPerColumn:
                               quantile_level_ids(x, levels))
 
     def test_scores_are_read_only_and_views_carry_no_ids(self):
-        scores = fairness.normal_scores(_order_inputs("distinct", 500))
+        scores = fairness._scored(_order_inputs("distinct", 500), fairness.N_BINS)
         assert not scores.flags.writeable
         with pytest.raises(ValueError):
             scores[0] = 0.0
+        assert list(scores.cuts) == [fairness.N_BINS]
+        assert not fairness._scored(_order_inputs("distinct", 500)).cuts
         for view in (scores[:], scores[::-1], scores.copy()):
             assert isinstance(view, fairness.NormalScores)
-            assert view.levels is None and view.bins is None
+            assert not view.cuts
 
     def test_inputs_reach_the_cases_they_name(self):
         n = 50_000
@@ -308,7 +323,7 @@ class TestQuantileByIndex:
 
 
 class TestScoresKeepTheirOrder:
-    """normal_scores cuts the bin ids on the raw values, and they must
+    """_scored cuts the bin ids on the raw values, and they must
     equal a cut of the scores, so normal_ppf of the sorted ranks must
     keep their order and ties.  Ranks over n + 1 lie on the grid
     k / (2 (n + 1)); one step of that grid at MAX_N raises normal_ppf
@@ -340,8 +355,8 @@ class TestNonFiniteInput:
         lambda a, b, c: check_independence(a, b, FAST),
         lambda a, b, c: check_separation(a, b, c, FAST),
         lambda a, b, c: check_sufficiency(a, b, c, FAST),
-        lambda a, b, c: fairness.normal_scores(a),
-    ], ids=["independence", "separation", "sufficiency", "normal_scores"])
+        lambda a, b, c: fairness.check_axioms(a, b, c, FAST),
+    ], ids=["independence", "separation", "sufficiency", "check_axioms"])
     def test_rejected(self, check, bad):
         rng = np.random.default_rng(9)
         a, b, c = rng.normal(size=(3, 5000))
@@ -499,7 +514,7 @@ class TestResidualsDoNotDependOnTheBlasKernel:
             digest = hashlib.sha256()
             for seed in range(3):
                 ds = model.simulate(model.make_example_model(0.1, 0.9), 50_000, seed)
-                a, b, g = (np.array(fairness.normal_scores(c)) for c in (ds.x1, ds.d, ds.y))
+                a, b, g = (np.array(fairness._scored(c)) for c in (ds.x1, ds.d, ds.y))
                 fairness._detrend(g, a, b)
                 digest.update(a.tobytes() + b.tobytes())
             print(digest.hexdigest())
@@ -840,7 +855,7 @@ class TestConditionalCheckers:
         """Scored columns, with the ids they carry or as views without
         them, give the verdicts of the raw columns."""
         ds = simulate(reference_model, 5 * 10**4, seed=47)
-        scored = [fairness.normal_scores(c) for c in (ds.x1, ds.d, ds.y)]
+        scored = [audit_scored(c) for c in (ds.x1, ds.d, ds.y)]
         for cols in (scored, [s[:] for s in scored]):
             assert check_independence(cols[0], cols[1], FAST) == \
                 check_independence(ds.x1, ds.d, FAST)
@@ -877,6 +892,44 @@ class TestConditionalCheckers:
         assert v.p_value > 0.01
 
 
+class TestCheckAxioms:
+    def test_gives_the_three_checkers_verdicts(self, reference_model):
+        ds = simulate(reference_model, 5 * 10**4, seed=47)
+        assert fairness.check_axioms(ds.x1, ds.d, ds.y, FAST) == (
+            check_independence(ds.x1, ds.d, FAST),
+            check_separation(ds.x1, ds.d, ds.y, FAST),
+            check_sufficiency(ds.y, ds.d, ds.x1, FAST))
+
+    def _inconclusive(self, kind, n):
+        return fairness.FairnessVerdict(
+            axiom=fairness.Axiom(kind), statistic=0.0, p_value=None,
+            analytic_criterion=None, verdict=INCONCLUSIVE, alpha=FAST.alpha,
+            n_used=n, seed=FAST.seed)
+
+    @pytest.mark.parametrize("n", [0, 1, 99, 1999])
+    def test_too_few_samples_read_inconclusive(self, n):
+        """Below 100 points no check runs; below 2,000 independence runs
+        and the conditional checks read INCONCLUSIVE."""
+        a, b, c = np.random.default_rng(n).normal(size=(3, n))
+        verdicts = fairness.check_axioms(a, b, c, FAST)
+        want = [self._inconclusive(kind, n) for kind in fairness.AXIOM_KINDS]
+        if n >= 100:
+            want[0] = check_independence(a, b, FAST)
+        assert verdicts == tuple(want)
+
+    def test_empty_bin_reads_inconclusive(self):
+        """The heavy ties of test_empty_bin_on_heavy_ties as y: only
+        separation, which conditions on y, cannot run."""
+        rng = np.random.default_rng(9)
+        y = np.concatenate([np.zeros(1900), rng.uniform(-2.0, -1.0, size=25),
+                            rng.uniform(1.0, 2.0, size=75)])
+        prices, d = rng.normal(size=(2, y.size))
+        assert fairness.check_axioms(prices, d, y, FAST) == (
+            check_independence(prices, d, FAST),
+            self._inconclusive(fairness.SEPARATION, y.size),
+            check_sufficiency(y, d, prices, FAST))
+
+
 def _hex_pair(stat, p):
     return float(stat).hex(), float(p).hex()
 
@@ -908,9 +961,9 @@ class TestConditionalChecksMatchTheReferenceLoop:
         whose spectral law differs."""
         ds = simulate(make_example_model(*rhos), n, seed=n % 7)
         raw = (ds.x1, ds.d, ds.y)
-        scored = [fairness.normal_scores(c) for c in raw]
+        scored = [audit_scored(c) for c in raw]
         if n == 10_001:
-            assert sorted(set(scored[2].bins[1].tolist())) == [500, 501]
+            assert sorted(set(scored[2].cuts[fairness.N_BINS][1].tolist())) == [500, 501]
         for cols in (raw, scored, (scored[0], raw[1], raw[2])):
             _assert_matches_the_reference(check_separation, cols)
             _assert_matches_the_reference(check_sufficiency,
@@ -923,8 +976,8 @@ class TestConditionalChecksMatchTheReferenceLoop:
         bin of a 1e5-point dataset, tied and untied."""
         ds = simulate(make_example_model(0.1, 0.9), 100_000, seed=4)
         for cols in ((ds.x1, ds.d, ds.y), [np.round(c, 1) for c in (ds.x1, ds.d, ds.y)]):
-            a, b, g = (np.asarray(fairness.normal_scores(c)) for c in cols)
-            bin_ids, counts = fairness.normal_scores(cols[2]).bins
+            a, b, g = (np.asarray(fairness._scored(c)) for c in cols)
+            bin_ids, counts = fairness._scored(cols[2], fairness.N_BINS).cuts[fairness.N_BINS]
             for k in range(counts.shape[0]):
                 rows = bin_ids == k
                 ak, bk = a[rows], b[rows]
@@ -951,13 +1004,13 @@ class TestConditionalChecksMatchTheReferenceLoop:
             [-1.0 - rng.random(1200), np.zeros(1600), 1.0 + rng.random(1200)]))
         a = rng.normal(size=4000) + given
         b = rng.normal(size=4000)
-        g = fairness.normal_scores(given)
-        bin_ids, counts = g.bins
+        g = fairness._scored(given, fairness.N_BINS)
+        bin_ids, counts = g.cuts[fairness.N_BINS]
         assert 1600 in counts.tolist()
         assert np.all(np.asarray(g)[bin_ids == counts.tolist().index(1600)] == 0.0)
         _assert_matches_the_reference(check_separation, (a, b, given))
         _assert_matches_the_reference(check_separation,
-                                      [fairness.normal_scores(c) for c in (a, b, given)])
+                                      [audit_scored(c) for c in (a, b, given)])
 
 
 class TestScoresCacheAndCuts:
@@ -973,14 +1026,14 @@ class TestScoresCacheAndCuts:
     def test_untied_column_scores_come_from_the_cache(self):
         x = np.random.default_rng(13).normal(size=3001)
         fairness._untied_scores.cache_clear()
-        scores = fairness.normal_scores(x)
+        scores = fairness._scored(x)
         assert fairness._untied_scores.cache_info().currsize == 1
         assert np.asarray(scores).tobytes() == normal_ppf(copula_ranks(x)).tobytes()
 
     def test_tied_columns_bypass_the_cache(self):
         x = np.round(np.random.default_rng(14).normal(size=3001), 1)
         fairness._untied_scores.cache_clear()
-        scores = fairness.normal_scores(x)
+        scores = fairness._scored(x)
         assert fairness._untied_scores.cache_info().currsize == 0
         assert np.asarray(scores).tobytes() == normal_ppf(copula_ranks(x)).tobytes()
 
@@ -988,13 +1041,13 @@ class TestScoresCacheAndCuts:
         n = 500_000
         assert n > fairness._CACHED_SCORES_MAX_N
         fairness._untied_scores.cache_clear()
-        fairness.normal_scores(np.arange(n, 0, -1.0))
+        fairness._scored(np.arange(n, 0, -1.0))
         assert fairness._untied_scores.cache_info().currsize == 0
 
     def test_raw_conditional_check_cuts_one_pair_outside_its_bins(self, monkeypatch):
-        """Of the six full-length id pairs normal_scores would cut for
-        three raw columns, the check cuts only the conditioning bins;
-        every other cut is a per-bin level cut."""
+        """Of the id pairs three raw columns could carry, the check cuts
+        only the conditioning bins; every other cut is a per-bin level
+        cut."""
         ds = simulate(make_example_model(0.1, 0.9), 10_000, seed=3)
         lengths = []
         level_ids = fairness._level_ids

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairlens import ConfigError, RunConfig, TestConfig, cmd_audit, harness
+from fairlens import ConfigError, RunConfig, TestConfig, cmd_audit, fairness, harness
 from fairlens.cli import main
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 from fairlens.harness import (AuditReport, cmd_reproduce_separation,
@@ -80,6 +80,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed must be an integer"):
             RunConfig(rho1=0.1, rho2=0.9, n=1000, test=TestConfig(seed=seed))
 
+    @pytest.mark.parametrize("n", [1e4, 10_000.0, True, "10000"])
+    def test_non_integer_n_refused(self, n):
+        """A float n used to pass and fail inside numpy's simulation."""
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            RunConfig(rho1=0.1, rho2=0.9, n=n)
+
+    def test_numpy_numbers_are_kept_as_python_numbers(self):
+        cfg = RunConfig(rho1=0.1, rho2=0.9, n=np.int32(5000),
+                        test=TestConfig(alpha=np.float64(0.05),
+                                        n_permutations=np.int64(199)))
+        assert (type(cfg.n), type(cfg.test.alpha), type(cfg.test.n_permutations)) \
+            == (int, float, int)
+        assert (cfg.n, cfg.test.alpha, cfg.test.n_permutations) == (5000, 0.05, 199)
+
     def test_numpy_integer_seeds_reach_the_report(self):
         report = cmd_audit(quick_config(n=1000, seed=np.int64(42),
                                         test=TestConfig(seed=np.uint64(3))))
@@ -148,6 +162,25 @@ class TestCmdAudit:
             assert outcome.agree
         assert report.all_agree
 
+    def test_audit_cuts_only_the_pairs_its_checks_read(self, monkeypatch):
+        """At n = 5e5 the audit cuts 4 full-length id pairs:
+        independence's levels of the price and of d, and the
+        conditioning bins of y and of the price.  Every other cut is a
+        tested column's levels in one bin of a conditional check."""
+        n = 500_000
+        lengths = []
+        level_ids = fairness._level_ids
+
+        def counting(order, counts):
+            lengths.append(order.shape[0])
+            return level_ids(order, counts)
+
+        monkeypatch.setattr(fairness, "_level_ids", counting)
+        cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=n, seed=5,
+                            test=TestConfig(seed=5)))
+        assert lengths.count(n) == 4
+        assert len(lengths) == 4 + 2 * 2 * fairness.N_BINS
+
     def test_null_price_audit_independence_holds(self):
         cfg = quick_config(n=10**5, functional="null",
                            test=TestConfig(n_permutations=199, seed=3))
@@ -213,6 +246,25 @@ class TestReproduceSeparation:
     def test_minimum_n(self):
         with pytest.raises(ConfigError):
             cmd_reproduce_separation(10**5, seed=1)
+
+    @pytest.mark.parametrize("n", [1e6, 1_000_000.0, True, "1000000"])
+    def test_non_integer_n_refused(self, n):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            cmd_reproduce_separation(n, seed=1)
+
+    def test_n_above_the_ceiling_refused_before_any_draw(self, monkeypatch):
+        """A mistyped n such as 1e18 used to run until killed."""
+        def no_draws(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(harness.oracles, "second_moment_x1_given_y0_d0_mc",
+                            no_draws)
+        with pytest.raises(ConfigError, match="reproduction requires n in"):
+            cmd_reproduce_separation(harness.MAX_REPRODUCE_N + 1, seed=1)
+        with pytest.raises(AssertionError, match="drew"):
+            cmd_reproduce_separation(harness.MAX_REPRODUCE_N, seed=1)
+        assert main(["reproduce", "separation-moments",
+                     "--n", "1000000000000000000"]) == 2
 
 
 class TestCmdTable:

@@ -42,6 +42,8 @@ class TestModelConstruction:
             (math.nan, 0.0),
             # squares that overflow: refused, not an OverflowError
             (1e200, 0.0), (0.0, -1e200),
+            # integers past the largest float: refused before float()
+            (10**400, 0.0), (0.0, -10**400),
         ]:
             with pytest.raises(NotPositiveDefinite):
                 make_example_model(rho1, rho2)
