@@ -21,24 +21,25 @@ table tends to Q = sum_kl lambda_k mu_l Z_kl^2 (Szekely, Rizzo & Bakirov
 for each side's level probabilities p.  This law, and everything its
 tail needs, depends on the two sides' level counts alone, so it is built
 once per pair of level counts (_spectral_law): the untied bins of a
-check, all of one size, share one.  Its upper tail comes from
+check, all of one size, share one.  Its upper tail takes one of two
+routes:
 
-* the exact chi-square tail with one degree of freedom, for one weight;
 * in the bulk, Imhof's (1961) inversion of the characteristic function
   summed on a fixed midpoint grid whose step and length follow from
-  stated error bounds (Davies 1980, AS 155), or, where that grid would
-  be long and the weights are few, Ruben's (1962) chi-square series;
-  two weights too far apart for either take one Gauss-Legendre
-  integral over the smaller weight's normal;
-* the Lugannani-Rice saddlepoint approximation (Kuonen 1999) where the
-  bulk puts p below 1e-3 or q lies past the grid's aliasing range, kept
-  in log space so that no p-value underflows before Fisher's
-  combination.
+  stated error bounds (Davies 1980, AS 155), within 1e-9 in p, where
+  p >= 1e-3 and the grid fits in _BULK_MAX_TERMS nodes;
+* everywhere else, Rice's (1980) inversion integral on a parabola
+  through the saddle point (Weideman & Trefethen 2007) by the
+  trapezoid rule: one weight, a few, or weights too spread for a grid,
+  and every p below 1e-3.  It is within 1e-12 relative in p of exact
+  chi-square and Ruben-series references from p near 1 down to
+  log p = -2000, and it gives log p itself, so no p-value underflows
+  before Fisher's combination.
 
 Nothing is drawn: no p-value depends on a test seed or a permutation
-count, and the tail runs on numpy and math alone, as do Fisher's
-combination (the closed-form chi-square tail for even df), Mills' ratio
-and the saddlepoint's root, so no check loads a scipy module.
+count, and the tail runs on numpy and math alone, as does Fisher's
+combination (the closed-form chi-square tail for even df), so no check
+loads a scipy module.
 
 Each full-length column is sorted once: _scored reads the copula
 ranks, the normal scores and the level ids asked for off one order, and
@@ -383,34 +384,31 @@ def _null_weights(pa, At, pb, Bt) -> np.ndarray:
     return w[w > np.finfo(float).eps * (pa.shape[0] + pb.shape[0]) * np.max(w)]
 
 
-# every bound on the error of the bulk tail (the grid's aliasing and
-# truncation, Ruben's remainder) is held to this absolute error in p
+# every bound on the error of the grid (its aliasing and truncation) is
+# held to this absolute error in p
 _TAIL_EPS = 1e-9
 
-# the saddlepoint tail is off by up to ~5% of p (relative) in the bulk,
-# so it gives way there to the grid or Ruben's series, within a few
-# _TAIL_EPS of the exact tail; below this bound their absolute error
-# would be a large part of p, while the saddlepoint keeps its relative
-# accuracy
+# below this bound the grid's absolute error would be a large part of p,
+# and the contour, whose error is relative to p, takes over
 _BULK_MIN_P = 1e-3
 
-# no grid of more nodes, and no series of more terms, than this is
-# built: laws of a few weights spread over orders of magnitude need more
-# of both; two such weights take _two_weight_sf's integral, and for more
-# the saddlepoint decides their whole tail
+# no grid of more nodes than this is built: few weights, or weights
+# spread over orders of magnitude, make Imhof's integrand decay slowly,
+# and the contour gives their whole tail
 _BULK_MAX_TERMS = 4096
 
 # grid weights w with w u <= this at the last node u are summed as
 # power series of _FOLD_TERMS terms, whose remainders are below
-# 0.5^(2 _FOLD_TERMS) relative
+# 0.5^(2 _FOLD_TERMS) relative; the contour folds its small weights at
+# the same bound
 _FOLD_MAX_WU = 0.5
 _FOLD_TERMS = 12
 
-# below this |w|, the saddlepoint formula loses digits to cancellation
-# and the one-term Edgeworth expansion at the mean takes over
-_SADDLEPOINT_CENTRAL = 1e-3
-
-_SQRT_2PI = np.sqrt(2 * np.pi)
+# the contour's trapezoid rule leaves errors of order e^-_CONTOUR_DECAY
+# relative to p; its folded power series stop where their remainder in
+# log p is below _CONTOUR_FOLD_EPS
+_CONTOUR_DECAY = 38.0
+_CONTOUR_FOLD_EPS = 1e-12
 
 
 class _MixtureTail:
@@ -418,10 +416,11 @@ class _MixtureTail:
     and weights w_j > 0, with what its bulk needs built once.
 
     The law is scale-free, so the weights are kept over their mean.
-    One weight is the chi-square law with one df.  Otherwise a bulk
-    P(Q > q) within a few _TAIL_EPS is built for q below x_hi, past
-    which P(Q > q) <= _TAIL_EPS (_bulk_tail); the saddlepoint takes the
-    rest of the tail.
+    Where a grid fits (_bulk_tail), it gives P(Q > q) within a few
+    _TAIL_EPS for q below x_hi, past which P(Q > q) <= _TAIL_EPS; the
+    contour (_contour_log_sf) takes the rest of the tail, and the whole
+    tail of one weight, of few weights and of weights too spread for a
+    grid.
     """
 
     def __init__(self, w: np.ndarray):
@@ -436,49 +435,26 @@ class _MixtureTail:
         if w.size == 0 or q <= 0.0:
             return 0.0
         q = q / self.mean
-        if w.size == 1:
-            # chi-square with one df: P(Z^2 > q) = 2 phi(z) M(z) at z = sqrt(q)
-            return min(math.log(2.0) - 0.5 * q - 0.5 * math.log(2.0 * math.pi)
-                       + math.log(_mills_ratio(math.sqrt(q))), 0.0)
         if q < self.x_hi:
             p = self._bulk_sf(q)
             if p >= _BULK_MIN_P:
                 return math.log(min(p, 1.0))
-        return _saddlepoint_log_sf(q, w)
+        return _contour_log_sf(q, w)
 
 
 def _bulk_tail(w: np.ndarray):
     """(x_hi, sf): P(Q > x_hi) <= _TAIL_EPS, and sf(q), P(Q > q) for
     q < x_hi within a few _TAIL_EPS, Q the mixture of the weights w
-    (mean 1, at least two).
-
-    sf sums Imhof's integrand on a midpoint grid (_imhof_grid) or
-    Ruben's chi-square series (_ruben_series), whichever its error bound
-    says takes less work to build: nodes times weights evaluated at each
-    node, or the series' quadratic recurrence.  Many weights make the
-    integrand decay fast and the grid short; few weights of similar size
-    make the series short.  Where neither fits in _BULK_MAX_TERMS, two
-    weights take the exact integral of _two_weight_sf; for more weights
-    sf is None and x_hi is 0.
+    (mean 1, at least two), by Imhof's integrand summed on a midpoint
+    grid (_imhof_grid).  Where the grid would need more than
+    _BULK_MAX_TERMS nodes, sf is None and x_hi is 0.
     """
     x_hi = _chernoff_upper(w)
     h = 2.0 * math.pi / x_hi
     nodes = math.ceil(_last_node(w) / h + 0.5)
-    beta, terms = _ruben_terms(w)
-    grid_work = ruben_work = math.inf
-    if nodes <= _BULK_MAX_TERMS:
-        explicit = int(np.sum(w > _FOLD_MAX_WU / ((nodes - 0.5) * h)))
-        grid_work = nodes * (explicit + _FOLD_TERMS)
-    if terms <= _BULK_MAX_TERMS:
-        ruben_work = terms * (terms // 2 + w.size)
-    if grid_work == ruben_work == math.inf:
-        if w.size == 2:
-            return x_hi, functools.partial(_two_weight_sf, float(np.max(w)),
-                                           float(np.min(w)), *_legendre_nodes())
+    if nodes > _BULK_MAX_TERMS:
         return 0.0, None
-    if grid_work <= ruben_work:
-        return x_hi, functools.partial(_grid_sf, *_imhof_grid(w, h, nodes))
-    return x_hi, functools.partial(_ruben_sf, *_ruben_series(w, beta, terms))
+    return x_hi, functools.partial(_grid_sf, *_imhof_grid(w, h, nodes))
 
 
 def _chernoff_upper(w: np.ndarray) -> float:
@@ -592,144 +568,76 @@ def _grid_sf(u, half_angle, envelope, q: float) -> float:
     return 0.5 + float(np.sum(np.sin(half_angle - (0.5 * q) * u) * envelope))
 
 
-def _ruben_terms(w: np.ndarray):
-    """(beta, K): the scale of Ruben's series and its number of terms.
+def _contour_log_sf(q: float, w: np.ndarray) -> float:
+    """log P(Q > q), Q the chi-square mixture of _MixtureTail with mean-1
+    weights w, by Rice's (1980) inversion integral on a parabola
+    (Weideman & Trefethen 2007).
 
-    Ruben (1962): P(Q > q) = sum_k a_k P(chi2_{m+2k} > q / beta) for the
-    m weights, where the a_k are the coefficients of
-    G(s) = a_0 prod_j (1 - c_j s)^(-1/2), c_j = 1 - beta / w_j,
-    a_0 = prod_j sqrt(beta / w_j).  beta = 2 / (1/w_min + 1/w_max) makes
-    max |c_j| smallest.  The a_k may take either sign, but |a_k| is at
-    most the k-th coefficient of B(s) = a_0 prod_j (1 - |c_j| s)^(-1/2),
-    all nonnegative, so the terms from K on add at most B(s) s^(-K), for
-    every s in [1, 1 / max |c_j|).  K is the least count that this bound,
-    taken over a fixed set of s, holds below _TAIL_EPS.
+    With K(s) = -sum log(1 - 2 s w) / 2, analytic left of
+    s_min = 1 / (2 w_max), P(Q > q) is 1 / (2 pi i) times the integral of
+    exp(K(s) - s q) / s up the line Re s = c, for 0 < c < s_min, and 1
+    plus it for c < 0.  The parabola s(y) = c + a y^2 + i y with
+    a = 1 / (4 (s_min - c)) has its focus at s_min: it leaves the pole at
+    0 and the branch cut [s_min, inf) on the line's sides, and along it
+    the integrand is conjugate-symmetric in y, so that
+    P(Q > q) = exp(K(c) - c q) I for c > 0, with
+    I = (1 / pi) int_0^inf Im(exp(K(s) - K(c) - (s - c) q) s'(y) / s) dy.
+    log p is K(c) - c q + log I, which does not underflow.
+
+    c is the saddle point of K(s) - s q, moved out to
+    +-min(s_min / 4, 1 / sqrt(K''(0))) near the mean, where it would meet
+    the pole.  As a function of y the integrand is analytic in a strip
+    of half-width d, bounded by the pole's preimage and by the line
+    Im y = -1 / (2 a), which s maps onto the branch cut.  The trapezoid
+    rule at step h = pi min(sqrt(2 / (D K''(c))), d / D),
+    D = _CONTOUR_DECAY, errs by about e^-D relative to p, on the
+    Gaussian of variance 1 / K''(c) that the integrand is at the saddle
+    point and on the half strip; the nodes stop at y = sqrt(D / (a q)),
+    past which exp(-(s - c) q) is below e^-D.
+
+    K(s) - K(c) = -sum log(1 - 2 (s - c) r) / 2, r = w / (1 - 2 c w).
+    Weights with 2 |s - c| r <= _FOLD_MAX_WU at the last node enter
+    through power sums, in as many terms of the series of that log as
+    hold the remainder below _CONTOUR_FOLD_EPS.
     """
-    beta = 2.0 / (1.0 / float(np.min(w)) + 1.0 / float(np.max(w)))
-    c = np.abs(1.0 - beta / w)
-    delta = float(np.max(c))
-    if delta == 0.0:
-        # equal weights: the law is beta times chi-square with m df
-        return beta, 1
-    # each factor of B(s) is at least 1 for s >= 1, so the bound is above
-    # delta^K: spread weights need more terms than any series is given,
-    # and the search over s is skipped
-    least = math.ceil(math.log(_TAIL_EPS) / math.log(delta))
-    if least > _BULK_MAX_TERMS:
-        return beta, least
-    log_a0 = 0.5 * float(np.sum(np.log(beta / w)))
-    s = 1.0 + (1.0 / delta - 1.0) * (1.0 - np.exp2(-0.25 * np.arange(1.0, 81.0)))
-    log_b = log_a0 - 0.5 * np.sum(np.log1p(-np.multiply.outer(s, c)), axis=1)
-    terms = np.ceil((log_b - math.log(_TAIL_EPS)) / np.log(s))
-    return beta, max(1, int(np.min(terms)))
-
-
-def _ruben_series(w: np.ndarray, beta: float, terms: int):
-    """(beta, m, a, log_gammas): the coefficients a_0..a_{terms-1} of
-    Ruben's series, by the recurrence a_k = sum_{r<k} g_{k-r} a_r / (2k)
-    with g_r = sum_j c_j^r, and the log Gamma values _ruben_sf needs."""
-    m = w.size
-    c = 1.0 - beta / w
-    g = np.sum(np.cumprod(np.broadcast_to(c, (terms, m)), axis=0), axis=1)
-    a = np.empty(terms)
-    a[0] = math.exp(0.5 * float(np.sum(np.log(beta / w))))
-    for k in range(1, terms):
-        a[k] = float(np.sum(g[k - 1::-1] * a[:k])) / (2 * k)
-    half_df0 = 1.0 - 0.5 * (m % 2)
-    log_gammas = np.array([math.lgamma(half_df0 + i + 1.0)
-                           for i in range((m - 1) // 2 + terms - 1)])
-    a.flags.writeable = False
-    log_gammas.flags.writeable = False
-    return beta, m, a, log_gammas
-
-
-def _ruben_sf(beta: float, m: int, a, log_gammas, q: float) -> float:
-    """P(Q > q) = sum_k a_k P(chi2_{m+2k} > q / beta).
-
-    The chi-square tails rise from the one- or two-df tail (by the
-    parity of m), erfc(sqrt(y)) or exp(-y) at y = q / (2 beta): each 2
-    more df add exp(-y) y^(nu/2) / Gamma(nu/2 + 1) at nu df, summed in
-    log space.
-    """
-    y = 0.5 * q / beta
-    half_df0 = 1.0 - 0.5 * (m % 2)
-    base = math.exp(-y) if m % 2 == 0 else math.erfc(math.sqrt(y))
-    half_df = half_df0 + np.arange(log_gammas.size)
-    steps = np.exp(half_df * math.log(y) - y - log_gammas)
-    tails = base + np.concatenate(([0.0], np.cumsum(steps)))
-    return float(np.sum(a * tails[(m - 1) // 2:]))
-
-
-# Gauss-Legendre nodes of _two_weight_sf's integral, and the |z| past
-# which it leaves out the normal mass, 2 P(Z > 9) = 2.3e-19
-_TWO_WEIGHT_NODES = 64
-_TWO_WEIGHT_MAX_Z = 9.0
-
-
-@functools.lru_cache(maxsize=1)
-def _legendre_nodes():
-    """(nodes, weights) of _TWO_WEIGHT_NODES-point Gauss-Legendre
-    quadrature on [0, 1], read-only.  numpy's leggauss polishes the
-    eigenvalues of the Jacobi matrix by a Newton step; the nodes hash
-    the same under the SkylakeX, SandyBridge and Haswell OpenBLAS
-    kernels."""
-    x, wx = np.polynomial.legendre.leggauss(_TWO_WEIGHT_NODES)
-    x, wx = 0.5 * (x + 1.0), 0.5 * wx
-    x.flags.writeable = wx.flags.writeable = False
-    return x, wx
-
-
-def _two_weight_sf(w_big: float, w_small: float, x, wx, q: float) -> float:
-    """P(w_big Z1^2 + w_small Z2^2 > q) by one integral over Z2.
-
-    With s = sqrt(q / w_small), P(Q > q) = P(|Z2| > s)
-    + E[erfc(sqrt((q - w_small Z2^2) / (2 w_big))); |Z2| <= s].  The
-    substitution Z2 = s sin(theta) turns q - w_small Z2^2 into
-    q cos(theta)^2, so the integrand phi(s sin) erfc(c cos) s cos,
-    c = sqrt(q / (2 w_big)), is smooth on [0, pi/2]; Gauss-Legendre sums
-    it up to the angle where s sin(theta) reaches _TWO_WEIGHT_MAX_Z,
-    which keeps the normal's peak, of width 1 / s in theta, under all
-    the nodes however far apart the weights are.
-    """
-    s = math.sqrt(q / w_small)
-    c = math.sqrt(q / (2.0 * w_big))
-    top = math.asin(min(1.0, _TWO_WEIGHT_MAX_Z / s))
-    theta = top * x
-    cos = np.cos(theta)
-    inner = np.array([math.erfc(v) for v in (c * cos).tolist()])
-    vals = np.exp(-0.5 * (s * np.sin(theta)) ** 2) * inner * cos
-    return (math.erfc(s / math.sqrt(2.0))
-            + 2.0 * top * s / _SQRT_2PI * float(np.sum(vals * wx)))
-
-
-def _normal_pdf(z: float) -> float:
-    """The standard normal density, written as scipy.stats.norm.pdf
-    evaluates it."""
-    return np.exp(-(z * z) / 2.0) / _SQRT_2PI
-
-
-def _normal_sf(z: float) -> float:
-    """P(Z > z) for a standard normal Z."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-# Mills' ratio comes from erfc below this z and from Laplace's continued
-# fraction, cut at this depth, above it: both stay within 2e-15 of
-# scipy's erfcx, the fraction's truncation error falling as z grows
-_MILLS_FRACTION_MIN_Z = 3.0
-_MILLS_FRACTION_DEPTH = 60
-
-
-def _mills_ratio(z: float) -> float:
-    """P(Z > z) / phi(z) for a standard normal Z and z >= 0, finite
-    where both the tail and the density underflow."""
-    if z < _MILLS_FRACTION_MIN_Z:
-        return float(_normal_sf(z) / _normal_pdf(z))
-    # 1 / (z + 1 / (z + 2 / (z + 3 / (z + ...)))), from the inside out
-    t = z
-    for k in range(_MILLS_FRACTION_DEPTH, 0, -1):
-        t = z + k / t
-    return 1.0 / t
+    s_min = 0.5 / float(np.max(w))
+    c = _saddlepoint_root(q, w)
+    c_min = min(0.25 * s_min, 1.0 / math.sqrt(2.0 * float(np.sum(w * w))))
+    if abs(c) < c_min:
+        c = math.copysign(c_min, q - 1.0)
+    r = w / (1.0 - 2.0 * c * w)
+    a = 0.25 / (s_min - c)
+    d = min(2.0 * abs(c) / (1.0 + math.sqrt(1.0 + 4.0 * a * c)), 0.5 / a)
+    h = math.pi * min(1.0 / math.sqrt(_CONTOUR_DECAY * float(np.sum(r * r))),
+                      d / _CONTOUR_DECAY)
+    y = h * np.arange(1.0, math.ceil(math.sqrt(_CONTOUR_DECAY / (a * q)) / h) + 1.0)
+    t = a * y * y + 1j * y  # s - c
+    t_last = abs(complex(t[-1]))
+    explicit = 2.0 * t_last * r > _FOLD_MAX_WU
+    phi = (-0.5 * np.sum(np.log(1.0 - 2.0 * np.multiply.outer(t, r[explicit])), axis=1)
+           - q * t)
+    small = r[~explicit]
+    if small.size:
+        # the series' terms past the k-th add at most
+        # t_last sum(small) rho^k / (1 - rho), rho = 2 t_last max(small)
+        rho = 2.0 * t_last * float(np.max(small))
+        terms = max(1, math.ceil(
+            math.log(t_last * float(np.sum(small)) / ((1.0 - rho) * _CONTOUR_FOLD_EPS))
+            / -math.log(rho)))
+        # sums[k - 1] = sum (2 small)^k; the series is sum_k sums[k - 1] t^k / (2 k)
+        sums = np.sum(np.cumprod(np.broadcast_to(2.0 * small, (terms, small.size)),
+                                 axis=0), axis=1)
+        fold = np.zeros_like(t)
+        for coef in (sums / (2.0 * np.arange(1, terms + 1)))[::-1]:
+            fold = (fold + coef) * t
+        phi += fold
+    integrand = np.imag(np.exp(phi) * (2.0 * a * y + 1j) / (c + t))
+    # the node at y = 0, where the integrand is 1 / c, has half weight
+    integral = h / math.pi * (0.5 / c + float(np.sum(integrand)))
+    log_scale = -0.5 * float(np.sum(np.log1p(-2.0 * c * w))) - c * q
+    if c > 0.0:
+        return min(log_scale + math.log(integral), 0.0)
+    return min(math.log1p(math.exp(log_scale) * integral), 0.0)
 
 
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
@@ -766,34 +674,6 @@ def _saddlepoint_root(q: float, w: np.ndarray) -> float:
             return step
         t = step
     return t
-
-
-def _saddlepoint_log_sf(q: float, w: np.ndarray) -> float:
-    """Lugannani-Rice saddlepoint approximation of log P(Q > q), Q the
-    chi-square mixture of _log_sf_chi2_mixture with mean 1 (Kuonen 1999).
-
-    With the cumulant generating function K(t) = -sum log(1 - 2 t w_j)/2
-    and the root t of K'(t) = q: z = sign(t) sqrt(2 (t q - K(t))),
-    u = t sqrt(K''(t)) and P = Phi(-z) + phi(z) (1/u - 1/z).  In the
-    upper tail the normal tail is written as phi(z) times Mills' ratio,
-    so log P stays finite far below the log of the smallest double.
-    """
-    t = _saddlepoint_root(q, w)
-    k = -0.5 * float(np.sum(np.log1p(-2.0 * t * w)))
-    z = math.copysign(math.sqrt(max(2.0 * (t * q - k), 0.0)), t)
-    if abs(z) < _SADDLEPOINT_CENTRAL:
-        k2 = 2.0 * float(np.sum(w * w))
-        skew = 8.0 * float(np.sum(w**3)) / k2**1.5
-        zc = (q - 1.0) / math.sqrt(k2)
-        p = _normal_sf(zc) + _normal_pdf(zc) * skew * (zc * zc - 1.0) / 6.0
-        return min(math.log(p), 0.0)
-    r = w / (1.0 - 2.0 * t * w)
-    u = t * math.sqrt(2.0 * float(np.sum(r * r)))
-    if z > 0.0:
-        return min(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-                   + math.log(_mills_ratio(z) + 1.0 / u - 1.0 / z), 0.0)
-    p = _normal_sf(z) + _normal_pdf(z) * (1.0 / u - 1.0 / z)
-    return min(math.log(p), 0.0)
 
 
 # level-count pairs whose law is kept: the untied bins of one check

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import fairness, model, oracles
-from .errors import ConfigError
+from .errors import ConfigError, NotPositiveDefinite
 from .fairness import (AXIOM_KINDS, HOLDS, INCONCLUSIVE, VIOLATED, Axiom,
                        FairnessVerdict, TestConfig)
 from .model import FLOAT_FMT
@@ -74,9 +74,10 @@ class RunConfig:
     functional: str = "unawareness"
 
     def __post_init__(self):
-        if not model.valid_rho_pair(self.rho1, self.rho2):
-            raise ConfigError(
-                f"(rho1, rho2)=({self.rho1}, {self.rho2}) is not a valid pair")
+        try:
+            model.require_valid_rho_pair(self.rho1, self.rho2)
+        except NotPositiveDefinite as exc:
+            raise ConfigError(str(exc)) from None
         # frozen fields: numpy integers are stored as the ints a report
         # can hold
         object.__setattr__(self, "n", check_integer(self.n, "n"))

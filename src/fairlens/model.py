@@ -56,8 +56,17 @@ def valid_rho_pair(rho1: float, rho2: float) -> bool:
 def require_valid_rho_pair(rho1: float, rho2: float) -> None:
     """Raise NotPositiveDefinite unless valid_rho_pair(rho1, rho2)."""
     if not valid_rho_pair(rho1, rho2):
-        raise NotPositiveDefinite(
-            f"(rho1, rho2)=({rho1}, {rho2}) violates 1 - rho1^2 - rho2^2 > 0")
+        raise NotPositiveDefinite(f"(rho1, rho2)=({_shown(rho1)}, {_shown(rho2)}) "
+                                  "violates 1 - rho1^2 - rho2^2 > 0")
+
+
+def _shown(x) -> str:
+    """str(x) for a message, or, for an int too long for str() (past
+    Python's limit on the digits of an int), its bit length."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"an int of {x.bit_length()} bits"
 
 
 @dataclass(frozen=True)

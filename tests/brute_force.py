@@ -6,8 +6,9 @@ distance correlation, the generic permutation p-value, the level-table
 test's mid-p over scipy's sampled tables, the conditional checks'
 per-bin loop as first written, scipy's ranks, quantile levels from
 scipy's minimum ranks, the chi-square tail in 40-digit decimals, the
-saddlepoint tail on scipy's special functions and root finder, the
-chi-square mixture's tail by Imhof's inversion on scipy's adaptive
+saddlepoint root by scipy's root finder, the odd-df chi-square tail
+in log space, the chi-square mixture's tail by Ruben's series in
+50-digit decimals, by Imhof's inversion on scipy's adaptive
 quadrature and by Monte Carlo, the two-weight tail by adaptive
 quadrature over the smaller weight's normal, the Gaussian log density
 and Schur-complement conditioning, and the closed-form X2 posterior
@@ -16,6 +17,7 @@ the fast code against.
 """
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -292,31 +294,68 @@ def saddlepoint_root_brentq(q: float, w: np.ndarray) -> float:
                            rtol=4.0 * np.finfo(float).eps, maxiter=500)
 
 
-def saddlepoint_log_sf_scipy(q: float, w: np.ndarray) -> float:
-    """The Lugannani-Rice log P(Q > q) of fairness._saddlepoint_log_sf,
-    Q a chi-square mixture with mean 1, as written on scipy: brentq for
-    the root of K'(t) = q, ndtr for the normal tail and erfcx for Mills'
-    ratio."""
-    def pdf(z):
-        return np.exp(-(z * z) / 2.0) / np.sqrt(2 * np.pi)
+def chi2_odd_log_sf(x: float, df: int) -> float:
+    """log P(X > x) for X chi-square with an odd df, finite far below
+    the smallest double: erfc(sqrt(x/2)) plus
+    exp(-x/2) sum_{j<(df-1)/2} (x/2)^(j+1/2) / Gamma(j+3/2), every term
+    positive and taken through its log (scipy's log_ndtr for the first),
+    summed by logsumexp."""
+    y = x / 2.0
+    j = np.arange(df // 2) + 0.5
+    logs = j * math.log(y) - special.gammaln(j + 1.0) - y
+    return float(special.logsumexp(np.append(
+        logs, math.log(2.0) + float(special.log_ndtr(-math.sqrt(x))))))
 
-    t = saddlepoint_root_brentq(q, w)
-    k = -0.5 * float(np.sum(np.log1p(-2.0 * t * w)))
-    z = math.copysign(math.sqrt(max(2.0 * (t * q - k), 0.0)), t)
-    if abs(z) < 1e-3:
-        k2 = 2.0 * float(np.sum(w * w))
-        skew = 8.0 * float(np.sum(w**3)) / k2**1.5
-        zc = (q - 1.0) / math.sqrt(k2)
-        p = special.ndtr(-zc) + pdf(zc) * skew * (zc * zc - 1.0) / 6.0
-        return min(math.log(p), 0.0)
-    r = w / (1.0 - 2.0 * t * w)
-    u = t * math.sqrt(2.0 * float(np.sum(r * r)))
-    if z > 0.0:
-        mills = math.sqrt(math.pi / 2.0) * float(special.erfcx(z / math.sqrt(2.0)))
-        return min(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-                   + math.log(mills + 1.0 / u - 1.0 / z), 0.0)
-    p = special.ndtr(-z) + pdf(z) * (1.0 / u - 1.0 / z)
-    return min(math.log(p), 0.0)
+
+def ruben_sf_decimal(q: float, w, digits: int = 50) -> decimal.Decimal:
+    """P(sum_j w_j Z_j^2 > q) for an even number m of weights, by Ruben's
+    (1962) series sum_k a_k P(chi2_{m+2k} > q / beta) evaluated in
+    `digits` significant digits, as a Decimal that does not underflow.
+
+    beta = 2 / (1/w_min + 1/w_max).  The a_k are the coefficients of
+    G(s) = a_0 prod_j (1 - c_j s)^(-1/2), c_j = 1 - beta / w_j,
+    a_0 = prod_j sqrt(beta / w_j); with P(s) = prod_j (1 - c_j s),
+    P G' = -P' G / 2 gives each next one from the m before it.  Every
+    chi-square tail has an even df, the finite Poisson sum
+    exp(-y) sum_{i<n} y^i / i!, y = q / (2 beta).  Each tail is at most 1
+    and |a_k| is at most a_0 binom(k + m/2 - 1, k) delta^k,
+    delta = max |c_j|, so the series stops where that majorant's
+    remainder is below 10^-digits of the sum.
+    """
+    m = len(w)
+    if m % 2:
+        raise ValueError("Ruben's series in decimal takes an even number of weights")
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        w = [decimal.Decimal(float(x)) for x in w]
+        beta = 2 / (1 / min(w) + 1 / max(w))
+        c = [1 - beta / x for x in w]
+        delta = max(abs(x) for x in c)
+        poly = [decimal.Decimal(1)]  # coefficients of P
+        for cj in c:
+            poly = [u - cj * v for u, v in zip(poly + [0], [0] + poly)]
+        a = [math.prod((beta / x).sqrt() for x in w)]
+        y = decimal.Decimal(q) / (2 * beta)
+        half = m // 2
+        term, partial = decimal.Decimal(1), decimal.Decimal(0)  # y^i / i!, sum_{i<n}
+        for i in range(half):
+            partial += term
+            term = term * y / (i + 1)
+        total = a[0] * partial
+        bound = a[0]
+        scale = (-y).exp()
+        for k in itertools.count(1):
+            ratio = delta * (k - 1 + half) / k
+            if ratio < 1 and bound * ratio / (1 - ratio) < scale * total * ctx.power(10, -digits):
+                return scale * total
+            # the coefficient of s^(k-1) in P G' + P' G / 2 = 0:
+            # k a_k = -sum_{i=1}^{m} p_i (k - i/2) a_{k-i}
+            a.append(-sum(poly[i] * (k - decimal.Decimal(i) / 2) * a[k - i]
+                          for i in range(1, min(k, m) + 1)) / k)
+            partial += term
+            term = term * y / (half + k)
+            total += a[k] * partial
+            bound *= ratio
 
 
 def imhof_sf(q: float, w: np.ndarray, epsabs: float = 1e-13,

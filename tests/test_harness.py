@@ -30,8 +30,10 @@ def quick_config(**kwargs):
 
 class TestRunConfig:
     def test_invalid_rho_pair(self):
-        with pytest.raises(ConfigError):
-            RunConfig(rho1=0.8, rho2=0.7)
+        # an int past str()'s limit on digits is refused without str()
+        for rho1, rho2 in [(0.8, 0.7), (10**400, 0.0), (10**5000, 0.0), (0.0, -10**5000)]:
+            with pytest.raises(ConfigError):
+                RunConfig(rho1=rho1, rho2=rho2)
 
     def test_sample_size_floor(self):
         with pytest.raises(ConfigError):

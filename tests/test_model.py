@@ -42,8 +42,9 @@ class TestModelConstruction:
             (math.nan, 0.0),
             # squares that overflow: refused, not an OverflowError
             (1e200, 0.0), (0.0, -1e200),
-            # integers past the largest float: refused before float()
-            (10**400, 0.0), (0.0, -10**400),
+            # integers past the largest float: refused before float(),
+            # and past str()'s limit on digits: refused without str()
+            (10**400, 0.0), (0.0, -10**400), (10**5000, 0.0), (0.0, -10**5000),
         ]:
             with pytest.raises(NotPositiveDefinite):
                 make_example_model(rho1, rho2)
