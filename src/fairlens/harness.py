@@ -57,7 +57,7 @@ MAX_N = AUDIT_HEAP_BUDGET_BYTES // AUDIT_HEAP_BYTES_PER_ROW
 
 # the reproduction's Monte Carlo streams its draws in fixed chunks, so
 # its memory does not grow with n but its time does: a 1e7 run spends
-# 0.78-0.86 s in it (2 vCPUs), so 1e9 draws take 80-90 s, while a
+# 0.55-0.80 s in it and a 1e9 run 69 s in all (2 vCPUs), while a
 # mistyped n such as 1e18 would run until killed instead of exiting 2
 MAX_REPRODUCE_N = 10**9
 

@@ -11,6 +11,7 @@ either x1 or 0 and is computed exactly rather than fitted.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,14 +43,19 @@ PRICE_IS_X1 = {
 
 
 def valid_rho_pair(rho1: float, rho2: float) -> bool:
-    """1 - rho1^2 - rho2^2 > 0: the covariance is positive definite.
+    """Two real numbers with 1 - rho1^2 - rho2^2 > 0: the covariance is
+    positive definite.
 
-    Implies |rho1|, |rho2| < 1, which is checked first so that a huge
-    value is refused rather than overflowing its square; NaN fails the
-    comparisons.  The one validity rule for the config, the model, the
-    dataset and the oracles.
+    Anything but a real number (a string, None, a complex, a Decimal, a
+    bool) is refused before arithmetic could raise TypeError on it.
+    The rule implies |rho1|, |rho2| < 1, which is checked first so that
+    a huge value is refused rather than overflowing its square; NaN
+    fails the comparisons.  The one validity rule for the config, the
+    model, the dataset and the oracles.
     """
-    return (abs(rho1) < 1.0 and abs(rho2) < 1.0
+    return (all(isinstance(rho, numbers.Real) and not isinstance(rho, bool)
+                for rho in (rho1, rho2))
+            and abs(rho1) < 1.0 and abs(rho2) < 1.0
             and 1.0 - rho1**2 - rho2**2 > 0.0)
 
 
@@ -57,14 +63,14 @@ def require_valid_rho_pair(rho1: float, rho2: float) -> None:
     """Raise NotPositiveDefinite unless valid_rho_pair(rho1, rho2)."""
     if not valid_rho_pair(rho1, rho2):
         raise NotPositiveDefinite(f"(rho1, rho2)=({_shown(rho1)}, {_shown(rho2)}) "
-                                  "violates 1 - rho1^2 - rho2^2 > 0")
+                                  "are not two reals with 1 - rho1^2 - rho2^2 > 0")
 
 
 def _shown(x) -> str:
-    """str(x) for a message, or, for an int too long for str() (past
+    """repr(x) for a message, or, for an int too long for repr() (past
     Python's limit on the digits of an int), its bit length."""
     try:
-        return str(x)
+        return repr(x)
     except ValueError:
         return f"an int of {x.bit_length()} bits"
 
@@ -109,9 +115,9 @@ class SimulatedDataset:
 def make_example_model(rho1: float, rho2: float) -> PortfolioModel:
     """The portfolio model with Sigma = [[1,0,r1],[0,1,r2],[r1,r2,1]].
 
-    Raises NotPositiveDefinite unless 1 - rho1^2 - rho2^2 > 0, checked
-    before float(), which would overflow on an integer past the largest
-    float.
+    Raises NotPositiveDefinite unless rho1 and rho2 are real numbers
+    with 1 - rho1^2 - rho2^2 > 0, checked before float(), which would
+    overflow on an integer past the largest float.
     """
     require_valid_rho_pair(rho1, rho2)
     return PortfolioModel(rho1=float(rho1), rho2=float(rho2))

@@ -23,7 +23,8 @@ from .model import require_valid_rho_pair
 from .streams import standard_normals
 
 MC_CHUNK = 1 << 20
-# values per slice of the elementwise posterior, which stays in cache
+# values per leaf of the summation tree: a leaf's columns, products and
+# posterior temporaries stay in cache
 _MC_SLICE = 1 << 14
 
 # chunk streams live far from the simulator's covariate/response streams
@@ -60,10 +61,12 @@ def _posterior_weight_and_variance(x, rho1: float, rho2: float):
     """(w, v) at X2 = x: w is the X2-posterior weight given (Y=0, D=0)
     relative to the standard normal density, v = Var(X1 | Y=0, X2=x, D=0).
     """
-    den = (2.0 + x**2) * (1.0 - rho2**2) - rho1**2
+    x2 = x**2
+    t = 2.0 + x2
+    den = t * (1.0 - rho2**2) - rho1**2
     w = (np.sqrt((1.0 - rho1**2 - rho2**2) / den)
-         * np.exp(-0.5 * x**2 * (2.0 + x**2) * rho2**2 / den))
-    v = (1.0 + x**2) * (1.0 - rho1**2 - rho2**2) / den
+         * np.exp(-0.5 * x2 * t * rho2**2 / den))
+    v = (1.0 + x2) * (1.0 - rho1**2 - rho2**2) / den
     return w, v
 
 
@@ -107,7 +110,9 @@ def second_moment_x1_given_y0_d0_mc(pairs, n: int, seed: int):
     reads the same draws, so an estimate does not depend on which other
     pairs share the pass.  Chunked accumulation with a fixed block size
     keeps the result deterministic in (n, seed) regardless of how
-    callers schedule it.
+    callers schedule it.  Each chunk is summed in one pass of
+    cache-sized leaves, combined as numpy's pairwise summation would
+    combine them, so the sums keep the bits of whole-chunk sums.
 
     Returns (estimates, cov): one MomentEstimate per pair, and the k x k
     delta-method covariance of their values.  The shared draws correlate
@@ -120,34 +125,53 @@ def second_moment_x1_given_y0_d0_mc(pairs, n: int, seed: int):
         require_valid_rho_pair(rho1, rho2)
     if n < 10**4:
         raise ValueError("monte_carlo requires n >= 1e4")
-    # columns (w*v, w) per pair; sums of each and of each product pair
+    # columns (w*v, w) per pair, a leaf of them at a time
     n_cols = 2 * len(pairs)
-    first = np.zeros(n_cols)
-    second = np.zeros((n_cols, n_cols))
-    cols = np.empty((n_cols, min(n, MC_CHUNK)))
+    cols = np.empty((n_cols, min(n, _MC_SLICE)))
     prod = np.empty(cols.shape[1])
+    # per level of the summation tree, which halves a chunk at each
+    # level: the column sums in row 0 and the upper triangle of the
+    # product sums below (the lower stays zero)
+    sums = np.zeros((MC_CHUNK.bit_length(), n_cols + 1, n_cols))
+    total = np.zeros((n_cols + 1, n_cols))
+
+    def leaf_sums(x, out):
+        m = x.shape[0]
+        for j, (rho1, rho2) in enumerate(pairs):
+            w, v = _posterior_weight_and_variance(x, rho1, rho2)
+            np.multiply(v, w, out=cols[2 * j, :m])
+            cols[2 * j + 1, :m] = w
+        np.add.reduce(cols[:, :m], axis=1, out=out[0])
+        for a in range(n_cols):
+            for b in range(a, n_cols):
+                np.multiply(cols[a, :m], cols[b, :m], out=prod[:m])
+                out[1 + a, b] = prod[:m].sum()
+
+    def tree_sums(x, level):
+        # numpy's pairwise summation (pairwise_sum in its add loop) splits
+        # a length m > 128 at m // 2 rounded down to a multiple of 8, and
+        # adds left + right; this walks the same tree down to leaves of
+        # at most _MC_SLICE values, which numpy sums itself, so each sum
+        # has the bits of one .sum() over the whole chunk
+        m = x.shape[0]
+        if m <= _MC_SLICE:
+            leaf_sums(x, sums[level])
+            return
+        half = m // 2 - (m // 2) % 8
+        tree_sums(x[:half], level + 1)
+        sums[level] = sums[level + 1]
+        tree_sums(x[half:], level + 1)
+        sums[level] += sums[level + 1]
+
     done = 0
     block = 0
     while done < n:
         take = min(MC_CHUNK, n - done)
-        x = standard_normals(take, seed, stream=_MC_STREAM_BASE + block)
-        # the posterior runs slice by slice into the chunk's columns; the
-        # sums below stay over whole chunks, since numpy's pairwise
-        # summation rounds by array length
-        for lo in range(0, take, _MC_SLICE):
-            hi = min(lo + _MC_SLICE, take)
-            for j, (rho1, rho2) in enumerate(pairs):
-                w, v = _posterior_weight_and_variance(x[lo:hi], rho1, rho2)
-                np.multiply(v, w, out=cols[2 * j, lo:hi])
-                cols[2 * j + 1, lo:hi] = w
-        for a in range(n_cols):
-            first[a] += cols[a, :take].sum()
-            for b in range(a, n_cols):
-                np.multiply(cols[a, :take], cols[b, :take], out=prod[:take])
-                second[a, b] += prod[:take].sum()
+        tree_sums(standard_normals(take, seed, stream=_MC_STREAM_BASE + block), 0)
+        total += sums[0]
         done += take
         block += 1
-    ratios, cov = _ratio_covariance(first, second, n)
+    ratios, cov = _ratio_covariance(total[0], total[1:], n)
     estimates = tuple(
         MomentEstimate(value=float(value), std_error=float(np.sqrt(max(var, 0.0))),
                        n=n, method="monte_carlo")

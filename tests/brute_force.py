@@ -12,8 +12,9 @@ in log space, the chi-square mixture's tail by Ruben's series in
 quadrature and by Monte Carlo, the two-weight tail by adaptive
 quadrature over the smaller weight's normal, the Gaussian log density
 and Schur-complement conditioning, and the closed-form X2 posterior
-density and Var(Y | X1, D) of the portfolio model) that the tests hold
-the fast code against.
+density and Var(Y | X1, D) of the portfolio model, and the Monte Carlo
+moments summed over whole chunks) that the tests hold the fast code
+against.
 """
 
 import decimal
@@ -26,12 +27,12 @@ import numpy as np
 from scipy import integrate, optimize, special
 from scipy import stats as sps
 
-from fairlens import fairness
+from fairlens import fairness, oracles
 from fairlens.errors import ConfigError, EmptyBin, LengthMismatch
 from fairlens.fairness import _as_columns, _dcor_from_parts
 from fairlens.model import require_valid_rho_pair
 from fairlens.oracles import _posterior_weight_and_variance
-from fairlens.streams import _bit_generator
+from fairlens.streams import _bit_generator, standard_normals
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -428,6 +429,43 @@ def x2_unnormalized_density_y0_d0(rho1: float, rho2: float, x2) -> np.ndarray | 
     w, _ = _posterior_weight_and_variance(x2, rho1, rho2)
     core = w * np.exp(-0.5 * x2**2)
     return core if core.ndim else float(core)
+
+
+def second_moment_mc_whole_chunks(pairs, n: int, seed: int):
+    """oracles.second_moment_x1_given_y0_d0_mc as first written: each
+    chunk's (2k x chunk) columns are filled, then every column and
+    every product of two columns is summed with one .sum() over the
+    whole chunk.  The same (estimates, cov), at several times the
+    memory."""
+    n_cols = 2 * len(pairs)
+    first = np.zeros(n_cols)
+    second = np.zeros((n_cols, n_cols))
+    cols = np.empty((n_cols, min(n, oracles.MC_CHUNK)))
+    prod = np.empty(cols.shape[1])
+    done = 0
+    block = 0
+    while done < n:
+        take = min(oracles.MC_CHUNK, n - done)
+        x = standard_normals(take, seed, stream=oracles._MC_STREAM_BASE + block)
+        for lo in range(0, take, oracles._MC_SLICE):
+            hi = min(lo + oracles._MC_SLICE, take)
+            for j, (rho1, rho2) in enumerate(pairs):
+                w, v = _posterior_weight_and_variance(x[lo:hi], rho1, rho2)
+                np.multiply(v, w, out=cols[2 * j, lo:hi])
+                cols[2 * j + 1, lo:hi] = w
+        for a in range(n_cols):
+            first[a] += cols[a, :take].sum()
+            for b in range(a, n_cols):
+                np.multiply(cols[a, :take], cols[b, :take], out=prod[:take])
+                second[a, b] += prod[:take].sum()
+        done += take
+        block += 1
+    ratios, cov = oracles._ratio_covariance(first, second, n)
+    estimates = tuple(
+        oracles.MomentEstimate(value=float(value), std_error=float(np.sqrt(max(var, 0.0))),
+                               n=n, method="monte_carlo")
+        for value, var in zip(ratios, np.diag(cov)))
+    return estimates, cov
 
 
 def var_y_given_price_and_d(rho1: float, rho2: float, x1: float, d: float) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,20 @@ class TestModelConstruction:
         ]:
             with pytest.raises(NotPositiveDefinite):
                 make_example_model(rho1, rho2)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("rho", ["0.1", None, complex(0.1), Decimal("0.1"), True],
+                             ids=["str", "None", "complex", "Decimal", "bool"])
+    def test_non_real_rho_refused(self, rho, position):
+        """A rho that is not a real number fails the one validity rule:
+        the model raises NotPositiveDefinite and the config ConfigError,
+        not a TypeError from the arithmetic."""
+        pair = [0.0, 0.0]
+        pair[position] = rho
+        with pytest.raises(NotPositiveDefinite):
+            make_example_model(*pair)
+        with pytest.raises(ConfigError):
+            RunConfig(rho1=pair[0], rho2=pair[1])
 
 
 class TestSimulate:

@@ -1,17 +1,21 @@
 """Closed forms from the conditional-moment machinery vs brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
 
 from fairlens import MomentEstimate, NotPositiveDefinite, x1_given_y0_x2_d0
+from fairlens import oracles
 from fairlens.errors import QuadratureError
 from fairlens.oracles import (analytic_verdict, second_moment_x1_given_y0_d0_mc,
                               second_moment_x1_given_y0_d0_quad)
 
-from brute_force import (grid_moments, slice_rejection_moments,
-                         var_y_given_price_and_d, x2_unnormalized_density_y0_d0)
+from brute_force import (grid_moments, second_moment_mc_whole_chunks,
+                         slice_rejection_moments, var_y_given_price_and_d,
+                         x2_unnormalized_density_y0_d0)
 from conftest import response_log_density, trivariate_log_density
 
 
@@ -169,6 +173,41 @@ class TestSecondMoment:
             ("0x1.356307f06417fp-1", "0x1.7f34f99edcefcp-14")]
         (alone,), _ = second_moment_x1_given_y0_d0_mc([(0.0, 0.0)], n, 11)
         assert alone == both[1]
+
+    @pytest.mark.parametrize("n", [10_007, 33_333, 1_000_003, 1 << 20,
+                                   3 * (1 << 20) + 123_457, 10**7])
+    def test_monte_carlo_sums_match_whole_chunk_sums(self, n):
+        """The leaf-by-leaf pass gives the estimates and covariance bytes
+        of one .sum() per column and product over each whole chunk, with
+        1, 2 and 3 pairs.  10,007 is a single leaf; 33,333 and 1,000,003
+        split where m // 2 is not a multiple of 8 (splitting at m // 2
+        itself changes their bytes); 3 * 2^20 + 123,457 ends on a chunk
+        of uneven length."""
+        pairs = [(0.1, 0.9), (0.0, 0.0), (0.3, -0.5)]
+        for k in (1, 2, 3):
+            got, got_cov = second_moment_x1_given_y0_d0_mc(pairs[:k], n, 19)
+            want, want_cov = second_moment_mc_whole_chunks(pairs[:k], n, 19)
+            assert got == want
+            assert got_cov.tobytes() == want_cov.tobytes()
+
+    def test_monte_carlo_memory_is_one_chunk(self):
+        """The traced heap peak of a two-pair call over two full chunks
+        and a 5-value one stays under two chunks of doubles (16 MiB).
+
+        One chunk of draws takes MC_CHUNK doubles (8 MiB).  Everything
+        else alive at once is a leaf of at most _MC_SLICE values: the
+        leaf's 4 columns and product, a dozen posterior and inverse-CDF
+        temporaries, about 20 x 128 KiB in all, well under a second
+        chunk.  Columns and products over a whole chunk would take 4 and
+        1 more chunks (the first version peaked at 56.8 MiB)."""
+        bound = 2 * oracles.MC_CHUNK * 8
+        tracemalloc.start()
+        try:
+            second_moment_x1_given_y0_d0_mc(((0.1, 0.9), (0.0, 0.0)), 2 * oracles.MC_CHUNK + 5, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
 
     def test_gap_standard_error_matches_its_spread(self):
         """The delta-method SE of the gap between two moments read from
