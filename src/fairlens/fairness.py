@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                      TooFewSamples)
-from .streams import check_integer, check_seed, normal_ppf
+from .streams import check_integer, check_seed, normal_ppf, shown
 
 POWER_GUARD_N = 100_000  # HOLDS requires at least this many observations
 
@@ -136,13 +136,13 @@ class TestConfig:
 
     def __post_init__(self):
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise ConfigError(f"alpha must be a number, got {self.alpha!r}")
+            raise ConfigError(f"alpha must be a number, got {shown(self.alpha)}")
         if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
+            raise ConfigError(f"alpha must be in (0, 0.5), got {shown(self.alpha)}")
         n_permutations = check_integer(self.n_permutations, "n_permutations")
         if not 99 <= n_permutations <= MAX_PERMUTATIONS:
             raise ConfigError(f"n_permutations must be in [99, {MAX_PERMUTATIONS}], "
-                              f"got {n_permutations}")
+                              f"got {shown(n_permutations)}")
         # frozen fields: numpy numbers are stored as the float and the
         # ints a report can hold
         object.__setattr__(self, "alpha", float(self.alpha))

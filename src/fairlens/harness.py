@@ -24,7 +24,7 @@ from .fairness import (AXIOM_KINDS, HOLDS, INCONCLUSIVE, VIOLATED, Axiom,
                        FairnessVerdict, TestConfig)
 from .model import FLOAT_FMT
 from .oracles import MomentEstimate
-from .streams import check_integer, check_seed
+from .streams import check_integer, check_seed, shown
 
 VERSION = "0.1.0"
 
@@ -78,14 +78,20 @@ class RunConfig:
             model.require_valid_rho_pair(self.rho1, self.rho2)
         except NotPositiveDefinite as exc:
             raise ConfigError(str(exc)) from None
-        # frozen fields: numpy integers are stored as the ints a report
-        # can hold
+        # frozen fields: rho is stored as a float and a numpy integer as
+        # an int, values a report writes and reads back unchanged
+        object.__setattr__(self, "rho1", float(self.rho1))
+        object.__setattr__(self, "rho2", float(self.rho2))
         object.__setattr__(self, "n", check_integer(self.n, "n"))
         if not 10**3 <= self.n <= MAX_N:
-            raise ConfigError(f"n must be in [1000, {MAX_N}], got {self.n}")
+            raise ConfigError(f"n must be in [1000, {MAX_N}], got {shown(self.n)}")
         object.__setattr__(self, "seed", check_seed(self.seed))
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string or None, "
+                              f"got {shown(self.output_path)}")
         if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
+            raise ConfigError(f"output_format must be csv or json, "
+                              f"got {shown(self.output_format)}")
         if self.functional not in FUNCTIONALS:
             raise ConfigError(f"functional must be one of {FUNCTIONALS}")
 
@@ -178,7 +184,7 @@ def cmd_reproduce_separation(n: int, seed: int) -> dict:
     n = check_integer(n, "n")
     if not 10**6 <= n <= MAX_REPRODUCE_N:
         raise ConfigError(f"reproduction requires n in [{10**6}, {MAX_REPRODUCE_N}], "
-                          f"got {n}")
+                          f"got {shown(n)}")
     check_seed(seed)
     (with_d, without_d), cov = oracles.second_moment_x1_given_y0_d0_mc(
         ((0.1, 0.9), (0.0, 0.0)), n, seed)
@@ -201,8 +207,12 @@ def cmd_table(rho_pairs=None, n: int = 10**6, seed: int = 7,
     """
     pairs = tuple(rho_pairs) if rho_pairs is not None else DEFAULT_TABLE_PAIRS
     test = test if test is not None else TestConfig()
-    # every pair's configuration, seed + k included, is checked before
-    # the first audit runs
+    # pair k runs on seed + k; every pair's configuration is checked
+    # before the first audit runs
+    seed = check_seed(seed)
+    if seed + len(pairs) > 1 << 64:
+        raise ConfigError(f"pair k runs on seed + k, which leaves [0, 2^64) "
+                          f"for seed {seed} and {len(pairs)} pairs")
     configs = [RunConfig(rho1=rho1, rho2=rho2, n=n, seed=seed + k, test=test)
                for k, (rho1, rho2) in enumerate(pairs)]
     cells = []
@@ -257,46 +267,25 @@ def _config_to_dict(cfg: RunConfig) -> dict:
             for key in CONFIG_KEYS}
 
 
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer past the largest float
-        raise ConfigError(f"{key} is too large for a float") from None
-
-
-def _integer(key: str, value) -> int:
-    """An int, or an integral float such as 1e6."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from the flat JSON mapping used by --config.
 
-    Every value is type-checked, so a mistyped file is a ConfigError;
-    RunConfig admits only the listed names for the two string keys.
-    Keys the file leaves out take the dataclass defaults.
+    Unknown keys and a missing rho1 or rho2 are refused here, and an
+    integral float under a count or seed key becomes an int; RunConfig
+    and TestConfig check every value, so a mistyped file is a
+    ConfigError.  Keys the file leaves out take the dataclass defaults.
     """
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "rho1" not in raw or "rho2" not in raw:
         raise ConfigError("config requires rho1 and rho2")
-    values = {}
-    for key, value in raw.items():
-        if key in ("rho1", "rho2", "alpha"):
-            value = _number(key, value)
-        elif key == "output_path":
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"output_path must be a string or null, got {value!r}")
-        elif key not in ("output_format", "functional"):
-            value = _integer(key, value)
-        values[key] = value
+    values = dict(raw)
+    # JSON may write a count or a seed as an integral float such as 1e6
+    for key in ("n", "seed", "n_permutations", "test_seed"):
+        value = values.get(key)
+        if isinstance(value, float) and value.is_integer():
+            values[key] = int(value)
     test = {("seed" if key == "test_seed" else key): values.pop(key)
             for key in ("alpha", "n_permutations", "test_seed")
             if key in values}

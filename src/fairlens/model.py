@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NotPositiveDefinite
 from .gaussian import sample
-from .streams import standard_normals
+from .streams import shown, standard_normals
 
 FLOAT_FMT = "%.17g"
 
@@ -62,28 +62,26 @@ def valid_rho_pair(rho1: float, rho2: float) -> bool:
 def require_valid_rho_pair(rho1: float, rho2: float) -> None:
     """Raise NotPositiveDefinite unless valid_rho_pair(rho1, rho2)."""
     if not valid_rho_pair(rho1, rho2):
-        raise NotPositiveDefinite(f"(rho1, rho2)=({_shown(rho1)}, {_shown(rho2)}) "
+        raise NotPositiveDefinite(f"(rho1, rho2)=({shown(rho1)}, {shown(rho2)}) "
                                   "are not two reals with 1 - rho1^2 - rho2^2 > 0")
-
-
-def _shown(x) -> str:
-    """repr(x) for a message, or, for an int too long for repr() (past
-    Python's limit on the digits of an int), its bit length."""
-    try:
-        return repr(x)
-    except ValueError:
-        return f"an int of {x.bit_length()} bits"
 
 
 @dataclass(frozen=True)
 class PortfolioModel:
-    """Cov(X1, D) = rho1 and Cov(X2, D) = rho2; simulate adds the response law."""
+    """Cov(X1, D) = rho1 and Cov(X2, D) = rho2; simulate adds the response law.
+
+    Raises NotPositiveDefinite unless valid_rho_pair(rho1, rho2), checked
+    before the pair is stored as floats: float() overflows on an int past
+    the largest float.
+    """
 
     rho1: float
     rho2: float
 
     def __post_init__(self):
         require_valid_rho_pair(self.rho1, self.rho2)
+        object.__setattr__(self, "rho1", float(self.rho1))
+        object.__setattr__(self, "rho2", float(self.rho2))
 
 
 @dataclass(frozen=True)
@@ -113,14 +111,9 @@ class SimulatedDataset:
 
 
 def make_example_model(rho1: float, rho2: float) -> PortfolioModel:
-    """The portfolio model with Sigma = [[1,0,r1],[0,1,r2],[r1,r2,1]].
-
-    Raises NotPositiveDefinite unless rho1 and rho2 are real numbers
-    with 1 - rho1^2 - rho2^2 > 0, checked before float(), which would
-    overflow on an integer past the largest float.
-    """
-    require_valid_rho_pair(rho1, rho2)
-    return PortfolioModel(rho1=float(rho1), rho2=float(rho2))
+    """The portfolio model with Sigma = [[1,0,r1],[0,1,r2],[r1,r2,1]];
+    PortfolioModel checks the pair."""
+    return PortfolioModel(rho1=rho1, rho2=rho2)
 
 
 def simulate(model: PortfolioModel, n: int, seed: int) -> SimulatedDataset:

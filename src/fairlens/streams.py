@@ -29,6 +29,18 @@ BLOCK_SIZE = 1 << 20
 _MAX_BLOCKS = 1 << 32
 
 
+def shown(x) -> str:
+    """repr(x) for the message that refuses x, or, for an int too long
+    for repr() (past Python's limit on the digits of an int), its bit
+    length, so that refusing a huge value never raises ValueError."""
+    try:
+        return repr(x)
+    except ValueError:
+        if isinstance(x, int):
+            return f"an int of {x.bit_length()} bits"
+        return f"a {type(x).__name__} too long to print"
+
+
 def check_integer(value, name: str) -> int:
     """The value as a Python int, or ConfigError if it is not an integer.
 
@@ -36,7 +48,7 @@ def check_integer(value, name: str) -> int:
     not, even with an integral value.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}")
     return int(value)
 
 
@@ -50,7 +62,7 @@ def check_seed(seed: int, name: str = "seed") -> int:
     """
     seed = check_integer(seed, name)
     if not 0 <= seed <= _MASK64:
-        raise ConfigError(f"{name} must be in [0, 2^64), got {seed}")
+        raise ConfigError(f"{name} must be in [0, 2^64), got {shown(seed)}")
     return seed
 
 

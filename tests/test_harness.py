@@ -102,9 +102,43 @@ class TestRunConfig:
         raw = json.loads(report_json_bytes(report))
         assert (raw["config"]["seed"], raw["config"]["test_seed"]) == (42, 3)
 
+    @pytest.mark.parametrize("rho1", [0, np.float32(0.5), np.float64(0.1)],
+                             ids=["int", "float32", "float64"])
+    def test_report_bytes_survive_a_round_trip(self, rho1):
+        """rho is stored as a float, so a report of an int or numpy rho
+        writes the bytes and digest that the report read back writes; an
+        int used to come back as a float, and a float32 did not serialize."""
+        first = report_json_bytes(cmd_audit(quick_config(rho1=rho1, rho2=0, n=1000)))
+        again = report_json_bytes(report_from_dict(json.loads(first)))
+        assert again == first
+        assert determinism_digest(again) == determinism_digest(first)
+
+    # Python's limit on the digits of str(int) is 4,300: each refusal
+    # used to raise ValueError while printing the value
+    HUGE = 10**5000
+    HUGE_INPUTS = {
+        "alpha": lambda huge: TestConfig(alpha=huge),
+        "n_permutations": lambda huge: TestConfig(n_permutations=huge),
+        "test_seed": lambda huge: TestConfig(seed=huge),
+        "n": lambda huge: RunConfig(rho1=0.1, rho2=0.9, n=huge),
+        "seed": lambda huge: RunConfig(rho1=0.1, rho2=0.9, seed=huge),
+        "reproduce_n": lambda huge: cmd_reproduce_separation(huge, 1),
+        "table_n": lambda huge: cmd_table(n=huge),
+    }
+
+    @pytest.mark.parametrize("build", HUGE_INPUTS.values(), ids=list(HUGE_INPUTS))
+    def test_huge_integer_refused_with_config_error(self, build):
+        with pytest.raises(ConfigError, match="an int of 16610 bits"):
+            build(self.HUGE)
+
     def test_output_format_checked(self):
         with pytest.raises(ConfigError):
             RunConfig(rho1=0.1, rho2=0.9, output_format="xml")
+
+    def test_output_path_checked(self):
+        """A non-string path used to pass and fail in emit_report."""
+        with pytest.raises(ConfigError, match="output_path must be a string"):
+            RunConfig(rho1=0.1, rho2=0.9, output_path=5)
 
     def test_functional_checked(self):
         with pytest.raises(ConfigError):
@@ -304,6 +338,21 @@ class TestCmdTable:
         assert spans[1][0][0] == spans[2][0][0] == spans[0][0][0]
         for column in (1, 2, 3):
             assert len({row[column][1] for row in spans}) == 1, column
+
+    @pytest.mark.parametrize("seed", ["7", True])
+    def test_non_integer_seed_refused(self, seed):
+        """A string seed used to raise TypeError and True to run seed 1."""
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            cmd_table(rho_pairs=[(0.0, 0.0)], n=1000, seed=seed)
+
+    def test_seed_plus_pair_index_past_64_bits_refused(self):
+        """The refusal names seed + k, not a seed the caller never passed."""
+        last = (1 << 64) - 1
+        with pytest.raises(ConfigError, match=r"pair k runs on seed \+ k, which "
+                           r"leaves \[0, 2\^64\) for seed 18446744073709551615 "
+                           r"and 2 pairs"):
+            cmd_table(rho_pairs=[(0.0, 0.0)] * 2, n=1000, seed=last)
+        assert len(cmd_table(rho_pairs=[(0.0, 0.0)], n=1000, seed=last)) == 3
 
     def test_csv_shape(self):
         cells = cmd_table(n=2 * 10**4, seed=11, test=QUICK_TEST)

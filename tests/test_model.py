@@ -6,14 +6,16 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fairlens
-from fairlens import (ConfigError, LengthMismatch, NotPositiveDefinite, RunConfig,
-                      TestConfig, cmd_audit, make_example_model, simulate)
+from fairlens import (ConfigError, LengthMismatch, NotPositiveDefinite,
+                      PortfolioModel, RunConfig, TestConfig, cmd_audit,
+                      make_example_model, simulate)
 from fairlens.harness import report_to_dict
 from fairlens.model import PRICE_IS_X1, SimulatedDataset, read_csv, write_csv
 from fairlens.streams import standard_normals
@@ -28,6 +30,13 @@ class TestModelConstruction:
         np.testing.assert_allclose(
             np.cov([ds.x1, ds.x2, ds.d]),
             [[1, 0, 0.1], [0, 1, 0.9], [0.1, 0.9, 1]], atol=0.02)
+
+    def test_pair_stored_as_floats(self):
+        """A model built directly holds the floats that
+        make_example_model's holds, whatever real numbers it was given."""
+        m = PortfolioModel(0, np.float32(0.5))
+        assert (type(m.rho1), type(m.rho2)) == (float, float)
+        assert m == make_example_model(0.0, 0.5)
 
     def test_independent_case(self):
         ds = simulate(make_example_model(0.0, 0.0), 10**5, seed=20)
@@ -46,6 +55,8 @@ class TestModelConstruction:
             # integers past the largest float: refused before float(),
             # and past str()'s limit on digits: refused without str()
             (10**400, 0.0), (0.0, -10**400), (10**5000, 0.0), (0.0, -10**5000),
+            # a real that repr() cannot print either
+            (Fraction(10**5000, 3), 0.0),
         ]:
             with pytest.raises(NotPositiveDefinite):
                 make_example_model(rho1, rho2)
