@@ -50,7 +50,18 @@ and cuts only the conditioning column's bins.  Level j of L starts
 at sorted position ceil((n - 1) j / L), computed in integers and moved
 back to the start of its tie block.  A column without ties has the
 sorted scores normal_ppf(k / (n + 1)), k = 1 .. n, which depend on n
-alone: up to 2^17 values (1 MiB) they are computed once per n and kept.
+alone: up to 2^17 values (1 MiB) they are computed once per n and kept,
+and past that check_axioms computes them once for its untied columns.
+
+check_axioms runs check_separation on one worker thread while the
+calling thread runs the other two checks.  The two threads read the
+same scored columns and write nothing the other reads, so every verdict
+is bit for bit that of three calls in a row.  glibc gives the worker a
+malloc arena of its own, which keeps its high-water mark, so every
+full-length array (the scores, their cuts and the conditioning columns'
+stable bin orders) is built on the calling thread before the worker
+starts; the worker allocates per-bin arrays and the one-byte finiteness
+masks of _as_columns.
 
 Within conditioning bins, both tested variables are linearly detrended
 on the conditioning variable (all three on the normal-scores scale), to
@@ -66,6 +77,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import Optional
@@ -216,19 +228,20 @@ def _sorted_ranks(new_block: np.ndarray, n: int) -> np.ndarray:
     return np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)
 
 
-# untied score vectors of at most this many values (1 MiB) are kept, for
-# 8 lengths at most: a calibration loop scores columns of one length over
-# and over, while an audit's long columns would each pin 8 bytes a row
-_CACHED_SCORES_MAX_N = 1 << 17
-
-
-@functools.lru_cache(maxsize=8)
-def _untied_scores(n: int) -> np.ndarray:
+def _untied_vector(n: int) -> np.ndarray:
     """normal_ppf((1 .. n) / (n + 1)), the sorted scores of every column
     of n distinct values, read-only."""
     scores = normal_ppf(np.arange(1.0, n + 1.0) / (n + 1.0))
     scores.flags.writeable = False
     return scores
+
+
+# untied score vectors of at most this many values (1 MiB) are kept, for
+# 8 lengths at most: a calibration loop scores columns of one length over
+# and over, while an audit's long columns would each pin 8 bytes a row
+# (check_axioms shares a longer one among its columns for one call only)
+_CACHED_SCORES_MAX_N = 1 << 17
+_untied_scores = functools.lru_cache(maxsize=8)(_untied_vector)
 
 
 @functools.lru_cache(maxsize=256)
@@ -286,12 +299,15 @@ class NormalScores(np.ndarray):
     maps a level count to the column's (ids, counts) pair at that many
     quantile levels, exactly the cuts _scored was asked for; the
     checkers read them through _cut instead of sorting the column
-    again.  Views and copies carry no cuts."""
+    again.  ``bin_rows``, which check_axioms sets on a column it
+    conditions on, is the stable order of the column's N_BINS ids.
+    Views and copies carry neither."""
 
     cuts = MappingProxyType({})
+    bin_rows = None
 
 
-def _scored(x: np.ndarray, *cuts: int) -> NormalScores:
+def _scored(x: np.ndarray, *cuts: int, untied=None) -> NormalScores:
     """normal_ppf of the copula ranks of the validated column x, carrying
     the (ids, counts) pair of x at each level count in cuts, all from
     one sort of x.
@@ -299,9 +315,10 @@ def _scored(x: np.ndarray, *cuts: int) -> NormalScores:
     The pairs are cut on the sorted raw values.  A cut reads only the
     order and the ties of a column, which the scores keep (see
     TestScoresKeepTheirOrder), so each pair is a cut of the scores too.
-    A column of at most _CACHED_SCORES_MAX_N distinct values takes its
-    sorted scores from _untied_scores, which depend on n alone; any
-    other column runs the inverse CDF on its own ranks.
+    A column of n distinct values takes its sorted scores, which depend
+    on n alone, from _untied_scores up to _CACHED_SCORES_MAX_N values
+    and from untied(n), if given, past it; any other column runs the
+    inverse CDF on its own ranks.
     """
     n = x.shape[0]
     order = np.argsort(x)
@@ -311,6 +328,8 @@ def _scored(x: np.ndarray, *cuts: int) -> NormalScores:
     del xs
     if n <= _CACHED_SCORES_MAX_N and new_block.all():
         sorted_scores = _untied_scores(n)
+    elif untied is not None and new_block.all():
+        sorted_scores = untied(n)
     else:
         ranks = _sorted_ranks(new_block, n)
         del new_block
@@ -797,32 +816,61 @@ def check_sufficiency(y, d, prices, cfg: TestConfig) -> FairnessVerdict:
 def check_axioms(prices, d, y, cfg: TestConfig) -> tuple:
     """The three checkers' verdicts on one portfolio, in AXIOM_KINDS
     order; a check that raises TooFewSamples or EmptyBin reads
-    INCONCLUSIVE.
+    INCONCLUSIVE, and any other exception is raised here.
 
     Each column is validated and sorted once, with the cuts its checks
     read: the price with independence's levels and the conditioning
     bins, d with the levels, y with the bins.  Each validated copy goes
-    as soon as its column is scored.  The checkers are called by their
-    module names, so a wrapper bound in their place sees every call.
+    as soon as its column is scored.  The untied columns share one
+    sorted score vector, built on first use and dropped once all three
+    are scored, and each conditioning column gets its bin rows here.
+    Separation then runs on one worker thread while this one runs
+    independence and sufficiency: the checks read the scored columns
+    and write nothing the other reads, so the verdicts are those of
+    three calls in a row.  The worker has ended when this returns or
+    raises.  The checkers are called by their module names, so a
+    wrapper bound in their place sees every call.
     """
     cols = _as_columns(prices, d, y)
     n = cols[0].shape[0]
     levels = _n_levels(n, N_LEVELS)
+    untied = functools.cache(_untied_vector)
     for i, cuts in enumerate(((levels, N_BINS), (levels,), (N_BINS,))):
-        cols[i] = _scored(cols[i], *cuts)
+        cols[i] = _scored(cols[i], *cuts, untied=untied)
+    del untied
     sp, sd, sy = cols
-    checks = ((INDEPENDENCE, lambda: check_independence(sp, sd, cfg)),
-              (SEPARATION, lambda: check_separation(sp, sd, sy, cfg)),
-              (SUFFICIENCY, lambda: check_sufficiency(sy, sd, sp, cfg)))
-    verdicts = []
-    for kind, check in checks:
+    # built here, so that the worker allocates no full-length array in
+    # an arena of its own, whose high-water mark would stay; built after
+    # the shared vector goes, which would otherwise raise the peak
+    for conditioning in (sp, sy):
+        conditioning.bin_rows = np.argsort(conditioning.cuts[N_BINS][0], kind="stable")
+
+    def run(kind, check, *columns):
         try:
-            verdicts.append(check())
+            return check(*columns, cfg)
         except (TooFewSamples, EmptyBin):
-            verdicts.append(FairnessVerdict(
+            return FairnessVerdict(
                 axiom=Axiom(kind), statistic=0.0, p_value=None, analytic_criterion=None,
-                verdict=INCONCLUSIVE, alpha=cfg.alpha, n_used=n, seed=cfg.seed))
-    return tuple(verdicts)
+                verdict=INCONCLUSIVE, alpha=cfg.alpha, n_used=n, seed=cfg.seed)
+
+    separation = []
+
+    def run_separation():
+        try:
+            separation.append(run(SEPARATION, check_separation, sp, sd, sy))
+        except BaseException as exc:  # raised in the caller, after join
+            separation.append(exc)
+
+    worker = threading.Thread(target=run_separation, name="fairlens-separation")
+    worker.start()
+    try:
+        independence = run(INDEPENDENCE, check_independence, sp, sd)
+        sufficiency = run(SUFFICIENCY, check_sufficiency, sy, sd, sp)
+    finally:
+        worker.join()
+    if isinstance(separation[0], BaseException):
+        raise separation[0]
+    return independence, separation[0], sufficiency
 
 
 def _detrend(gc: np.ndarray, *columns: np.ndarray) -> None:
@@ -862,9 +910,12 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
             f"a conditioning bin holds {counts.min()} < {MIN_BIN_COUNT} points")
     # a stable sort keeps each bin's rows in their original order, the
     # order a boolean mask would select them in; on the narrow unsigned
-    # ids, numpy sorts by radix.  Each bin gathers its own rows, so no
+    # ids, numpy sorts by radix.  A column check_axioms scored carries
+    # that order as its bin_rows.  Each bin gathers its own rows, so no
     # sorted copy of the three columns is held alongside them
-    order = np.argsort(bin_ids, kind="stable")
+    order = scored[2].bin_rows
+    if order is None:
+        order = np.argsort(bin_ids, kind="stable")
     ends = np.cumsum(counts)
     log_ps = np.empty(n_bins)
     for k in range(n_bins):

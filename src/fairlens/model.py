@@ -86,7 +86,12 @@ class PortfolioModel:
 
 @dataclass(frozen=True)
 class SimulatedDataset:
-    """Columnar draws of (x1, x2, d, y) with their generating seed."""
+    """Columnar draws of (x1, x2, d, y) with their generating seed.
+
+    The rho pair is checked as PortfolioModel checks it and stored as
+    floats, so write_csv's sidecar holds JSON numbers that read back
+    equal.
+    """
 
     x1: np.ndarray
     x2: np.ndarray
@@ -104,6 +109,8 @@ class SimulatedDataset:
         if n < 1:
             raise ValueError("dataset must hold at least one row")
         require_valid_rho_pair(self.rho1, self.rho2)
+        object.__setattr__(self, "rho1", float(self.rho1))
+        object.__setattr__(self, "rho2", float(self.rho2))
 
     @property
     def n(self) -> int:

@@ -11,6 +11,8 @@ analytic verdict for each fairness axiom as a function of
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import QuadratureError
 from .fairness import (AXIOM_KINDS, HOLDS, INDEPENDENCE, SUFFICIENCY,
                        VIOLATED)
 from .model import require_valid_rho_pair
-from .streams import standard_normals
+from .streams import shown, standard_normals
 
 MC_CHUNK = 1 << 20
 # values per leaf of the summation tree: a leaf's columns, products and
@@ -73,8 +75,11 @@ def _posterior_weight_and_variance(x, rho1: float, rho2: float):
 def x1_given_y0_x2_d0(rho1: float, rho2: float, x2: float) -> tuple[float, float]:
     """(mean, variance) of the normal law of X1 given (Y=0, X2=x2, D=0)."""
     require_valid_rho_pair(rho1, rho2)
-    if not np.isfinite(x2):
-        raise ValueError(f"x2 must be finite, got {x2}")
+    # valid_rho_pair's rule: a real number, not a bool, compared before
+    # any arithmetic, so a huge int is refused rather than overflowing
+    if (isinstance(x2, bool) or not isinstance(x2, numbers.Real)
+            or not abs(x2) <= sys.float_info.max):
+        raise ValueError(f"x2 must be a finite real number, got {shown(x2)}")
     _, v = _posterior_weight_and_variance(x2, rho1, rho2)
     mean = -rho1 * rho2 * x2 * v / (1.0 - rho1**2 - rho2**2)
     return float(mean), float(v)

@@ -79,7 +79,7 @@ def test_audit_above_the_floor_ranks_once_and_samples_no_table():
                                     test=TestConfig(seed=5)))
     names = [span["name"] for span in tracer.spans]
     assert names.count("fairness.rankdata") == 0
-    assert names.count("streams.normal_ppf") == 3
+    assert names.count("streams.normal_ppf") == 1
     assert "fairness.null" not in names
     assert {"harness.cmd_audit", *spans.CHECKS} <= set(names)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -941,6 +942,98 @@ class TestCheckAxioms:
             check_independence(prices, d, FAST),
             self._inconclusive(fairness.SEPARATION, y.size),
             check_sufficiency(y, d, prices, FAST))
+
+    @staticmethod
+    def _portfolio(case):
+        """(prices, d, y) at n = 2e5, past _CACHED_SCORES_MAX_N, so the
+        untied columns share check_axioms' one score vector."""
+        n = 2 * 10**5
+        ds = simulate(make_example_model(0.1, 0.9), n, seed=61)
+        if case == "constant-price":
+            return np.zeros(n), ds.d, ds.y
+        if case == "rounded":
+            return tuple(np.round(c, 1) for c in (ds.x1, ds.d, ds.y))
+        if case == "empty-bin":
+            # separation, the worker's check, conditions on a y whose
+            # lowest bin holds 25 points and raises EmptyBin
+            rng = np.random.default_rng(62)
+            y = np.concatenate([np.zeros(n - 100), rng.uniform(-2.0, -1.0, size=25),
+                                rng.uniform(1.0, 2.0, size=75)])
+            return ds.x1, ds.d, y
+        return ds.x1, ds.d, ds.y
+
+    @pytest.mark.parametrize("case", ["reference", "constant-price", "rounded",
+                                      "empty-bin"])
+    def test_equals_three_calls_in_a_row_bit_for_bit(self, case):
+        """Separation on the worker thread, the shared untied vector and
+        the caller's bin rows leave every statistic and p-value equal,
+        by float.hex, to three direct calls on the raw columns; the
+        shared vector enters no cache."""
+        prices, d, y = self._portfolio(case)
+
+        def direct(kind, check, *cols):
+            try:
+                return check(*cols, FAST)
+            except (TooFewSamples, EmptyBin):
+                return self._inconclusive(kind, y.size)
+
+        want = (direct(fairness.INDEPENDENCE, check_independence, prices, d),
+                direct(fairness.SEPARATION, check_separation, prices, d, y),
+                direct(fairness.SUFFICIENCY, check_sufficiency, y, d, prices))
+        def bits(verdicts):
+            return [(v.statistic.hex(), v.p_value if v.p_value is None else v.p_value.hex())
+                    for v in verdicts]
+
+        fairness._untied_scores.cache_clear()
+        got = fairness.check_axioms(prices, d, y, FAST)
+        assert fairness._untied_scores.cache_info().currsize == 0
+        assert got == want
+        assert bits(got) == bits(want)
+        if case == "empty-bin":
+            assert got[1].verdict == INCONCLUSIVE
+
+    @pytest.mark.parametrize("name", ["check_separation", "check_sufficiency"])
+    def test_other_errors_propagate_and_no_thread_outlives_the_call(
+            self, monkeypatch, name):
+        """An error other than TooFewSamples or EmptyBin, raised on the
+        worker (separation) or on the calling thread (sufficiency),
+        reaches the caller, and the worker has ended by then."""
+        def broken(*args):
+            raise RuntimeError(name)
+
+        monkeypatch.setattr(fairness, name, broken)
+        prices, d, y = np.random.default_rng(63).normal(size=(3, 5000))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=name):
+            fairness.check_axioms(prices, d, y, FAST)
+        assert threading.active_count() == before
+
+    def test_concurrent_audits_agree_with_one_at_a_time(self):
+        """Four audits at once, each with its worker, on a short switch
+        interval: the threads share the scored columns and the law and
+        level caches, and every audit still gives the verdicts of a lone
+        run."""
+        cols = [np.random.default_rng(70 + k).normal(size=(3, 4000)) for k in range(4)]
+        want = [fairness.check_axioms(*c, FAST) for c in cols]
+        for cache in (fairness._spectral_law, fairness._level_starts):
+            cache.cache_clear()
+        got = [None] * len(cols)
+
+        def audit(k):
+            got[k] = fairness.check_axioms(*cols[k], FAST)
+
+        threads = [threading.Thread(target=audit, args=(k,)) for k in range(len(cols))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
 
 def _hex_pair(stat, p):

@@ -227,6 +227,21 @@ class TestSerialization:
         with pytest.raises(NotPositiveDefinite):
             read_csv(path)
 
+    @pytest.mark.parametrize("rho2", [0, np.float32(0.5)], ids=["int", "float32"])
+    def test_csv_round_trip_of_a_non_float_rho(self, tmp_path, rho2):
+        """A dataset stores its rho pair as floats, as PortfolioModel
+        does: an int or a float32 rho writes a JSON float to the sidecar
+        and reads back equal."""
+        x = np.array([0.5, -1.0, 2.0])
+        ds = SimulatedDataset(x1=x, x2=x, d=x, y=x, seed=1, rho1=0, rho2=rho2)
+        assert (type(ds.rho1), type(ds.rho2)) == (float, float)
+        path = tmp_path / "rho.csv"
+        write_csv(ds, path)
+        meta = json.loads((tmp_path / "rho.csv.meta.json").read_text())
+        assert (type(meta["rho1"]), type(meta["rho2"])) == (float, float)
+        back = read_csv(path)
+        assert (back.rho1, back.rho2) == (0.0, float(rho2))
+
     def test_csv_bytes_match_savetxt(self, tmp_path):
         """Block-wise formatting writes np.savetxt's bytes, over a row
         count that is not a multiple of the block and extreme values."""

@@ -44,7 +44,7 @@ class TestX1Conditional:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             x1_given_y0_x2_d0(0.5, 0.9, 0.0)
-        for x2 in (np.nan, np.inf, -np.inf):
+        for x2 in (np.nan, np.inf, -np.inf, "1", 10**400, None, True):
             with pytest.raises(ValueError):
                 x1_given_y0_x2_d0(0.1, 0.9, x2)
 
