@@ -41,27 +41,26 @@ count, and the tail runs on numpy and math alone, as does Fisher's
 combination (the closed-form chi-square tail for even df), so no check
 loads a scipy module.
 
-Each full-length column is sorted once: _scored reads the copula
-ranks, the normal scores and the level ids asked for off one order, and
-the checkers take a scored column's ids (_cut) instead of sorting it
-again.  check_axioms scores the three columns of an audit with the four
-cuts its checks read; a conditional check scores a raw column itself
-and cuts only the conditioning column's bins.  Level j of L starts
-at sorted position ceil((n - 1) j / L), computed in integers and moved
-back to the start of its tie block.  A column without ties has the
-sorted scores normal_ppf(k / (n + 1)), k = 1 .. n, which depend on n
-alone: up to 2^17 values (1 MiB) they are computed once per n and kept,
-and past that check_axioms computes them once for its untied columns.
+Every checker, and check_axioms, takes its columns through _prepared:
+each comes back as a read-only NormalScores column carrying the level
+cuts its checks read and, if a check conditions on it, its N_BINS bin
+order.  A column _prepared made earlier that carries those cuts passes
+through, so no checker validates or sorts a column check_axioms
+prepared; any other is validated and sorted once, and its copula ranks,
+normal scores and level ids are read off that one order.  Level j of L
+starts at sorted position ceil((n - 1) j / L), computed in integers and
+moved back to the start of its tie block.  A column without ties has
+the sorted scores normal_ppf(k / (n + 1)), k = 1 .. n, which depend on
+n alone: up to 2^17 values (1 MiB) they are kept per n, and past that
+computed once per _prepared call.
 
 check_axioms runs check_separation on one worker thread while the
 calling thread runs the other two checks.  The two threads read the
-same scored columns and write nothing the other reads, so every verdict
-is bit for bit that of three calls in a row.  glibc gives the worker a
-malloc arena of its own, which keeps its high-water mark, so every
-full-length array (the scores, their cuts and the conditioning columns'
-stable bin orders) is built on the calling thread before the worker
-starts; the worker allocates per-bin arrays and the one-byte finiteness
-masks of _as_columns.
+same prepared columns and write nothing the other reads, so every
+verdict is bit for bit that of three calls in a row.  glibc gives the
+worker a malloc arena of its own, which keeps its high-water mark, so
+every full-length array is built on the calling thread before the
+worker starts; the worker allocates per-bin arrays only.
 
 Within conditioning bins, both tested variables are linearly detrended
 on the conditioning variable (all three on the normal-scores scale), to
@@ -199,16 +198,6 @@ def _n_levels(n: int, most: int) -> int:
     return max(2, min(most, n // 16))
 
 
-def _as_columns(*cols):
-    arrays = [np.asarray(c, dtype=np.float64).ravel() for c in cols]
-    n = arrays[0].shape[0]
-    if any(a.shape[0] != n for a in arrays):
-        raise LengthMismatch("input vectors have unequal lengths")
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NonFiniteInput("input vectors hold NaN or infinite values")
-    return arrays
-
-
 # ---------------------------------------------------------------------------
 # one sort per column: ranks, normal scores and quantile level ids
 # ---------------------------------------------------------------------------
@@ -239,7 +228,7 @@ def _untied_vector(n: int) -> np.ndarray:
 # untied score vectors of at most this many values (1 MiB) are kept, for
 # 8 lengths at most: a calibration loop scores columns of one length over
 # and over, while an audit's long columns would each pin 8 bytes a row
-# (check_axioms shares a longer one among its columns for one call only)
+# (_prepared shares a longer one among the columns of one call only)
 _CACHED_SCORES_MAX_N = 1 << 17
 _untied_scores = functools.lru_cache(maxsize=8)(_untied_vector)
 
@@ -295,19 +284,57 @@ def _quantile_level_ids(x: np.ndarray, n_levels: int):
 
 
 class NormalScores(np.ndarray):
-    """A read-only column of normal scores made by _scored.  ``cuts``
+    """A read-only column of normal scores made by _prepared.  ``cuts``
     maps a level count to the column's (ids, counts) pair at that many
-    quantile levels, exactly the cuts _scored was asked for; the
-    checkers read them through _cut instead of sorting the column
-    again.  ``bin_rows``, which check_axioms sets on a column it
-    conditions on, is the stable order of the column's N_BINS ids.
-    Views and copies carry neither."""
+    quantile levels, and ``bin_rows``, set where N_BINS is among them,
+    is the stable order of the column's N_BINS ids.  Views, copies and
+    arrays cast to the class carry neither, and _prepared scores them
+    again."""
 
-    cuts = MappingProxyType({})
+    cuts = None
     bin_rows = None
 
 
-def _scored(x: np.ndarray, *cuts: int, untied=None) -> NormalScores:
+def _prepared(columns, cuts) -> list:
+    """The columns as read-only NormalScores of one length, each
+    carrying the (ids, counts) pairs at the level counts of its entry
+    of cuts and, where N_BINS is among them, its bin_rows.
+
+    A column that _prepared made and that carries those cuts passes
+    through untouched.  The others are validated (LengthMismatch, and
+    NonFiniteInput for values that are not finite real numbers; bools
+    pass) before any is scored from one sort (_scored), and each
+    validated copy goes once its column is scored.  Their untied
+    columns share one sorted score vector: the kept one up to
+    _CACHED_SCORES_MAX_N values, past that one for this call, dropped
+    before the bin rows are built so as not to raise the peak.
+    """
+    out, fresh = list(columns), []
+    for i, (col, wanted) in enumerate(zip(columns, cuts)):
+        if not (isinstance(col, NormalScores) and col.cuts is not None
+                and col.cuts.keys() >= set(wanted)):
+            col = np.asarray(col)
+            if col.dtype.kind not in "biuf":
+                raise NonFiniteInput(f"input vectors must hold real numbers, not {col.dtype}")
+            out[i] = col.astype(np.float64, copy=False).ravel()
+            fresh.append(i)
+    del col  # a validated copy goes once its column is scored
+    n = out[0].shape[0]
+    if any(col.shape[0] != n for col in out):
+        raise LengthMismatch("input vectors have unequal lengths")
+    if not all(np.isfinite(out[i]).all() for i in fresh):
+        raise NonFiniteInput("input vectors hold NaN or infinite values")
+    untied = _untied_scores if n <= _CACHED_SCORES_MAX_N else functools.cache(_untied_vector)
+    for i in fresh:
+        out[i] = _scored(out[i], cuts[i], untied)
+    del untied
+    for i in fresh:
+        if N_BINS in cuts[i]:
+            out[i].bin_rows = np.argsort(out[i].cuts[N_BINS][0], kind="stable")
+    return out
+
+
+def _scored(x: np.ndarray, cuts, untied) -> NormalScores:
     """normal_ppf of the copula ranks of the validated column x, carrying
     the (ids, counts) pair of x at each level count in cuts, all from
     one sort of x.
@@ -316,9 +343,8 @@ def _scored(x: np.ndarray, *cuts: int, untied=None) -> NormalScores:
     order and the ties of a column, which the scores keep (see
     TestScoresKeepTheirOrder), so each pair is a cut of the scores too.
     A column of n distinct values takes its sorted scores, which depend
-    on n alone, from _untied_scores up to _CACHED_SCORES_MAX_N values
-    and from untied(n), if given, past it; any other column runs the
-    inverse CDF on its own ranks.
+    on n alone, from untied(n); any other column runs the inverse CDF
+    on its own ranks.
     """
     n = x.shape[0]
     order = np.argsort(x)
@@ -326,9 +352,7 @@ def _scored(x: np.ndarray, *cuts: int, untied=None) -> NormalScores:
     counts = {k: _level_counts(xs, k) for k in cuts}
     new_block = xs[1:] != xs[:-1]
     del xs
-    if n <= _CACHED_SCORES_MAX_N and new_block.all():
-        sorted_scores = _untied_scores(n)
-    elif untied is not None and new_block.all():
+    if new_block.all():
         sorted_scores = untied(n)
     else:
         ranks = _sorted_ranks(new_block, n)
@@ -338,18 +362,9 @@ def _scored(x: np.ndarray, *cuts: int, untied=None) -> NormalScores:
         del ranks
     scores = np.empty(n).view(NormalScores)
     scores[order] = sorted_scores
-    scores.cuts = {k: _level_ids(order, c) for k, c in counts.items()}
+    scores.cuts = MappingProxyType({k: _level_ids(order, c) for k, c in counts.items()})
     scores.flags.writeable = False
     return scores
-
-
-def _cut(orig, col: np.ndarray, n_levels: int):
-    """The (ids, counts) pair of a column at n_levels quantile levels:
-    the one orig carries, if it is a NormalScores column scored with
-    that cut, else a fresh cut of col, its validated values."""
-    if isinstance(orig, NormalScores) and n_levels in orig.cuts:
-        return orig.cuts[n_levels]
-    return _quantile_level_ids(col, n_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -776,17 +791,15 @@ def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
     """Statistical parity: price independent of the protected coordinate.
 
     The level table depends on the order of the values only, so the
-    test cuts the raw columns into quantile levels and is still
-    rank-invariant.  A scored column that carries this check's levels
-    (see check_axioms) is not sorted again.
+    test is rank-invariant.  Both columns are cut into quantile levels
+    by _prepared, which passes a column check_axioms prepared through.
     """
-    cols = _as_columns(prices, d)
-    n = cols[0].shape[0]
+    levels = _n_levels(np.size(prices), N_LEVELS)
+    prices, d = _prepared((prices, d), ((levels,), (levels,)))
+    n = prices.shape[0]
     if n < 100:
         raise TooFewSamples(f"need >= 100 observations, got {n}")
-    levels = _n_levels(n, N_LEVELS)
-    dcor, p, _ = _table_test(*(_cut(orig, col, levels)
-                               for orig, col in zip((prices, d), cols)))
+    dcor, p, _ = _table_test(prices.cuts[levels], d.cuts[levels])
     return FairnessVerdict(
         axiom=Axiom(INDEPENDENCE), statistic=dcor, p_value=p,
         analytic_criterion=None,
@@ -797,9 +810,8 @@ def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
 def check_separation(prices, d, y, cfg: TestConfig) -> FairnessVerdict:
     """Equalized odds: price independent of D conditionally on Y.
 
-    A scored column is taken as it is, and a scored y that carries the
-    N_BINS conditioning bins (see check_axioms) is not sorted again; a
-    raw column is scored here.  The result is the same.
+    The columns are scored and y cut into N_BINS bins by _prepared,
+    which passes a column check_axioms prepared through.
     """
     return _conditional_check(a=prices, b=d, given=y, cfg=cfg, axiom=SEPARATION)
 
@@ -818,32 +830,22 @@ def check_axioms(prices, d, y, cfg: TestConfig) -> tuple:
     order; a check that raises TooFewSamples or EmptyBin reads
     INCONCLUSIVE, and any other exception is raised here.
 
-    Each column is validated and sorted once, with the cuts its checks
-    read: the price with independence's levels and the conditioning
-    bins, d with the levels, y with the bins.  Each validated copy goes
-    as soon as its column is scored.  The untied columns share one
-    sorted score vector, built on first use and dropped once all three
-    are scored, and each conditioning column gets its bin rows here.
-    Separation then runs on one worker thread while this one runs
-    independence and sufficiency: the checks read the scored columns
-    and write nothing the other reads, so the verdicts are those of
-    three calls in a row.  The worker has ended when this returns or
-    raises.  The checkers are called by their module names, so a
-    wrapper bound in their place sees every call.
+    _prepared validates and sorts each column once, with the cuts its
+    checks read: the price with independence's levels and the
+    conditioning bins, d with the levels, y with the bins, so the
+    checkers pass all three through.  Separation then runs on one
+    worker thread while this one runs independence and sufficiency:
+    the checks read the prepared columns and write nothing the other
+    reads, so the verdicts are those of three calls in a row.  The
+    worker has ended when this returns or raises.  The checkers are
+    called by their module names, so a wrapper bound in their place
+    sees every call.
     """
-    cols = _as_columns(prices, d, y)
-    n = cols[0].shape[0]
-    levels = _n_levels(n, N_LEVELS)
-    untied = functools.cache(_untied_vector)
-    for i, cuts in enumerate(((levels, N_BINS), (levels,), (N_BINS,))):
-        cols[i] = _scored(cols[i], *cuts, untied=untied)
-    del untied
-    sp, sd, sy = cols
-    # built here, so that the worker allocates no full-length array in
-    # an arena of its own, whose high-water mark would stay; built after
-    # the shared vector goes, which would otherwise raise the peak
-    for conditioning in (sp, sy):
-        conditioning.bin_rows = np.argsort(conditioning.cuts[N_BINS][0], kind="stable")
+    levels = _n_levels(np.size(prices), N_LEVELS)
+    # prepared here, so that the worker allocates no full-length array
+    # in an arena of its own, whose high-water mark would stay
+    sp, sd, sy = _prepared((prices, d, y), ((levels, N_BINS), (levels,), (N_BINS,)))
+    n = sp.shape[0]
 
     def run(kind, check, *columns):
         try:
@@ -891,31 +893,24 @@ def _detrend(gc: np.ndarray, *columns: np.ndarray) -> None:
 
 
 def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerdict:
-    cols = _as_columns(a, b, given)
-    n = cols[0].shape[0]
+    a, b, given = _prepared((a, b, given), ((), (), (N_BINS,)))
+    n = given.shape[0]
     if n < 100 * N_BINS:
         raise TooFewSamples(
             f"need >= {100 * N_BINS} observations for {N_BINS} bins, got {n}")
-    # a raw column is scored here, with only the conditioning bins cut;
-    # the bin loop reads plain arrays.  Ties merge quantile bins, so there
-    # may be fewer than N_BINS, none empty; a bin below the minimum count
-    # is a genuine data problem
-    scored = [orig if isinstance(orig, NormalScores) else _scored(col, *cuts)
-              for orig, col, cuts in zip((a, b, given), cols, ((), (), (N_BINS,)))]
-    bin_ids, counts = _cut(scored[2], cols[2], N_BINS)
-    a, b, given = (np.asarray(s, dtype=np.float64).ravel() for s in scored)
+    # ties merge quantile bins, so there may be fewer than N_BINS, none
+    # empty; a bin below the minimum count is a genuine data problem
+    counts = given.cuts[N_BINS][1]
     n_bins = counts.shape[0]
     if counts.min() < MIN_BIN_COUNT:
         raise EmptyBin(
             f"a conditioning bin holds {counts.min()} < {MIN_BIN_COUNT} points")
-    # a stable sort keeps each bin's rows in their original order, the
-    # order a boolean mask would select them in; on the narrow unsigned
-    # ids, numpy sorts by radix.  A column check_axioms scored carries
-    # that order as its bin_rows.  Each bin gathers its own rows, so no
-    # sorted copy of the three columns is held alongside them
-    order = scored[2].bin_rows
-    if order is None:
-        order = np.argsort(bin_ids, kind="stable")
+    # bin_rows, the stable order of the bin ids, keeps each bin's rows
+    # in their original order, the order a boolean mask would select
+    # them in.  Each bin gathers its own rows from the plain arrays, so
+    # no sorted copy of the three columns is held alongside them
+    order = given.bin_rows
+    a, b, given = (np.asarray(c) for c in (a, b, given))
     ends = np.cumsum(counts)
     log_ps = np.empty(n_bins)
     for k in range(n_bins):

@@ -17,14 +17,12 @@ from .streams import standard_normals
 def sample(rho1: float, rho2: float, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """n rows of (x1, x2, d) with deterministic, stream-partitioned normals.
 
-    The caller checks the pair (``model.valid_rho_pair``); the scale of
-    Z is written as that predicate writes it, so a valid pair always
-    gets a positive scale.  Identical arguments give byte-identical
-    output, and ``sample(rho1, rho2, k, ...)`` equals the first k rows
-    of ``sample(rho1, rho2, n, ...)`` for k <= n.
+    The caller checks the pair (``model.valid_rho_pair``) and n; the
+    scale of Z is written as that predicate writes it, so a valid pair
+    always gets a positive scale.  Identical arguments give
+    byte-identical output, and ``sample(rho1, rho2, k, ...)`` equals the
+    first k rows of ``sample(rho1, rho2, n, ...)`` for k <= n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     x = standard_normals(3 * n, seed, stream).reshape(n, 3)
     x[:, 2] = rho1 * x[:, 0] + rho2 * x[:, 1] + np.sqrt(1.0 - rho1**2 - rho2**2) * x[:, 2]
     return x

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatch, NotPositiveDefinite
+from .errors import ConfigError, LengthMismatch, NotPositiveDefinite
 from .gaussian import sample
-from .streams import shown, standard_normals
+from .streams import check_integer, shown, standard_normals
 
 FLOAT_FMT = "%.17g"
 
@@ -124,7 +124,10 @@ def make_example_model(rho1: float, rho2: float) -> PortfolioModel:
 
 
 def simulate(model: PortfolioModel, n: int, seed: int) -> SimulatedDataset:
-    """n i.i.d. draws of (x1, x2, d, y), deterministic in (model, n, seed)."""
+    """n i.i.d. draws of (x1, x2, d, y), deterministic in (model, n, seed);
+    ConfigError unless n is an integer of at least 1."""
+    if check_integer(n, "n") < 1:
+        raise ConfigError(f"n must be >= 1, got {shown(n)}")
     x = sample(model.rho1, model.rho2, n, seed, stream=_COVARIATE_STREAM)
     z = standard_normals(n, seed, stream=_RESPONSE_STREAM)
     y = x[:, 0] + np.sqrt(1.0 + x[:, 1] ** 2) * z

@@ -29,7 +29,7 @@ from scipy import stats as sps
 
 from fairlens import fairness, oracles
 from fairlens.errors import ConfigError, EmptyBin, LengthMismatch
-from fairlens.fairness import _as_columns, _dcor_from_parts
+from fairlens.fairness import _dcor_from_parts
 from fairlens.model import require_valid_rho_pair
 from fairlens.oracles import _posterior_weight_and_variance
 from fairlens.streams import _bit_generator, standard_normals
@@ -119,7 +119,7 @@ def distance_correlation(a, b) -> float:
     The plain V-statistic with double centering, evaluated exactly in
     row chunks so no n x n matrix is materialized.
     """
-    a, b = _as_columns(a, b)
+    a, b = _flat_pair(a, b)
     n = a.shape[0]
     if n < 4:
         raise LengthMismatch("need at least 4 observations")
@@ -139,6 +139,15 @@ def distance_correlation(a, b) -> float:
         s_aa += float(np.vdot(A, A))
         s_bb += float(np.vdot(B, B))
     return _dcor_from_parts(s_ab / n**2, s_aa / n**2, s_bb / n**2)
+
+
+def _flat_pair(a, b):
+    """a and b as flat float64 arrays of one length; this module's own
+    check, apart from the one of the code it is a reference for."""
+    a, b = (np.asarray(c, dtype=np.float64).ravel() for c in (a, b))
+    if a.shape != b.shape:
+        raise LengthMismatch("input vectors have unequal lengths")
+    return a, b
 
 
 def _abs_row_means(x: np.ndarray) -> np.ndarray:
@@ -167,7 +176,7 @@ def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
     """
     if n_permutations < 99:
         raise ConfigError("n_permutations must be >= 99")
-    a, b = _as_columns(a, b)
+    a, b = _flat_pair(a, b)
     observed = statistic_fn(a, b)
     rng = generator(seed, _STREAM_GENERIC)
     exceed = 0
@@ -211,18 +220,14 @@ def residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def conditional_check_reference(a, b, given) -> tuple[float, float]:
     """(statistic, p) of a conditional check by its per-bin loop as
-    first written: each raw column scored by fairness._scored with the
-    conditioning bins cut, the bins a scored column carries used as they
-    are (and cut afresh where it carries none), each bin's rows picked
-    by a boolean mask of the conditioning bin ids, each tested column
-    residualized on its own, and each bin's level table tested by
-    fairness._table_test.  Raises EmptyBin where a bin holds fewer than
-    MIN_BIN_COUNT points."""
-    a, b, given = (c if isinstance(c, fairness.NormalScores)
-                   else fairness._scored(np.asarray(c, dtype=np.float64), fairness.N_BINS)
-                   for c in (a, b, given))
-    bin_ids, counts = (given.cuts.get(fairness.N_BINS)
-                       or fairness._quantile_level_ids(given, fairness.N_BINS))
+    first written: the columns scored by fairness._prepared with the
+    conditioning bins cut, each bin's rows picked by a boolean mask of
+    the conditioning bin ids, each tested column residualized on its
+    own, and each bin's level table tested by fairness._table_test.
+    Raises EmptyBin where a bin holds fewer than MIN_BIN_COUNT
+    points."""
+    a, b, given = fairness._prepared((a, b, given), ((), (), (fairness.N_BINS,)))
+    bin_ids, counts = given.cuts[fairness.N_BINS]
     if counts.min() < fairness.MIN_BIN_COUNT:
         raise EmptyBin(f"a conditioning bin holds {counts.min()} points")
     a, b, given = (np.asarray(c) for c in (a, b, given))

@@ -20,7 +20,7 @@ from scipy import stats as sps
 from fairlens import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                       TestConfig, TooFewSamples, check_independence,
                       check_separation, check_sufficiency, fairness,
-                      make_example_model, simulate)
+                      harness, make_example_model, simulate)
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 from fairlens.harness import MAX_N
 from fairlens.streams import normal_ppf
@@ -190,12 +190,15 @@ def _assert_level_ids(pair, want):
     assert ids.dtype == np.min_scalar_type(counts.shape[0] - 1)
 
 
+def prepared(x, *cuts):
+    """x prepared alone, carrying the level cuts asked for."""
+    return fairness._prepared((x,), (cuts,))[0]
+
+
 def audit_scored(x):
     """x scored as check_axioms scores a price: carrying independence's
     levels and the conditioning bins."""
-    x = np.asarray(x, dtype=np.float64)
-    return fairness._scored(x, fairness._n_levels(x.shape[0], fairness.N_LEVELS),
-                            fairness.N_BINS)
+    return prepared(x, fairness._n_levels(np.size(x), fairness.N_LEVELS), fairness.N_BINS)
 
 
 class TestOneSortPerColumn:
@@ -208,7 +211,7 @@ class TestOneSortPerColumn:
     def test_matches_the_definitions(self, n, kind):
         x = _order_inputs(kind, n)
         levels = fairness._n_levels(n, fairness.N_LEVELS)
-        scores = fairness._scored(x, levels, fairness.N_BINS)
+        scores = prepared(x, levels, fairness.N_BINS)
         want_scores = normal_ppf(copula_ranks(x))
         assert scores.tobytes() == want_scores.tobytes()
         # the ids the scores carry: independence's levels cut on the raw
@@ -224,12 +227,12 @@ class TestOneSortPerColumn:
                               quantile_level_ids(x, levels))
 
     def test_scores_are_read_only_and_views_carry_no_ids(self):
-        scores = fairness._scored(_order_inputs("distinct", 500), fairness.N_BINS)
+        scores = prepared(_order_inputs("distinct", 500), fairness.N_BINS)
         assert not scores.flags.writeable
         with pytest.raises(ValueError):
             scores[0] = 0.0
         assert list(scores.cuts) == [fairness.N_BINS]
-        assert not fairness._scored(_order_inputs("distinct", 500)).cuts
+        assert not prepared(_order_inputs("distinct", 500)).cuts
         for view in (scores[:], scores[::-1], scores.copy()):
             assert isinstance(view, fairness.NormalScores)
             assert not view.cuts
@@ -351,7 +354,9 @@ class TestScoresKeepTheirOrder:
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(1 + 2j, id="complex"),
+                                     pytest.param("1.5", id="strings")])
     @pytest.mark.parametrize("check", [
         lambda a, b, c: check_independence(a, b, FAST),
         lambda a, b, c: check_separation(a, b, c, FAST),
@@ -359,11 +364,63 @@ class TestNonFiniteInput:
         lambda a, b, c: fairness.check_axioms(a, b, c, FAST),
     ], ids=["independence", "separation", "sufficiency", "check_axioms"])
     def test_rejected(self, check, bad):
+        """One value that is not finite, or a column that is not real
+        numbers, even where each value converts to a float."""
         rng = np.random.default_rng(9)
         a, b, c = rng.normal(size=(3, 5000))
-        a[1234] = bad
+        if isinstance(bad, float):
+            a[1234] = bad
+        else:
+            a = np.full(5000, bad)
         with pytest.raises(NonFiniteInput):
             check(a, b, c)
+
+
+class TestValidateOnce:
+    def test_audit_checks_each_full_column_once(self, monkeypatch):
+        """An untraced audit at n = 5e5 checks the finiteness of its
+        three columns once, in check_axioms; the checkers pass the
+        prepared columns through."""
+        n = 500_000
+        full = []
+        isfinite = np.isfinite
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == (n,):
+                full.append(np.shape(a))
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        harness.cmd_audit(harness.RunConfig(rho1=0.1, rho2=0.9, n=n, seed=5,
+                                            test=TestConfig(seed=5)))
+        assert len(full) == 3
+
+    def test_a_cast_column_is_validated(self):
+        """A NaN column cast to NormalScores carries no cuts, so it is
+        validated like a raw one."""
+        bad = np.full(5000, np.nan).view(fairness.NormalScores)
+        b, c = np.random.default_rng(9).normal(size=(2, 5000))
+        for check in (lambda: check_independence(bad, b, FAST),
+                      lambda: check_separation(bad, b, c, FAST),
+                      lambda: fairness.check_axioms(bad, b, c, FAST)):
+            with pytest.raises(NonFiniteInput):
+                check()
+
+    def test_a_view_of_a_scored_column_is_scored_again(self):
+        """A view carries no cuts; scoring it again gives the raw
+        column's scores and cuts bit for bit, because the scores keep
+        the raw values' order and ties."""
+        for x in (np.random.default_rng(11).normal(size=5000),
+                  np.round(np.random.default_rng(12).normal(size=5000), 1)):
+            raw = audit_scored(x)
+            again = audit_scored(raw[:])
+            assert again is not raw
+            assert again.tobytes() == raw.tobytes()
+            assert again.cuts.keys() == raw.cuts.keys()
+            for k in raw.cuts:
+                for got, want in zip(again.cuts[k], raw.cuts[k]):
+                    np.testing.assert_array_equal(got, want)
+            assert again.bin_rows.tobytes() == raw.bin_rows.tobytes()
 
 
 class TestPermutationPvalue:
@@ -515,7 +572,8 @@ class TestResidualsDoNotDependOnTheBlasKernel:
             digest = hashlib.sha256()
             for seed in range(3):
                 ds = model.simulate(model.make_example_model(0.1, 0.9), 50_000, seed)
-                a, b, g = (np.array(fairness._scored(c)) for c in (ds.x1, ds.d, ds.y))
+                a, b, g = (np.array(c) for c in
+                           fairness._prepared((ds.x1, ds.d, ds.y), ((), (), ())))
                 fairness._detrend(g, a, b)
                 digest.update(a.tobytes() + b.tobytes())
             print(digest.hexdigest())
@@ -1082,8 +1140,8 @@ class TestConditionalChecksMatchTheReferenceLoop:
         bin of a 1e5-point dataset, tied and untied."""
         ds = simulate(make_example_model(0.1, 0.9), 100_000, seed=4)
         for cols in ((ds.x1, ds.d, ds.y), [np.round(c, 1) for c in (ds.x1, ds.d, ds.y)]):
-            a, b, g = (np.asarray(fairness._scored(c)) for c in cols)
-            bin_ids, counts = fairness._scored(cols[2], fairness.N_BINS).cuts[fairness.N_BINS]
+            a, b, g = (np.asarray(prepared(c)) for c in cols)
+            bin_ids, counts = prepared(cols[2], fairness.N_BINS).cuts[fairness.N_BINS]
             for k in range(counts.shape[0]):
                 rows = bin_ids == k
                 ak, bk = a[rows], b[rows]
@@ -1110,7 +1168,7 @@ class TestConditionalChecksMatchTheReferenceLoop:
             [-1.0 - rng.random(1200), np.zeros(1600), 1.0 + rng.random(1200)]))
         a = rng.normal(size=4000) + given
         b = rng.normal(size=4000)
-        g = fairness._scored(given, fairness.N_BINS)
+        g = prepared(given, fairness.N_BINS)
         bin_ids, counts = g.cuts[fairness.N_BINS]
         assert 1600 in counts.tolist()
         assert np.all(np.asarray(g)[bin_ids == counts.tolist().index(1600)] == 0.0)
@@ -1132,14 +1190,14 @@ class TestScoresCacheAndCuts:
     def test_untied_column_scores_come_from_the_cache(self):
         x = np.random.default_rng(13).normal(size=3001)
         fairness._untied_scores.cache_clear()
-        scores = fairness._scored(x)
+        scores = prepared(x)
         assert fairness._untied_scores.cache_info().currsize == 1
         assert np.asarray(scores).tobytes() == normal_ppf(copula_ranks(x)).tobytes()
 
     def test_tied_columns_bypass_the_cache(self):
         x = np.round(np.random.default_rng(14).normal(size=3001), 1)
         fairness._untied_scores.cache_clear()
-        scores = fairness._scored(x)
+        scores = prepared(x)
         assert fairness._untied_scores.cache_info().currsize == 0
         assert np.asarray(scores).tobytes() == normal_ppf(copula_ranks(x)).tobytes()
 
@@ -1147,7 +1205,7 @@ class TestScoresCacheAndCuts:
         n = 500_000
         assert n > fairness._CACHED_SCORES_MAX_N
         fairness._untied_scores.cache_clear()
-        fairness._scored(np.arange(n, 0, -1.0))
+        prepared(np.arange(n, 0, -1.0))
         assert fairness._untied_scores.cache_info().currsize == 0
 
     def test_raw_conditional_check_cuts_one_pair_outside_its_bins(self, monkeypatch):

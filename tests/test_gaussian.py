@@ -84,10 +84,6 @@ class TestSampling:
         long = sample(RHO1, RHO2, 4000, seed=3)
         assert np.array_equal(short, long[:7])
 
-    def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample(RHO1, RHO2, 0, seed=1)
-
 
 class TestConditioning:
     def test_reference_sigma_given_d(self):

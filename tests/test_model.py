@@ -77,6 +77,15 @@ class TestModelConstruction:
 
 
 class TestSimulate:
+    def test_n_must_be_positive(self):
+        """simulate checks n, once: anything but an integer of at least
+        1 is a ConfigError."""
+        m = make_example_model(0.1, 0.9)
+        for n in (0, -1, 1.5, 1e4, True, "10"):
+            with pytest.raises(ConfigError, match="n must be"):
+                simulate(m, n, seed=1)
+        assert simulate(m, np.int64(1), seed=1).n == 1
+
     def test_moments_at_reference_parameters(self):
         m = make_example_model(0.1, 0.9)
         ds = simulate(m, 10**6, seed=21)
