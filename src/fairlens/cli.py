@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--n", type=int)
     audit.add_argument("--seed", type=int)
     audit.add_argument("--alpha", type=float)
-    # neither acts on a p-value (every table takes the spectral law);
+    # neither acts on a p-value (every p-value has a closed form);
     # both stay valid options for the configs and scripts that pass them
     audit.add_argument("--permutations", type=int, dest="n_permutations",
                        help=f"validated in [99, {MAX_PERMUTATIONS}] and "

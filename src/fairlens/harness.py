@@ -46,13 +46,12 @@ OUTPUT_FORMATS = ("csv", "json")
 CONFIG_KEYS = ("rho1", "rho2", "n", "seed", "alpha", "n_permutations",
                "test_seed", "output_path", "output_format", "functional")
 
-# an audit's numpy heap (tracemalloc peak) is 85.8-88.4 bytes per row
+# an audit's numpy heap (tracemalloc peak) is 80.4-81.6 bytes per row
 # from n = 2e5 to 2e6, among them 16 for the two conditioning columns'
 # bin rows, which check_axioms holds while its two threads run.  Below
-# that a fixed ~1.5 MB counts, most of it the laws the first audit in a
-# process caches: at n = 2e4 a first audit peaks at 180 bytes per row,
-# a second at 108.  The ceiling, at 98 bytes per row, keeps the heap
-# within 4 GiB, so 43,826,196 rows
+# that a fixed ~1 MB counts in the first audit of a process: at n = 2e4
+# it peaks at 129 bytes per row, a second audit at 81.  The ceiling, at
+# 98 bytes per row, keeps the heap within 4 GiB, so 43,826,196 rows
 AUDIT_HEAP_BYTES_PER_ROW = 98
 AUDIT_HEAP_BUDGET_BYTES = 4 << 30
 MAX_N = AUDIT_HEAP_BUDGET_BYTES // AUDIT_HEAP_BYTES_PER_ROW

@@ -199,7 +199,10 @@ def _adaptive_even_quadrature(f, tol: float) -> float:
         mid = (edges[:-1] + edges[1:]) / 2.0
         pts = mid[:, None] + half[:, None] * nodes[None, :]
         vals = f(pts.ravel()).reshape(pts.shape)
-        total = float(np.sum(half * (vals @ weights))) * 2.0
+        # an elementwise product summed in numpy's fixed order, not a
+        # BLAS matrix-vector product, whose rounding depends on the CPU
+        # kernel
+        total = float(np.sum(half * np.add.reduce(vals * weights, axis=1))) * 2.0
         if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
             return total
         prev = total

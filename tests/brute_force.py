@@ -2,37 +2,27 @@
 
 None of these is on the audit path: they are the independent
 references (grid integration, slice rejection, the exact O(n^2)
-distance correlation, the generic permutation p-value, the level-table
-test's mid-p over scipy's sampled tables, the conditional checks'
-per-bin loop as first written, scipy's ranks, quantile levels from
-scipy's minimum ranks, the chi-square tail in 40-digit decimals, the
-saddlepoint root by scipy's root finder, the odd-df chi-square tail
-in log space, the chi-square mixture's tail by Ruben's series in
-50-digit decimals, by Imhof's inversion on scipy's adaptive
-quadrature and by Monte Carlo, the two-weight tail by adaptive
-quadrature over the smaller weight's normal, the Gaussian log density
-and Schur-complement conditioning, and the closed-form X2 posterior
+distance correlation, the generic permutation p-value, the conditional
+checks' moment statistic by its definition, scipy's ranks, quantile
+levels from scipy's minimum ranks, the Gaussian log density and
+Schur-complement conditioning, and the closed-form X2 posterior
 density and Var(Y | X1, D) of the portfolio model, and the Monte Carlo
 moments summed over whole chunks) that the tests hold the fast code
 against.
 """
 
-import decimal
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize, special
 from scipy import stats as sps
 
 from fairlens import fairness, oracles
 from fairlens.errors import ConfigError, EmptyBin, LengthMismatch
-from fairlens.fairness import _dcor_from_parts
 from fairlens.model import require_valid_rho_pair
 from fairlens.oracles import _posterior_weight_and_variance
-from fairlens.streams import _bit_generator, standard_normals
+from fairlens.streams import _bit_generator, normal_ppf, standard_normals
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -138,7 +128,9 @@ def distance_correlation(a, b) -> float:
         s_ab += float(np.vdot(A, B))
         s_aa += float(np.vdot(A, A))
         s_bb += float(np.vdot(B, B))
-    return _dcor_from_parts(s_ab / n**2, s_aa / n**2, s_bb / n**2)
+    if s_aa <= 0.0 or s_bb <= 0.0:
+        return 0.0
+    return math.sqrt(max(s_ab, 0.0) / math.sqrt(s_aa * s_bb))
 
 
 def _flat_pair(a, b):
@@ -185,28 +177,6 @@ def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
     return (1 + exceed) / (n_permutations + 1)
 
 
-def sampled_table_mid_p(side_a, side_b, n_draws: int, seed: int) -> float:
-    """Mid-p of the level-table dCov test of two variables, each given
-    as its (level ids, level counts), against n_draws tables that
-    scipy.stats.random_table draws on the observed table's margins by
-    its default method, scored with fairness._table_dcov."""
-    (ga, counts_a), (gb, counts_b) = side_a, side_b
-    n = ga.shape[0]
-    _, At, _ = fairness._level_side(counts_a, n)
-    _, Bt, _ = fairness._level_side(counts_b, n)
-    na, nb = counts_a.shape[0], counts_b.shape[0]
-    N = np.zeros((na, nb))
-    np.add.at(N, (ga.astype(np.intp), gb.astype(np.intp)), 1.0)
-    observed = fairness._table_dcov(N, At, Bt, n)
-    rows, cols = (N.sum(axis=k).astype(np.int64) for k in (1, 0))
-    tables = sps.random_table(rows, cols).rvs(
-        size=n_draws, random_state=np.random.default_rng(seed))
-    null = np.array([fairness._table_dcov(t, At, Bt, n) for t in tables])
-    greater = int(np.sum(null > observed))
-    ties = int(np.sum(null == observed))
-    return (greater + 0.5 * (ties + 1)) / (n_draws + 1)
-
-
 def residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """v less its least-squares line on g, the per-bin detrend as first
     written: one tested column at a time, centering g again for each,
@@ -219,26 +189,40 @@ def residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def conditional_check_reference(a, b, given) -> tuple[float, float]:
-    """(statistic, p) of a conditional check by its per-bin loop as
-    first written: the columns scored by fairness._prepared with the
-    conditioning bins cut, each bin's rows picked by a boolean mask of
-    the conditioning bin ids, each tested column residualized on its
-    own, and each bin's level table tested by fairness._table_test.
-    Raises EmptyBin where a bin holds fewer than MIN_BIN_COUNT
-    points."""
-    a, b, given = fairness._prepared((a, b, given), ((), (), (fairness.N_BINS,)))
-    bin_ids, counts = given.cuts[fairness.N_BINS]
+    """(statistic, p) of a conditional check by its definition.
+
+    Each column becomes normal_ppf of its scipy ranks, and the
+    conditioning scores are cut into N_BINS bins by quantile_level_ids.
+    Each bin's rows are picked by a boolean mask, each tested column is
+    residualized on its own, and each residual, then each square of
+    one, is centered on its bin mean.  The products of the pairs are
+    pooled over every bin, and z = sqrt(n) mean / sd of each pooled
+    product, by numpy's two-pass mean and sd (0 where the sd is 0).
+    The statistic is z1^2 + z2^2 and p its chi-square tail with 2 df.
+    Raises EmptyBin where a bin holds fewer than MIN_BIN_COUNT points.
+    """
+    a, b = _flat_pair(a, b)
+    given, _ = _flat_pair(given, a)
+    a, b, given = (normal_ppf(copula_ranks(c)) for c in (a, b, given))
+    bin_ids = quantile_level_ids(given, fairness.N_BINS)
+    counts = np.bincount(bin_ids)
     if counts.min() < fairness.MIN_BIN_COUNT:
         raise EmptyBin(f"a conditioning bin holds {counts.min()} points")
-    a, b, given = (np.asarray(c) for c in (a, b, given))
-    log_ps = []
+    products = ([], [])
     for k in range(counts.shape[0]):
         rows = bin_ids == k
-        levels = fairness._n_levels(int(counts[k]), fairness.N_LEVELS // 2)
-        sides = [fairness._quantile_level_ids(residualize(c[rows], given[rows]), levels)
-                 for c in (a, b)]
-        log_ps.append(fairness._table_test(*sides)[2])
-    return fairness._fisher_from_logs(np.array(log_ps))
+        ra, rb = (residualize(c[rows], given[rows]) for c in (a, b))
+        ra, rb = ra - ra.mean(), rb - rb.mean()
+        products[0].append(ra * rb)
+        sa, sb = ra * ra, rb * rb
+        products[1].append((sa - sa.mean()) * (sb - sb.mean()))
+    stat = 0.0
+    for parts in products:
+        pooled = np.concatenate(parts)
+        sd = float(pooled.std())
+        if sd > 0.0:
+            stat += (math.sqrt(pooled.size) * float(pooled.mean()) / sd) ** 2
+    return stat, math.exp(-0.5 * stat)
 
 
 # ---------------------------------------------------------------------------
@@ -265,157 +249,6 @@ def quantile_level_ids(x, n_levels: int) -> np.ndarray:
     starts = {int(block_at[-(-(n - 1) * j // n_levels)]) for j in range(1, n_levels)}
     return np.searchsorted(np.array(sorted(starts - {0}), dtype=np.int64), block,
                            side="right")
-
-
-# ---------------------------------------------------------------------------
-# chi-square tails
-# ---------------------------------------------------------------------------
-
-def chi2_even_sf_decimal(x: float, k: int) -> float:
-    """P(X > x) for X chi-square with 2k df, the Poisson sum
-    exp(-x/2) sum_{j<k} (x/2)^j / j! evaluated in 40 significant digits
-    and rounded once."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        y = decimal.Decimal(x) / 2
-        term = total = decimal.Decimal(1)
-        for j in range(1, k):
-            term = term * y / j
-            total += term
-        return float((-y).exp() * total)
-
-
-def saddlepoint_root_brentq(q: float, w: np.ndarray) -> float:
-    """The root t of K'(t) = sum w / (1 - 2 t w) = q by scipy's brentq,
-    on the bracket fairness._saddlepoint_root starts from."""
-    def excess(t):  # K'(t) - q
-        return float(np.sum(w / (1.0 - 2.0 * t * w))) - q
-
-    wmax = float(np.max(w))
-    if excess(0.0) <= 0.0:
-        lo, hi = 0.0, (1.0 - 0.5 * wmax / q) / (2.0 * wmax)
-    else:
-        lo, hi = -w.size / q, 0.0
-    return optimize.brentq(excess, lo, hi, xtol=1e-300,
-                           rtol=4.0 * np.finfo(float).eps, maxiter=500)
-
-
-def chi2_odd_log_sf(x: float, df: int) -> float:
-    """log P(X > x) for X chi-square with an odd df, finite far below
-    the smallest double: erfc(sqrt(x/2)) plus
-    exp(-x/2) sum_{j<(df-1)/2} (x/2)^(j+1/2) / Gamma(j+3/2), every term
-    positive and taken through its log (scipy's log_ndtr for the first),
-    summed by logsumexp."""
-    y = x / 2.0
-    j = np.arange(df // 2) + 0.5
-    logs = j * math.log(y) - special.gammaln(j + 1.0) - y
-    return float(special.logsumexp(np.append(
-        logs, math.log(2.0) + float(special.log_ndtr(-math.sqrt(x))))))
-
-
-def ruben_sf_decimal(q: float, w, digits: int = 50) -> decimal.Decimal:
-    """P(sum_j w_j Z_j^2 > q) for an even number m of weights, by Ruben's
-    (1962) series sum_k a_k P(chi2_{m+2k} > q / beta) evaluated in
-    `digits` significant digits, as a Decimal that does not underflow.
-
-    beta = 2 / (1/w_min + 1/w_max).  The a_k are the coefficients of
-    G(s) = a_0 prod_j (1 - c_j s)^(-1/2), c_j = 1 - beta / w_j,
-    a_0 = prod_j sqrt(beta / w_j); with P(s) = prod_j (1 - c_j s),
-    P G' = -P' G / 2 gives each next one from the m before it.  Every
-    chi-square tail has an even df, the finite Poisson sum
-    exp(-y) sum_{i<n} y^i / i!, y = q / (2 beta).  Each tail is at most 1
-    and |a_k| is at most a_0 binom(k + m/2 - 1, k) delta^k,
-    delta = max |c_j|, so the series stops where that majorant's
-    remainder is below 10^-digits of the sum.
-    """
-    m = len(w)
-    if m % 2:
-        raise ValueError("Ruben's series in decimal takes an even number of weights")
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        w = [decimal.Decimal(float(x)) for x in w]
-        beta = 2 / (1 / min(w) + 1 / max(w))
-        c = [1 - beta / x for x in w]
-        delta = max(abs(x) for x in c)
-        poly = [decimal.Decimal(1)]  # coefficients of P
-        for cj in c:
-            poly = [u - cj * v for u, v in zip(poly + [0], [0] + poly)]
-        a = [math.prod((beta / x).sqrt() for x in w)]
-        y = decimal.Decimal(q) / (2 * beta)
-        half = m // 2
-        term, partial = decimal.Decimal(1), decimal.Decimal(0)  # y^i / i!, sum_{i<n}
-        for i in range(half):
-            partial += term
-            term = term * y / (i + 1)
-        total = a[0] * partial
-        bound = a[0]
-        scale = (-y).exp()
-        for k in itertools.count(1):
-            ratio = delta * (k - 1 + half) / k
-            if ratio < 1 and bound * ratio / (1 - ratio) < scale * total * ctx.power(10, -digits):
-                return scale * total
-            # the coefficient of s^(k-1) in P G' + P' G / 2 = 0:
-            # k a_k = -sum_{i=1}^{m} p_i (k - i/2) a_{k-i}
-            a.append(-sum(poly[i] * (k - decimal.Decimal(i) / 2) * a[k - i]
-                          for i in range(1, min(k, m) + 1)) / k)
-            partial += term
-            term = term * y / (half + k)
-            total += a[k] * partial
-            bound *= ratio
-
-
-def imhof_sf(q: float, w: np.ndarray, epsabs: float = 1e-13,
-             epsrel: float = 1e-10) -> float:
-    """P(sum_j w_j Z_j^2 > q) by Imhof's (1961) inversion of the
-    characteristic function, integrated by scipy's adaptive quad; raises
-    where quad reports that the integral did not converge (as it does on
-    a few weights, whose integrand decays slowly)."""
-    def integrand(u):
-        x = w * u
-        theta = 0.5 * (float(np.arctan(x).sum()) - q * u)
-        log_rho = 0.25 * float(np.log1p(x * x).sum())
-        return math.sin(theta) * math.exp(-log_rho) / u
-
-    # with full_output, quad reports a failure in its return value
-    # instead of warning
-    out = integrate.quad(integrand, 0.0, math.inf, epsabs=epsabs,
-                         epsrel=epsrel, limit=2000, full_output=1)
-    if len(out) > 3:
-        raise RuntimeError(f"quad did not converge at q={q}: {out[3]}")
-    return 0.5 + out[0] / math.pi
-
-
-def two_weight_sf_quad(q: float, w_big: float, w_small: float) -> float:
-    """P(w_big Z1^2 + w_small Z2^2 > q) integrated over Z2 itself by
-    scipy's adaptive quad: P(|Z2| > s) plus the integral over |z| < s,
-    s = sqrt(q / w_small), of phi(z) P(Z1^2 > (q - w_small z^2) / w_big),
-    whose derivative is singular at z = s."""
-    s = math.sqrt(q / w_small)
-
-    def integrand(z):
-        rest = max(q - w_small * z * z, 0.0) / w_big
-        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * math.erfc(
-            math.sqrt(0.5 * rest))
-
-    breaks = [z for z in (1.0, 3.0, 6.0) if z < s] or None
-    inner, _ = integrate.quad(integrand, 0.0, s, epsabs=1e-15, epsrel=1e-13,
-                              limit=500, points=breaks)
-    return math.erfc(s / math.sqrt(2.0)) + 2.0 * inner
-
-
-def chi2_mixture_sf_monte_carlo(qs, w: np.ndarray, draws: int, seed: int):
-    """(p, standard errors) of P(sum_j w_j Z_j^2 > q) at each q of qs,
-    from `draws` independent vectors Z."""
-    qs = np.asarray(qs, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    hits = np.zeros(qs.size)
-    block = 1 << 18
-    for lo in range(0, draws, block):
-        z = rng.standard_normal((min(block, draws - lo), w.size))
-        mix = np.sum(z * z * w, axis=1)
-        hits += np.sum(mix[:, None] > qs[None, :], axis=0)
-    p = hits / draws
-    return p, np.sqrt(p * (1.0 - p) / draws)
 
 
 # ---------------------------------------------------------------------------

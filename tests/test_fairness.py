@@ -1,4 +1,5 @@
-"""Distance correlation, permutation machinery, axiom checkers."""
+"""Normal scores and bins, moment statistics, axiom checkers, and the
+brute-force distance correlation and permutation references."""
 
 import json
 import math
@@ -14,8 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
-from scipy import stats as sps
 
 from fairlens import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                       TestConfig, TooFewSamples, check_independence,
@@ -25,21 +24,11 @@ from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 from fairlens.harness import MAX_N
 from fairlens.streams import normal_ppf
 
-from brute_force import (chi2_even_sf_decimal, chi2_mixture_sf_monte_carlo,
-                         chi2_odd_log_sf, conditional_check_reference,
-                         copula_ranks, distance_correlation, imhof_sf,
-                         permutation_pvalue, quantile_level_ids, residualize,
-                         ruben_sf_decimal, sampled_table_mid_p,
-                         saddlepoint_root_brentq, two_weight_sf_quad)
+from brute_force import (conditional_check_reference, copula_ranks,
+                         distance_correlation, permutation_pvalue,
+                         quantile_level_ids, residualize)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
-
-
-def table_test(a, b, levels):
-    """The level-table test of two raw columns, each cut into `levels`
-    quantile levels."""
-    return fairness._table_test(fairness._quantile_level_ids(a, levels),
-                                fairness._quantile_level_ids(b, levels))
 
 
 def brute_force_dcor(a, b):
@@ -127,27 +116,6 @@ class TestDistanceCorrelation:
         assert got == pytest.approx(brute_force_dcor(ds.x1, ds.d), abs=1e-10)
         assert got == pytest.approx(0.1, abs=0.06)
 
-    @pytest.mark.parametrize("n,levels,ties", [
-        (300, 4, False), (1000, 8, True), (2000, 16, False),
-        (3000, 32, True), (5000, 64, False)])
-    def test_level_table_statistic_matches_definition(self, n, levels, ties):
-        """The level-table dCor that every verdict rests on is the exact
-        distance correlation of each point's level position, the
-        midpoint cumsum(p) - p/2 of its level's probability mass."""
-        rng = np.random.default_rng(n + levels)
-        a = rng.normal(size=n)
-        b = 0.3 * a + rng.normal(size=n)
-        if ties:
-            # a tie block across several quantile edges merges levels
-            a[rng.permutation(n)[: n // 4]] = 0.0
-        positions = []
-        for x in (a, b):
-            ids, counts = fairness._quantile_level_ids(x, levels)
-            probs = counts / n
-            positions.append((np.cumsum(probs) - probs / 2.0)[ids])
-        got = table_test(a, b, levels)[0]
-        assert got == pytest.approx(distance_correlation(*positions), abs=1e-12)
-
     def test_length_validation(self):
         with pytest.raises(LengthMismatch):
             distance_correlation([1, 2, 3], [1, 2])
@@ -190,15 +158,30 @@ def _assert_level_ids(pair, want):
     assert ids.dtype == np.min_scalar_type(counts.shape[0] - 1)
 
 
-def prepared(x, *cuts):
-    """x prepared alone, carrying the level cuts asked for."""
-    return fairness._prepared((x,), (cuts,))[0]
+def prepared(x, binned=False):
+    """x prepared alone, cut into the conditioning bins if binned."""
+    return fairness._prepared((x,), (binned,))[0]
 
 
 def audit_scored(x):
-    """x scored as check_axioms scores a price: carrying independence's
-    levels and the conditioning bins."""
-    return prepared(x, fairness._n_levels(np.size(x), fairness.N_LEVELS), fairness.N_BINS)
+    """x scored as check_axioms scores a price: cut into the
+    conditioning bins."""
+    return prepared(x, True)
+
+
+def bin_ids(scores):
+    """(ids, counts) of the bins a prepared column carries, the ids in
+    the column's own order."""
+    counts, rows = scores.bins
+    return fairness._level_ids(rows, counts), counts
+
+
+def level_ids(x, levels):
+    """(ids, counts) of x at `levels` quantile levels, by the cut that
+    _prepared makes at N_BINS."""
+    order = np.argsort(x)
+    counts = fairness._level_counts(x[order], levels)
+    return fairness._level_ids(order, counts), counts
 
 
 class TestOneSortPerColumn:
@@ -210,32 +193,27 @@ class TestOneSortPerColumn:
     @pytest.mark.parametrize("n", [500, 50_000, 1_000_000])
     def test_matches_the_definitions(self, n, kind):
         x = _order_inputs(kind, n)
-        levels = fairness._n_levels(n, fairness.N_LEVELS)
-        scores = prepared(x, levels, fairness.N_BINS)
+        scores = audit_scored(x)
         want_scores = normal_ppf(copula_ranks(x))
         assert scores.tobytes() == want_scores.tobytes()
-        # the ids the scores carry: independence's levels cut on the raw
-        # values, and the conditioning bins, which must equal a cut of
-        # the scores
-        assert sorted(scores.cuts) == sorted((levels, fairness.N_BINS))
-        _assert_level_ids(scores.cuts[levels], quantile_level_ids(x, levels))
-        _assert_level_ids(scores.cuts[fairness.N_BINS],
+        # the conditioning bins the scores carry are cut on the raw
+        # values, and must equal a cut of the scores
+        _assert_level_ids(bin_ids(scores),
                           quantile_level_ids(want_scores, fairness.N_BINS))
-        for levels in (fairness.N_LEVELS, fairness.N_LEVELS // 2,
-                       fairness.N_BINS):
-            _assert_level_ids(fairness._quantile_level_ids(x, levels),
-                              quantile_level_ids(x, levels))
+        for levels in (64, 32, fairness.N_BINS):
+            _assert_level_ids(level_ids(x, levels), quantile_level_ids(x, levels))
 
     def test_scores_are_read_only_and_views_carry_no_ids(self):
-        scores = prepared(_order_inputs("distinct", 500), fairness.N_BINS)
+        scores = audit_scored(_order_inputs("distinct", 500))
         assert not scores.flags.writeable
         with pytest.raises(ValueError):
             scores[0] = 0.0
-        assert list(scores.cuts) == [fairness.N_BINS]
-        assert not prepared(_order_inputs("distinct", 500)).cuts
+        assert scores.prepared and scores.bins is not None
+        unbinned = prepared(_order_inputs("distinct", 500))
+        assert unbinned.prepared and unbinned.bins is None
         for view in (scores[:], scores[::-1], scores.copy()):
             assert isinstance(view, fairness.NormalScores)
-            assert not view.cuts
+            assert not view.prepared and view.bins is None
 
     def test_inputs_reach_the_cases_they_name(self):
         n = 50_000
@@ -245,10 +223,9 @@ class TestOneSortPerColumn:
         sub = _order_inputs("subnormals", n)
         assert (np.abs(sub[sub != 0.0]) < np.finfo(np.float64).tiny).all()
         xs = np.sort(_order_inputs("on_edges", n))
-        starts = [-(-(n - 1) * j // fairness.N_LEVELS)
-                  for j in range(1, fairness.N_LEVELS)]
+        starts = [-(-(n - 1) * j // 64) for j in range(1, 64)]
         inside = sum(xs[s - 1] == xs[s] for s in starts)
-        assert inside > fairness.N_LEVELS // 2
+        assert inside > 32
 
     @pytest.mark.parametrize("n,levels", [(6, 5), (1001, 20), (10_001, 20)])
     def test_distinct_columns_get_equal_counts(self, n, levels):
@@ -256,7 +233,7 @@ class TestOneSortPerColumn:
         round up past that position; the integer starts do not, so
         distinct values fill the levels within one point of each other."""
         x = np.random.default_rng(n).permutation(n).astype(np.float64)
-        ids, counts = fairness._quantile_level_ids(x, levels)
+        ids, counts = level_ids(x, levels)
         assert counts.shape[0] == levels
         assert counts.max() - counts.min() <= 1
         np.testing.assert_array_equal(ids, quantile_level_ids(x, levels))
@@ -269,7 +246,7 @@ class TestOneSortPerColumn:
         count is positive, the counts sum to n and the ids hold them.
         A constant column is one level."""
         x = np.array(values, dtype=np.float64)
-        ids, counts = fairness._quantile_level_ids(x, levels)
+        ids, counts = level_ids(x, levels)
         assert (counts > 0).all()
         assert counts.sum() == x.shape[0]
         np.testing.assert_array_equal(np.bincount(ids), counts)
@@ -280,7 +257,7 @@ class TestOneSortPerColumn:
 
 # level counts whose probabilities j / L are binary fractions, so that
 # np.quantile's float index ceil((n - 1) j / L) is exact
-EXACT_LEVELS = (fairness.N_LEVELS, fairness.N_LEVELS // 2, 4)
+EXACT_LEVELS = (64, 32, 4)
 
 
 def level_start_values(xs, n_levels):
@@ -356,7 +333,8 @@ class TestScoresKeepTheirOrder:
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      pytest.param(1 + 2j, id="complex"),
-                                     pytest.param("1.5", id="strings")])
+                                     pytest.param("1.5", id="strings"),
+                                     pytest.param([[1.0, 2.0], [3.0]], id="ragged")])
     @pytest.mark.parametrize("check", [
         lambda a, b, c: check_independence(a, b, FAST),
         lambda a, b, c: check_separation(a, b, c, FAST),
@@ -364,12 +342,15 @@ class TestNonFiniteInput:
         lambda a, b, c: fairness.check_axioms(a, b, c, FAST),
     ], ids=["independence", "separation", "sufficiency", "check_axioms"])
     def test_rejected(self, check, bad):
-        """One value that is not finite, or a column that is not real
-        numbers, even where each value converts to a float."""
+        """One value that is not finite, a column that is not real
+        numbers, even where each value converts to a float, or a column
+        whose rows differ in length."""
         rng = np.random.default_rng(9)
         a, b, c = rng.normal(size=(3, 5000))
         if isinstance(bad, float):
             a[1234] = bad
+        elif isinstance(bad, list):
+            a = bad + [0.0] * 4998
         else:
             a = np.full(5000, bad)
         with pytest.raises(NonFiniteInput):
@@ -396,7 +377,7 @@ class TestValidateOnce:
         assert len(full) == 3
 
     def test_a_cast_column_is_validated(self):
-        """A NaN column cast to NormalScores carries no cuts, so it is
+        """A NaN column cast to NormalScores is not prepared, so it is
         validated like a raw one."""
         bad = np.full(5000, np.nan).view(fairness.NormalScores)
         b, c = np.random.default_rng(9).normal(size=(2, 5000))
@@ -407,8 +388,8 @@ class TestValidateOnce:
                 check()
 
     def test_a_view_of_a_scored_column_is_scored_again(self):
-        """A view carries no cuts; scoring it again gives the raw
-        column's scores and cuts bit for bit, because the scores keep
+        """A view is not prepared; scoring it again gives the raw
+        column's scores and bins bit for bit, because the scores keep
         the raw values' order and ties."""
         for x in (np.random.default_rng(11).normal(size=5000),
                   np.round(np.random.default_rng(12).normal(size=5000), 1)):
@@ -416,11 +397,8 @@ class TestValidateOnce:
             again = audit_scored(raw[:])
             assert again is not raw
             assert again.tobytes() == raw.tobytes()
-            assert again.cuts.keys() == raw.cuts.keys()
-            for k in raw.cuts:
-                for got, want in zip(again.cuts[k], raw.cuts[k]):
-                    np.testing.assert_array_equal(got, want)
-            assert again.bin_rows.tobytes() == raw.bin_rows.tobytes()
+            for got, want in zip(again.bins, raw.bins):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestPermutationPvalue:
@@ -487,12 +465,12 @@ def _scipy_modules_after(code):
 
 
 class TestScipyLoadsOnlyWhereNeeded:
-    """Every level table takes the spectral law, whose tail runs on
+    """Every p-value is a closed-form normal or chi-square tail on
     numpy and math, so no check loads a scipy module, whatever its
     p-values."""
 
     def test_import_and_a_sampled_check_load_no_scipy(self):
-        """A 500-point check, whose 31 x 31 table a sampled null once
+        """A 500-point independence check, which a sampled null once
         decided."""
         assert _scipy_modules_after("""
             import fairlens
@@ -503,8 +481,7 @@ class TestScipyLoadsOnlyWhereNeeded:
             """) == []
 
     def test_audit_above_the_floor_loads_no_scipy(self):
-        """Spectral tables whose p-values lie below 1e-3 (the saddlepoint),
-        and Fisher's combination of them."""
+        """An audit whose p-values lie far below 1e-3."""
         assert _scipy_modules_after("""
             from fairlens import RunConfig, TestConfig, cmd_audit
             cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=500_000, seed=5,
@@ -512,8 +489,8 @@ class TestScipyLoadsOnlyWhereNeeded:
             """) == []
 
     def test_null_price_audit_loads_no_scipy_stats(self):
-        """A constant price collapses sufficiency to one 20,000-point
-        table on 32 x 32 levels; the n = 2e4 bins hold 1,000 points."""
+        """A constant price collapses sufficiency's 20 bins into one
+        bin of 20,000 points."""
         loaded = _scipy_modules_after("""
             from fairlens import RunConfig, TestConfig, cmd_audit
             cmd_audit(RunConfig(rho1=-0.3, rho2=0.0, n=20_000, seed=42,
@@ -523,8 +500,7 @@ class TestScipyLoadsOnlyWhereNeeded:
         assert loaded == [], f"scipy modules loaded: {loaded}"
 
     def test_mid_n_audit_loads_no_scipy_stats(self):
-        """At n = 2e5 the conditional bins hold 10,000 points on
-        32 x 32 levels."""
+        """At n = 2e5 the conditional bins hold 10,000 points."""
         loaded = _scipy_modules_after("""
             from fairlens import RunConfig, TestConfig, cmd_audit
             cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=200_000, seed=11,
@@ -533,9 +509,7 @@ class TestScipyLoadsOnlyWhereNeeded:
         assert loaded == [], f"scipy modules loaded: {loaded}"
 
     def test_audit_that_holds_loads_no_scipy(self):
-        """A (0, 0) audit at n = 2e5, every verdict HOLDS: its p-values
-        lie in the bulk of each law, where the grid or Ruben's series
-        gives them."""
+        """A (0, 0) audit at n = 2e5, every verdict HOLDS."""
         out = _fresh_stdout("""
             import json, sys
             from fairlens import RunConfig, TestConfig, cmd_audit
@@ -550,8 +524,7 @@ class TestScipyLoadsOnlyWhereNeeded:
         assert loaded == [], f"scipy modules loaded: {loaded}"
 
     def test_raw_column_separation_loads_no_scipy(self):
-        """500-point bins, scored from raw columns, and Fisher's
-        combination of their p-values."""
+        """500-point bins, scored from raw columns."""
         assert _scipy_modules_after("""
             from fairlens import fairness, model
             ds = model.simulate(model.make_example_model(0.1, 0.9), 10_000, 0)
@@ -573,7 +546,7 @@ class TestResidualsDoNotDependOnTheBlasKernel:
             for seed in range(3):
                 ds = model.simulate(model.make_example_model(0.1, 0.9), 50_000, seed)
                 a, b, g = (np.array(c) for c in
-                           fairness._prepared((ds.x1, ds.d, ds.y), ((), (), ())))
+                           fairness._prepared((ds.x1, ds.d, ds.y), (False,) * 3))
                 fairness._detrend(g, a, b)
                 digest.update(a.tobytes() + b.tobytes())
             print(digest.hexdigest())
@@ -582,263 +555,15 @@ class TestResidualsDoNotDependOnTheBlasKernel:
                 == _fresh_stdout(script, OPENBLAS_CORETYPE="SandyBridge"))
 
 
-def fisher(pvals):
-    """Fisher's combination of the p-values, as the checkers run it."""
-    return fairness._fisher_from_logs(np.log(np.asarray(pvals, dtype=float)))
-
-
-class TestFisherCombination:
-    def test_single_value_identity(self):
-        assert fisher([0.5])[1] == pytest.approx(0.5, abs=1e-12)
-        assert fisher([0.07])[1] == pytest.approx(0.07, abs=1e-12)
-
-    def test_all_ones(self):
-        stat, p = fisher([1.0, 1.0, 1.0])
-        assert p == 1.0
-        assert stat == 0.0 and math.copysign(1.0, stat) == 1.0
-
-    def test_uniform_inputs_give_uniform_output(self):
-        """KS distance of combined p-values from U(0,1) over 2000 reps."""
-        rng = np.random.default_rng(20)
-        combined = np.array([
-            fisher(rng.uniform(size=20))[1] for _ in range(2000)])
-        ks = sps.kstest(combined, "uniform").statistic
-        assert ks < 0.05
-
-
-def _mixture_tail(levels_a, levels_b, n=10**5):
-    """The _MixtureTail of a table of n points on equal-probability
-    levels_a x levels_b levels."""
-    counts = [tuple(int(c) for c in n // k + (np.arange(k) < n % k))
-              for k in (levels_a, levels_b)]
-    return fairness._spectral_law(*counts)[2]
-
-
-def _table_weights(levels, n=10**6):
-    """Mean-1 spectral weights of a levels x levels table of
-    equal-probability levels."""
-    return _mixture_tail(levels, levels, n).weights
-
-
-TABLE_LEVELS = (5, 31, 32, 64)
-# from the bulk of each law out to log p near -7e5
-TAIL_QS = np.concatenate([np.geomspace(1e-3, 1e6, 241), [1.0 - 1e-12, 1.0, 1.0 + 1e-12]])
-EPS = np.finfo(float).eps
-
-
-class TestTailKernels:
-    """The numpy and math kernels of Fisher's combination and of the
-    contour tail against scipy and 40- and 50-digit oracles."""
-
-    def test_fisher_tail_matches_the_40_digit_sum(self):
-        for k in range(1, 21):
-            for x in np.geomspace(1e-6, 3000.0, 150):
-                want = chi2_even_sf_decimal(float(x), k)
-                if want < 1e-300:
-                    break
-                got = fairness._chi2_even_sf(float(x), k)
-                assert got == pytest.approx(want, rel=5e-14, abs=0.0), (k, x)
-
-    def test_fisher_tail_matches_chdtrc(self):
-        """chdtrc itself is up to 1.2e-13 off the 40-digit sum near
-        x = 1,200-1,400, which sets the bound here."""
-        xs = np.concatenate([np.geomspace(1e-6, 3000.0, 400),
-                             np.linspace(1.0, 3000.0, 400)])
-        for k in range(1, 21):
-            want = special.chdtrc(2 * k, xs)
-            for x, p in zip(xs[want >= 1e-300], want[want >= 1e-300]):
-                got = fairness._chi2_even_sf(float(x), k)
-                assert got == pytest.approx(p, rel=2e-13, abs=0.0), (k, x)
-
-    def test_fisher_tail_edges(self):
-        assert fairness._chi2_even_sf(0.0, 20) == 1.0
-        assert fairness._chi2_even_sf(7.0, 1) == math.exp(-3.5)
-        assert fairness._chi2_even_sf(1e5, 20) == 0.0
-
-    @pytest.mark.parametrize("levels", TABLE_LEVELS)
-    def test_newton_root_matches_brentq(self, levels):
-        """Within 4 eps relative, or within the width 4 eps q / K''(t)
-        over which rounding of K'(t) - q cannot tell roots apart (the
-        root t = 0 at q = 1)."""
-        w = _table_weights(levels)
-        for q in map(float, TAIL_QS):
-            want = saddlepoint_root_brentq(q, w)
-            r = w / (1.0 - 2.0 * want * w)
-            k2 = 2.0 * float(np.sum(r * r))
-            got = fairness._saddlepoint_root(q, w)
-            assert abs(got - want) <= 4.0 * EPS * (abs(want) + q / k2), (q, got, want)
-
-    def test_one_weight_takes_the_exact_tail(self):
-        """One weight is the chi-square law with one df, whose tail
-        erfc(sqrt(q / 2)) the mixture returns in log space, finite far
-        past the point where erfc underflows."""
-        w = np.array([1.0])
-        for q in np.geomspace(0.01, 700.0, 301):
-            got = math.exp(fairness._MixtureTail(w).log_sf(float(q)))
-            want = math.erfc(math.sqrt(q / 2.0))
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), q
-        for q in (1e3, 1e4):
-            got = fairness._MixtureTail(w).log_sf(q)
-            want = math.log(2.0) + float(special.log_ndtr(-math.sqrt(q)))
-            assert math.isfinite(got)
-            assert got == pytest.approx(want, rel=1e-13), q
-
-    @pytest.mark.parametrize("m", [1, 2, 5, 50, 900])
-    def test_equal_weights_take_the_chi_square_tail(self, m):
-        """m equal weights make Q / mean chi-square with m df.  From
-        q / mean = 0.02 down to log p near -2000 the contour is within
-        1e-12 of log p (1e-12 relative in p): of scipy's chi2.logsf down
-        to p = 1e-300, and past it, where chi2.logsf turns subnormal and
-        then -inf, of Ruben's series in 50 digits (for equal weights the
-        Poisson sum of an even df) or of the odd-df sum in log space."""
-        w = np.full(m, 1.0 / m)
-        deepest = 0.0
-        for q in map(float, np.geomspace(0.02, 5000.0, 200)):
-            want = float(sps.chi2.logsf(q * m, m))
-            if not want >= math.log(1e-300):
-                want = (float(ruben_sf_decimal(q, w).ln()) if m % 2 == 0
-                        else chi2_odd_log_sf(q * m, m))
-            if want < -2000.0:
-                break
-            got = fairness._contour_log_sf(q, w)
-            assert got == pytest.approx(want, rel=0.0, abs=1e-12), (q, got, want)
-            deepest = want
-        assert deepest < -1800.0
-
-    @pytest.mark.parametrize("weights", [
-        (0.7, 0.3),
-        # near the null weights of 2 x 3, 3 x 3 and 2 x 5 equal-probability levels
-        (0.75, 0.25),
-        (0.5625, 0.1875, 0.1875, 0.0625),
-        (0.6545085, 0.1809017, 0.0954915, 0.0690983)])
-    def test_spread_weights_match_rubens_series(self, weights):
-        """Two and four unequal weights, from q / mean = 0.01 down to
-        p near 1e-300, against Ruben's series in 50 digits: within 1e-12
-        relative in p."""
-        w = np.array(weights) / sum(weights)
-        deepest = 0.0
-        for q in map(float, np.geomspace(0.01, 1000.0, 60)):
-            want = float(ruben_sf_decimal(q, w).ln())
-            if want < math.log(1e-300):
-                break
-            got = fairness._contour_log_sf(q, w)
-            assert got == pytest.approx(want, rel=0.0, abs=1e-12), (q, got, want)
-            deepest = want
-        assert deepest < math.log(1e-250)
-
-    @pytest.mark.parametrize("levels,n", [(31, 500), (32, 50_000), (64, 10**6)])
-    def test_contour_converges_on_spectral_laws(self, monkeypatch, levels, n):
-        """Many-weight laws, from the bulk to log p near -1350, match the
-        contour run at twice its length and at most half its step (four
-        times _CONTOUR_DECAY) within 1e-12 relative in p: the sum has
-        converged, and the folded small weights have not moved it."""
-        w = _mixture_tail(levels, levels, n).weights
-        qs = [float(q) for q in np.geomspace(0.05, 1000.0, 40)]
-        got = [fairness._contour_log_sf(q, w) for q in qs]
-        monkeypatch.setattr(fairness, "_CONTOUR_DECAY", 4.0 * fairness._CONTOUR_DECAY)
-        want = [fairness._contour_log_sf(q, w) for q in qs]
-        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
-        assert min(want) < -1000.0
-
-
-class TestMixtureTail:
-    """The two routes of the spectral null's tail against independent
-    references: the grid against Imhof's integral on scipy's adaptive
-    quadrature, the contour against Monte Carlo draws and quadrature,
-    and the hand-over from the one to the other.  q is on the scale of
-    the law's mean."""
-
-    @pytest.mark.parametrize("levels", [8, 31, 32, 64])
-    def test_grid_matches_imhof_quadrature(self, levels):
-        tail = _mixture_tail(levels, levels)
-        assert tail._bulk_sf.func is fairness._grid_sf
-        for q in np.linspace(0.3, 4.0, 38):
-            want = imhof_sf(float(q), tail.weights)
-            assert tail._bulk_sf(float(q)) == pytest.approx(want, rel=1e-6, abs=0.0), q
-
-    @pytest.mark.parametrize("levels", [8, 31])
-    def test_hand_over_to_the_contour(self, levels):
-        """Just above p = 1e-3 the tail is the grid's, the quadrature's
-        p within 1e-6; just below it it is the contour's, and so it is
-        past x_hi, where the grid's sum aliases the law onto q (at
-        3 x_hi it reads above 1/2).  At x_hi itself the tail lies below
-        the grid's error bound."""
-        tail = _mixture_tail(levels, levels)
-        w, mean = tail.weights, tail.mean
-        lo, hi = 1.0, tail.x_hi
-        while hi - lo > 1e-9 * hi:
-            mid = 0.5 * (lo + hi)
-            if tail._bulk_sf(mid) >= fairness._BULK_MIN_P:
-                lo = mid
-            else:
-                hi = mid
-        above, below, past = 0.999 * lo, 1.001 * hi, 3.0 * tail.x_hi
-        assert tail._bulk_sf(past) > 0.5
-        assert math.exp(tail.log_sf(above * mean)) == pytest.approx(
-            imhof_sf(above, w), rel=1e-6, abs=0.0)
-        assert math.exp(tail.log_sf(above * mean)) > fairness._BULK_MIN_P
-        for q in (below, past):
-            assert tail.log_sf(q * mean) == fairness._contour_log_sf(q, w), q
-        assert math.exp(fairness._contour_log_sf(tail.x_hi, w)) < fairness._TAIL_EPS
-
-    @pytest.mark.parametrize("levels_a,levels_b", [(2, 3), (3, 3), (2, 5), (3, 4)])
-    def test_few_weights_match_monte_carlo(self, levels_a, levels_b):
-        """Tables of discrete columns leave 2-6 null weights, whose
-        integrand decays too slowly for a grid: the contour gives their
-        whole tail.  Against 4e6 draws of the mixture its p lies within
-        3 standard errors at every q, where the saddlepoint that once
-        stood in was up to 4% low (0.4081 against 0.4216 on 2 x 3 levels
-        at q = 0.8)."""
-        tail = _mixture_tail(levels_a, levels_b)
-        assert tail._bulk_sf is None
-        qs = np.array([0.5, 0.8, 1.5, 3.0])
-        want, se = chi2_mixture_sf_monte_carlo(qs, tail.weights, 4_000_000,
-                                               seed=10 * levels_a + levels_b)
-        got = np.array([math.exp(tail.log_sf(q * tail.mean)) for q in qs])
-        assert np.all(np.abs(got - want) <= 3.0 * se), (got, want, se)
-
-    def test_two_spread_weights_take_the_exact_integral(self):
-        """A binary column against one with 99% of its points on one
-        level leaves two weights 400 times apart, for which a grid would
-        need ~1e9 nodes.  The contour matches adaptive quadrature in z to
-        1e-12, and 4e6 draws of the mixture within 3 standard errors,
-        where the saddlepoint that once stood in was up to 2% off
-        (0.4701 against 0.4801 at q = 0.5)."""
-        tail = fairness._spectral_law((50_000, 50_000), (99_000, 500, 500))[2]
-        w = tail.weights
-        assert w.size == 2 and tail._bulk_sf is None
-        for q in np.geomspace(1e-3, fairness._chernoff_upper(w), 40):
-            assert math.exp(tail.log_sf(q * tail.mean)) == pytest.approx(
-                two_weight_sf_quad(float(q), w.max(), w.min()), rel=0.0, abs=1e-12), q
-        qs = np.array([0.5, 1.0, 3.0, 6.0])
-        want, se = chi2_mixture_sf_monte_carlo(qs, w, 4_000_000, seed=2)
-        got = np.array([math.exp(tail.log_sf(q * tail.mean)) for q in qs])
-        assert np.all(np.abs(got - want) <= 3.0 * se), (got, want, se)
-
-    def test_more_spread_weights_match_monte_carlo(self):
-        """Two 99%-on-one-level columns leave four weights spread over
-        five orders of magnitude, with no grid.  Against 4e6 draws of
-        the mixture the contour lies within 3 standard errors, where the
-        saddlepoint that once stood in was 1.2-2.1% low at q <= 1.5."""
-        tail = fairness._spectral_law((99_000, 500, 500), (99_000, 500, 500))[2]
-        assert tail.weights.size == 4 and tail._bulk_sf is None
-        qs = np.array([0.5, 1.0, 1.5, 3.0])
-        want, se = chi2_mixture_sf_monte_carlo(qs, tail.weights, 4_000_000, seed=4)
-        got = np.array([math.exp(tail.log_sf(q * tail.mean)) for q in qs])
-        assert np.all(np.abs(got - want) <= 3.0 * se), (got, want, se)
-
-
 class TestCheckIndependence:
     def test_reference_model_violated(self, reference_model):
         ds = simulate(reference_model, 10**5, seed=41)
         v = check_independence(ds.x1, ds.d, TestConfig(seed=13))
         assert v.verdict == VIOLATED
-        # 64 x 64 levels past Boyett's bound: the spectral null, whose
-        # p-value is not held at or above the 1/1000 floor of 999
-        # sampled tables
         assert v.p_value < 1.0 / 1000.0
         assert v.n_used == 10**5
-        assert v.statistic == pytest.approx(0.089, abs=0.03)
+        # the normal-score correlation of a Gaussian pair is its rho1
+        assert v.statistic == pytest.approx(0.1, abs=0.01)
 
     def test_zero_rho1_holds(self):
         ds = simulate(make_example_model(0.0, 0.9), 10**5, seed=42)
@@ -848,9 +573,10 @@ class TestCheckIndependence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_binary_pair_takes_the_exact_one_df_tail(self, seed):
-        """Two binary columns leave one null weight, p (1 - p) per side,
-        and (n - 1) dCov^2 over it is (n - 1) r^2 for their correlation
-        r: the p-value is the one-df chi-square tail of that."""
+        """The normal scores of a binary column are an increasing affine
+        map of it, so their correlation is the binary columns' own r and
+        the p-value is the one-df chi-square tail of (n - 1) r^2, taken
+        here from numpy's Pearson r."""
         rng = np.random.default_rng(seed)
         n = 1000
         a = (rng.random(n) < 0.3).astype(float)
@@ -894,9 +620,11 @@ class TestConditionalCheckers:
         assert v.p_value < 1e-6
 
     def test_sufficiency_holds_when_rho2_zero(self):
-        ds = simulate(make_example_model(0.1, 0.0), 2 * 10**5, seed=45)
-        v = check_sufficiency(ds.y, ds.d, ds.x1, FAST)
-        assert v.verdict == HOLDS
+        """At (0.1, 0) Y is independent of D given the price, a null the
+        test must keep at its level: at most 2 of the 20 panel seeds
+        reject.  (The single seed 45 once checked here reads p = 0.0031,
+        a draw that a test at level 0.01 makes about once in 300.)"""
+        assert _panel_rejections("sufficiency", 0.1, 0.0) <= 2
 
     def test_separation_holds_under_full_independence(self):
         ds = simulate(make_example_model(0.0, 0.0), 2 * 10**5, seed=46)
@@ -1050,6 +778,15 @@ class TestCheckAxioms:
         if case == "empty-bin":
             assert got[1].verdict == INCONCLUSIVE
 
+    def test_p_values_ignore_the_test_seed_and_permutation_count(self):
+        """Nothing is drawn, so each check gives one p whatever the test
+        seed and the permutation count that TestConfig records."""
+        cols = np.random.default_rng(12).normal(size=(3, 5000))
+        ps = {tuple(v.p_value for v in fairness.check_axioms(
+                  *cols, TestConfig(n_permutations=perms, seed=seed)))
+              for seed in (1, 2) for perms in (99, 199)}
+        assert len(ps) == 1
+
     @pytest.mark.parametrize("name", ["check_separation", "check_sufficiency"])
     def test_other_errors_propagate_and_no_thread_outlives_the_call(
             self, monkeypatch, name):
@@ -1068,13 +805,11 @@ class TestCheckAxioms:
 
     def test_concurrent_audits_agree_with_one_at_a_time(self):
         """Four audits at once, each with its worker, on a short switch
-        interval: the threads share the scored columns and the law and
-        level caches, and every audit still gives the verdicts of a lone
-        run."""
+        interval: the threads share the scored columns and the level
+        cache, and every audit still gives the verdicts of a lone run."""
         cols = [np.random.default_rng(70 + k).normal(size=(3, 4000)) for k in range(4)]
         want = [fairness.check_axioms(*c, FAST) for c in cols]
-        for cache in (fairness._spectral_law, fairness._level_starts):
-            cache.cache_clear()
+        fairness._level_starts.cache_clear()
         got = [None] * len(cols)
 
         def audit(k):
@@ -1094,56 +829,55 @@ class TestCheckAxioms:
         assert got == want
 
 
-def _hex_pair(stat, p):
-    return float(stat).hex(), float(p).hex()
-
-
 def _assert_matches_the_reference(check, cols):
     """check (check_separation or _sufficiency) on cols, tested column
-    first and conditioning column last, gives the reference loop's
-    statistic and p bit for bit, or raises where the loop raises."""
+    first and conditioning column last, gives the reference's statistic
+    and p within 1e-9 relative, or raises where the reference raises.
+    The reference takes the mean and sd of the pooled products in two
+    passes over whole columns, where the check sums each bin's products
+    and their squares once, so the last digits may differ."""
     try:
-        want = _hex_pair(*conditional_check_reference(cols[0], cols[1], cols[2]))
+        want_stat, want_p = conditional_check_reference(*cols)
     except EmptyBin:
         with pytest.raises(EmptyBin):
             check(*cols, FAST)
         return
     v = check(*cols, FAST)
-    assert _hex_pair(v.statistic, v.p_value) == want
+    assert v.statistic == pytest.approx(want_stat, rel=1e-9, abs=1e-12)
+    assert v.p_value == pytest.approx(want_p, rel=1e-9, abs=1e-300)
 
 
 class TestConditionalChecksMatchTheReferenceLoop:
-    """The checks score raw columns without the unused cuts and detrend
-    each bin once; the per-bin loop as first written
-    (brute_force.conditional_check_reference) gives the same bits, for
-    raw and for scored columns."""
+    """The checks score raw columns, cut only the conditioning bins and
+    detrend each bin once; the statistic by its definition
+    (brute_force.conditional_check_reference) agrees, for raw and for
+    scored columns."""
 
     @pytest.mark.parametrize("n", [10_000, 10_001])
     @pytest.mark.parametrize("rhos", [(0.0, 0.0), (0.1, 0.9)])
     def test_raw_and_scored_columns(self, n, rhos):
-        """n = 1e4 cuts 20 bins of 500 points; n = 10,001 one of 501,
-        whose spectral law differs."""
+        """n = 1e4 cuts 20 bins of 500 points; n = 10,001 one of 501."""
         ds = simulate(make_example_model(*rhos), n, seed=n % 7)
         raw = (ds.x1, ds.d, ds.y)
         scored = [audit_scored(c) for c in raw]
         if n == 10_001:
-            assert sorted(set(scored[2].cuts[fairness.N_BINS][1].tolist())) == [500, 501]
+            assert sorted(set(scored[2].bins[0].tolist())) == [500, 501]
         for cols in (raw, scored, (scored[0], raw[1], raw[2])):
             _assert_matches_the_reference(check_separation, cols)
             _assert_matches_the_reference(check_sufficiency,
                                           (cols[2], cols[1], cols[0]))
 
     def test_detrend_keeps_the_residual_bytes(self):
-        """Statistic and p see the residuals only through their ranks, so
-        the residuals themselves are compared: _detrend, sharing the
-        centered scores, gives brute_force.residualize's bytes in every
-        bin of a 1e5-point dataset, tied and untied."""
+        """The statistic reads the residuals themselves, so their bytes
+        are compared: _detrend, sharing the centered scores, gives
+        brute_force.residualize's bytes in every bin of a 1e5-point
+        dataset, tied and untied."""
         ds = simulate(make_example_model(0.1, 0.9), 100_000, seed=4)
         for cols in ((ds.x1, ds.d, ds.y), [np.round(c, 1) for c in (ds.x1, ds.d, ds.y)]):
             a, b, g = (np.asarray(prepared(c)) for c in cols)
-            bin_ids, counts = prepared(cols[2], fairness.N_BINS).cuts[fairness.N_BINS]
+            ids, counts = bin_ids(audit_scored(cols[2]))
             for k in range(counts.shape[0]):
-                rows = bin_ids == k
+                rows = ids == k
                 ak, bk = a[rows], b[rows]
                 fairness._detrend(g[rows], ak, bk)
                 assert ak.tobytes() == residualize(a[rows], g[rows]).tobytes()
@@ -1168,10 +902,10 @@ class TestConditionalChecksMatchTheReferenceLoop:
             [-1.0 - rng.random(1200), np.zeros(1600), 1.0 + rng.random(1200)]))
         a = rng.normal(size=4000) + given
         b = rng.normal(size=4000)
-        g = prepared(given, fairness.N_BINS)
-        bin_ids, counts = g.cuts[fairness.N_BINS]
+        g = audit_scored(given)
+        ids, counts = bin_ids(g)
         assert 1600 in counts.tolist()
-        assert np.all(np.asarray(g)[bin_ids == counts.tolist().index(1600)] == 0.0)
+        assert np.all(np.asarray(g)[ids == counts.tolist().index(1600)] == 0.0)
         _assert_matches_the_reference(check_separation, (a, b, given))
         _assert_matches_the_reference(check_separation,
                                       [audit_scored(c) for c in (a, b, given)])
@@ -1209,120 +943,19 @@ class TestScoresCacheAndCuts:
         assert fairness._untied_scores.cache_info().currsize == 0
 
     def test_raw_conditional_check_cuts_one_pair_outside_its_bins(self, monkeypatch):
-        """Of the id pairs three raw columns could carry, the check cuts
-        only the conditioning bins; every other cut is a per-bin level
-        cut."""
+        """Of the three raw columns, the check cuts only the conditioning
+        one into bins, and nothing inside the bins."""
         ds = simulate(make_example_model(0.1, 0.9), 10_000, seed=3)
         lengths = []
-        level_ids = fairness._level_ids
+        original = fairness._level_ids
 
         def counting(order, counts):
             lengths.append(order.shape[0])
-            return level_ids(order, counts)
+            return original(order, counts)
 
         monkeypatch.setattr(fairness, "_level_ids", counting)
         check_separation(ds.x1, ds.d, ds.y, FAST)
-        assert lengths.count(10_000) == 1
-        assert lengths.count(500) == 2 * fairness.N_BINS
-
-
-class TestSpectralNull:
-    @pytest.mark.parametrize("levels,cell_mean", [
-        (8, 21.0), (32, 21.0), (64, 21.0), (32, 50.0), (32, 10_000 / 32**2)])
-    def test_agrees_with_sampled_null(self, levels, cell_mean):
-        """On independent pairs and on weak linear and quadratic
-        dependence, from just past Boyett's bound up, the spectral
-        p-value lies within 4 Monte Carlo standard errors of the mid-p
-        over tables that scipy samples on the same margins."""
-        n = int(cell_mean * levels**2)
-        assert n > np.log(n + 1) * levels**2
-        draws = 999
-        rng = np.random.default_rng(levels + int(cell_mean))
-        for rep in range(6):
-            a = rng.normal(size=n)
-            noise = rng.normal(size=n)
-            effect = (rep // 2) * 1.5 / math.sqrt(n)
-            b = noise + effect * (a if rep % 2 else (a * a - 1.0))
-            sides = [fairness._quantile_level_ids(x, levels) for x in (a, b)]
-            spec = fairness._table_test(*sides)[1]
-            perm = sampled_table_mid_p(*sides, draws, seed=rep)
-            # a sampled mid-p lies on the grid of half-steps 1 / (2 (B + 1))
-            steps = 2.0 * (draws + 1) * perm
-            assert abs(steps - round(steps)) < 1e-9, perm
-            se = math.sqrt(max(perm * (1.0 - perm), 1.0 / draws) / draws)
-            assert abs(spec - perm) <= 4.0 * se, (rep, spec, perm)
-
-    @pytest.mark.parametrize("n", [500, 43_773, 43_774])
-    def test_no_table_is_sampled_at_any_n(self, n):
-        """A 500-point table on 31 x 31 levels, and 64 x 64 tables on
-        either side of the bound below which a null used to be sampled,
-        give one p whatever the test seed and the permutation count, and
-        not one on the grid 1 / (B + 1) of B sampled tables."""
-        rng = np.random.default_rng(12)
-        a, b = rng.normal(size=(2, n))
-        ps = {check_independence(a, b, TestConfig(n_permutations=perms, seed=seed)).p_value
-              for seed in (1, 2) for perms in (99, 199)}
-        assert len(ps) == 1
-        (p,) = ps
-        assert not any((p * (perms + 1)).is_integer() for perms in (99, 199))
-
-    def test_per_table_p_is_uniform_on_sparse_tables(self):
-        """Fisher's combination reads the whole distribution of the
-        per-bin p, not only its 5% point: over 2,000 independent
-        500-point tables on 31 x 31 levels (0.52 points per cell), the
-        p-values pass a Kolmogorov-Smirnov test of uniformity, and the
-        rejection rates at 0.05 and 0.01 lie within 3 standard errors."""
-        rng = np.random.default_rng(31)
-        tables = 2000
-        ps = np.array([table_test(*rng.normal(size=(2, 500)), 31)[1]
-                       for _ in range(tables)])
-        assert sps.kstest(ps, "uniform").pvalue > 0.01
-        for alpha in (0.05, 0.01):
-            se = math.sqrt(alpha * (1.0 - alpha) / tables)
-            assert abs(np.mean(ps < alpha) - alpha) <= 3.0 * se, alpha
-
-    def test_tail_matches_chi_square(self):
-        """Equal weights make the mixture a scaled chi-square.  Where the
-        grid answers (p >= 1e-3 below x_hi) it is within its 1e-9 bound
-        in p; the contour is within 1e-12 relative in p; and the tail
-        stays finite far below the smallest double."""
-        tail = fairness._MixtureTail(np.full(50, 0.3))
-        for q in (5.0, 15.0, 25.0, 60.0, 150.0):
-            want = sps.chi2.logsf(q / 0.3, 50)
-            got = tail.log_sf(q)
-            if q < tail.x_hi * tail.mean and want >= math.log(fairness._BULK_MIN_P):
-                assert abs(math.exp(got) - math.exp(want)) <= fairness._TAIL_EPS, q
-            else:
-                assert got == pytest.approx(want, rel=0.0, abs=1e-12), q
-        far = tail.log_sf(3000.0)
-        assert math.isfinite(far) and far < math.log(5e-324)
-
-    def test_reference_bins_keep_finite_log_p(self, reference_model,
-                                              reference_dataset_cache):
-        """A 50,000-point bin of the n=1e6 reference audit, and the
-        n=1e6 independence table whose p underflows to 0.0, both give a
-        finite log p that Fisher's combination takes."""
-        ds = simulate(reference_model, 50_000, seed=3)
-        _, _, log_bin = table_test(ds.x1, ds.d, 32)
-        ds = reference_dataset_cache(1)
-        _, p, log_full = table_test(ds.x1, ds.d, 64)
-        assert p == 0.0
-        assert math.isfinite(log_full) and log_full < math.log(5e-324)
-        assert math.isfinite(log_bin) and log_bin < math.log(1e-3)
-        stat, combined = fairness._fisher_from_logs(
-            np.array([log_bin] * 19 + [log_full]))
-        assert stat == pytest.approx(-2.0 * (19 * log_bin + log_full))
-        assert combined == 0.0
-
-    def test_separation_statistic_not_saturated(self, reference_dataset_cache):
-        """At n=1e6 every sampled mid-p sat at its floor 0.5/(B + 1),
-        which pinned separation's Fisher statistic at -40 log(0.5/(B + 1))
-        for every data seed (239.66 for B = 199)."""
-        cfg = TestConfig(n_permutations=199, seed=3)
-        stats = [check_separation(ds.x1, ds.d, ds.y, cfg).statistic
-                 for ds in map(reference_dataset_cache, (1, 2))]
-        assert min(stats) > -40.0 * math.log(0.5 / 200.0)
-        assert stats[0] != stats[1]
+        assert lengths == [10_000]
 
 
 class TestMonotoneInvariance:
@@ -1361,30 +994,53 @@ class TestPanelInvariants:
             assert v.p_value < 0.001
 
 
+def _panel_rejections(check, rho1, rho2):
+    """How many of the 20 golden-panel seeds of the x1 price read
+    VIOLATED at n = 2e5 and alpha = 0.01."""
+    from conftest import PANEL_SEEDS
+    cfg = TestConfig(alpha=0.01)
+    portfolio = make_example_model(rho1, rho2)
+    rejected = 0
+    for seed in PANEL_SEEDS:
+        ds = simulate(portfolio, 200_000, seed=seed)
+        v = (check_sufficiency(ds.y, ds.d, ds.x1, cfg) if check == "sufficiency"
+             else check_separation(ds.x1, ds.d, ds.y, cfg))
+        rejected += v.verdict == VIOLATED
+    return rejected
+
+
 # (check, rho1, rho2): pairs whose analytic verdict is VIOLATED, with
 # effects between criteria 3-6's paper pairs and zero
-POWER_CELLS = [("sufficiency", 0.3, 0.3), ("sufficiency", 0.0, 0.3),
-               ("separation", 0.0, 0.3), ("separation", 0.01, 0.0)]
+POWER_CELLS = [
+    pytest.param("sufficiency", 0.3, 0.3),
+    pytest.param("sufficiency", 0.0, 0.3),
+    pytest.param("separation", 0.0, 0.3),
+    pytest.param("separation", 0.01, 0.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "rho1 = 0.01 moves Cov(price, D | Y) alone, and the check rejects "
+        "on 14 of 20 seeds at n = 2e5: the chi-square test with 2 df spreads "
+        "its power onto z2, which carries nothing here. ROADMAP item 4's "
+        "floor on the detectable effect decides what this cell should read"))),
+]
+
+# (check, rho1, rho2): pairs whose analytic verdict is HOLDS, among them
+# sufficiency's non-trivial null, where the conditional moments that 20
+# finite-width bins leave could bias the statistic
+NULL_CELLS = [("sufficiency", 0.6, 0.0), ("separation", 0.0, 0.0),
+              ("sufficiency", 0.0, 0.0)]
 
 
 class TestPowerPanel:
-    @pytest.mark.xfail(strict=True, reason=(
-        "the per-bin level-table dCor does not see these violations at "
-        "n = 2e5; ROADMAP item 2 adds moment parts to the conditional checks"))
     @pytest.mark.parametrize("check,rho1,rho2", POWER_CELLS)
     def test_violation_found_at_moderate_n(self, check, rho1, rho2):
         """At n = 2e5 and alpha = 0.01 each check reads VIOLATED on at
         least 16 of the 20 golden-panel seeds of the x1 price."""
-        from conftest import PANEL_SEEDS
-        cfg = TestConfig(alpha=0.01)
-        portfolio = make_example_model(rho1, rho2)
-        rejected = 0
-        for seed in PANEL_SEEDS:
-            ds = simulate(portfolio, 200_000, seed=seed)
-            v = (check_sufficiency(ds.y, ds.d, ds.x1, cfg) if check == "sufficiency"
-                 else check_separation(ds.x1, ds.d, ds.y, cfg))
-            rejected += v.verdict == VIOLATED
-        assert rejected >= 0.8 * len(PANEL_SEEDS), rejected
+        assert _panel_rejections(check, rho1, rho2) >= 16
+
+    @pytest.mark.parametrize("check,rho1,rho2", NULL_CELLS)
+    def test_null_rejected_on_at_most_two_seeds(self, check, rho1, rho2):
+        """On the same panel, a check whose axiom holds rejects on at
+        most 2 of the 20 seeds; P(3 or more) is 0.001 at alpha = 0.01."""
+        assert _panel_rejections(check, rho1, rho2) <= 2
 
 
 class TestVerdictSerialization:

@@ -17,6 +17,8 @@ import glob
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +116,35 @@ def test_report_bytes_match_golden(case):
              f"OpenBLAS core {now['openblas_core']}")
     assert json_bytes == (DATA / f"golden_{case}.json").read_bytes(), where
     assert csv_bytes == (DATA / f"golden_{case}.csv").read_bytes(), where
+
+
+def _digests_in_a_fresh_interpreter(**env) -> dict:
+    """The determinism digest of each case's JSON report, rendered in a
+    fresh interpreter with the environment updated by env, where None
+    removes a name."""
+    import fairlens
+    paths = [str(Path(fairlens.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        paths + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    for name, value in env.items():
+        full.pop(name, None)
+        if value is not None:
+            full[name] = value
+    code = ("import json\n"
+            "from fairlens.harness import determinism_digest\n"
+            "from test_golden_reports import CASES, render\n"
+            "print(json.dumps({c: determinism_digest(render(c)[0]) for c in CASES}))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=full)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_reports_do_not_depend_on_the_blas_kernel():
+    """Each case audited under OpenBLAS's SandyBridge kernel, whose
+    products round differently, has the digest it has under the host's
+    kernel: no BLAS or LAPACK routine feeds a report."""
+    assert (_digests_in_a_fresh_interpreter(OPENBLAS_CORETYPE="SandyBridge")
+            == _digests_in_a_fresh_interpreter(OPENBLAS_CORETYPE=None))
 
 
 def test_regeneration_names_the_fields_that_moved():
