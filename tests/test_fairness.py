@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from fairlens import (ConfigError, EmptyBin, LengthMismatch, NonFiniteInput,
                       TestConfig, TooFewSamples, check_independence,
@@ -555,6 +556,47 @@ class TestResidualsDoNotDependOnTheBlasKernel:
                 == _fresh_stdout(script, OPENBLAS_CORETYPE="SandyBridge"))
 
 
+class TestTailKernels:
+    """The closed-form tails the checkers take: independence's one
+    squared z has the chi-square tail with 1 df, erfc(sqrt(q / 2)), and
+    a conditional check's z1^2 + z2^2 the tail with 2 df, exp(-q / 2),
+    which is also Fisher's tail for a single p-value.  Both against
+    scipy's chi-square law from the bulk down to p near 1e-300."""
+
+    def test_one_weight_takes_the_exact_tail(self):
+        """Over effects from none to p near 1e-304, the independence p
+        is the one-df tail of q = (n - 1) r^2 within 1e-12 relative:
+        the rounding of q moves p by at most q / 2 ulps of q."""
+        rng = np.random.default_rng(7)
+        n = 10_000
+        deepest = 1.0
+        for effect in np.linspace(0.0, 0.4, 41):
+            a, b = rng.normal(size=(2, n))
+            v = check_independence(a, b + effect * a, FAST)
+            want = float(sps.chi2.sf((n - 1) * v.statistic ** 2, 1))
+            assert v.p_value == pytest.approx(want, rel=1e-12, abs=0.0), effect
+            deepest = min(deepest, want)
+        assert 0.0 < deepest < 1e-250
+
+    def test_fisher_tail_edges(self):
+        """A conditional check's p is exactly exp(-statistic / 2): 1.0
+        where the statistic is 0 (a constant tested column), the 2-df
+        chi-square tail in between, and 0.0 past the smallest double."""
+        rng = np.random.default_rng(8)
+        a, y = rng.normal(size=(2, 10_000))
+        v = check_separation(np.zeros(10_000), a, y, FAST)
+        assert v.statistic == 0.0 and v.p_value == 1.0
+        for effect in np.linspace(0.01, 0.3, 30):
+            b = rng.normal(size=10_000) + effect * a
+            v = check_separation(a, b, y, FAST)
+            assert v.p_value == math.exp(-0.5 * v.statistic)
+            want = float(sps.chi2.sf(v.statistic, 2))
+            assert v.p_value == pytest.approx(want, rel=1e-12, abs=0.0), effect
+        v = check_separation(a, a + 0.1 * rng.normal(size=10_000), y, FAST)
+        assert v.statistic > -2.0 * math.log(5e-324)
+        assert v.p_value == 0.0
+
+
 class TestCheckIndependence:
     def test_reference_model_violated(self, reference_model):
         ds = simulate(reference_model, 10**5, seed=41)
@@ -956,6 +998,65 @@ class TestScoresCacheAndCuts:
         monkeypatch.setattr(fairness, "_level_ids", counting)
         check_separation(ds.x1, ds.d, ds.y, FAST)
         assert lengths == [10_000]
+
+
+class TestSpectralNull:
+    """The closed-form null that took the place of the level table's
+    spectral law: each check's p is a function of the data alone, and
+    uniform, or its statistic chi-square, under the null."""
+
+    @pytest.mark.parametrize("n", [500, 43_773, 43_774])
+    def test_no_table_is_sampled_at_any_n(self, n):
+        """A 500-point pair, and pairs on either side of the bound below
+        which a level table's null used to be sampled, give one p
+        whatever the test seed and the permutation count, and not one on
+        the grid 1 / (B + 1) of B sampled tables."""
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(2, n))
+        ps = {check_independence(a, b, TestConfig(n_permutations=perms, seed=seed)).p_value
+              for seed in (1, 2) for perms in (99, 199)}
+        assert len(ps) == 1
+        (p,) = ps
+        assert not any((p * (perms + 1)).is_integer() for perms in (99, 199))
+
+    def test_per_table_p_is_uniform_on_sparse_tables(self):
+        """Over 2,000 independent 500-point pairs, the independence
+        p-values pass a Kolmogorov-Smirnov test of uniformity, and the
+        rejection rates at 0.05 and 0.01 lie within 3 standard errors."""
+        rng = np.random.default_rng(31)
+        pairs = 2000
+        ps = np.array([check_independence(*rng.normal(size=(2, 500)), FAST).p_value
+                       for _ in range(pairs)])
+        assert sps.kstest(ps, "uniform").pvalue > 0.01
+        for alpha in (0.05, 0.01):
+            se = math.sqrt(alpha * (1.0 - alpha) / pairs)
+            assert abs(np.mean(ps < alpha) - alpha) <= 3.0 * se, alpha
+
+    def test_tail_matches_chi_square(self):
+        """Over 1,000 independent 10,000-point triples, the separation
+        statistic z1^2 + z2^2 passes a Kolmogorov-Smirnov test against
+        the chi-square law with 2 df, and its rejection rates at 0.05
+        and 0.01 lie within 3 standard errors."""
+        rng = np.random.default_rng(21)
+        draws = 1000
+        stats = np.array([check_separation(*rng.normal(size=(3, 10_000)), FAST).statistic
+                          for _ in range(draws)])
+        assert sps.kstest(stats, sps.chi2(2).cdf).pvalue > 0.01
+        for alpha in (0.05, 0.01):
+            se = math.sqrt(alpha * (1.0 - alpha) / draws)
+            rate = np.mean(stats > sps.chi2.isf(alpha, 2))
+            assert abs(rate - alpha) <= 3.0 * se, alpha
+
+    def test_separation_statistic_not_saturated(self, reference_dataset_cache):
+        """At n=1e6 every sampled mid-p once sat at its floor 0.5/(B + 1),
+        which pinned separation's statistic at -40 log(0.5/(B + 1)) for
+        every data seed (239.66 for B = 199).  The moment statistic
+        exceeds that floor and moves with the data."""
+        cfg = TestConfig(n_permutations=199, seed=3)
+        stats = [check_separation(ds.x1, ds.d, ds.y, cfg).statistic
+                 for ds in map(reference_dataset_cache, (1, 2))]
+        assert min(stats) > -40.0 * math.log(0.5 / 200.0)
+        assert stats[0] != stats[1]
 
 
 class TestMonotoneInvariance:
