@@ -43,10 +43,10 @@ that carries what is asked passes through, so no checker validates or
 sorts a column check_axioms prepared; any other is validated and sorted
 once, and its copula ranks, normal scores and bins are read off that
 one order.  Bin j of L starts at sorted position ceil((n - 1) j / L),
-computed in integers and moved back to the start of its tie block.  A
-column without ties has the sorted scores normal_ppf(k / (n + 1)),
-k = 1 .. n, which depend on n alone: up to 2^17 values (1 MiB) they are
-kept per n, and past that computed once per _prepared call.
+computed in integers and moved back to the start of its tie block; its
+rows are its run of the order, sorted.  An untied column has the sorted
+scores normal_ppf(k / (n + 1)), k = 1 .. n, which depend on n alone: up
+to 2^17 values (1 MiB) they are kept per n, past that made per call.
 
 check_axioms runs check_separation on one worker thread while the
 calling thread runs the other two checks.  The two threads read the
@@ -211,14 +211,10 @@ _CACHED_SCORES_MAX_N = 1 << 17
 _untied_scores = functools.lru_cache(maxsize=8)(_untied_vector)
 
 
-@functools.lru_cache(maxsize=256)
 def _level_starts(n: int, n_levels: int) -> np.ndarray:
     """The sorted positions ceil((n - 1) j / n_levels), j = 1 .. n_levels - 1,
-    at which the inner levels of n values start, computed in integers.
-    Kept per (n, n_levels), read-only."""
-    starts = -((-(n - 1) * np.arange(1, n_levels)) // n_levels)
-    starts.flags.writeable = False
-    return starts
+    at which the inner levels of n values start, computed in integers."""
+    return -((-(n - 1) * np.arange(1, n_levels)) // n_levels)
 
 
 def _level_counts(xs: np.ndarray, n_levels: int) -> np.ndarray:
@@ -239,29 +235,14 @@ def _level_counts(xs: np.ndarray, n_levels: int) -> np.ndarray:
     return counts[counts > 0]
 
 
-def _level_ids(order: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The level id of each value in the column's own order, in the
-    smallest unsigned type that holds them, from the column's sorting
-    order and its level counts.
-
-    numpy's default sort is not stable and its kernel depends on the
-    CPU, but it only reorders equal values, which share an id: the ids
-    are the same on every CPU.
-    """
-    k = counts.shape[0]
-    ids = np.empty(order.shape[0], dtype=np.min_scalar_type(k - 1))
-    ids[order] = np.repeat(np.arange(k, dtype=ids.dtype), counts)
-    return ids
-
-
 class NormalScores(np.ndarray):
     """A read-only column of normal scores made by _prepared.  A column
     cut into the N_BINS conditioning bins carries ``bins``, the pair
-    (counts, rows): the number of values in each bin, and the row
-    numbers of the bins one after another, each bin's in their
-    original order, the order a boolean mask of its bin would select
-    them in.  Views, copies and arrays cast to the class are not
-    ``prepared`` and carry no bins, and _prepared scores them again."""
+    (counts, rows): the number of values in each bin, and the column's
+    sorting order with each bin's run sorted, the order a boolean mask
+    of its bin would select its rows in.  Views, copies and arrays cast
+    to the class are not ``prepared`` and carry no bins, and _prepared
+    scores them again."""
 
     prepared = False
     bins = None
@@ -273,12 +254,12 @@ def _prepared(columns, binned) -> list:
 
     A column that _prepared made and that carries what is asked passes
     through untouched.  The others are validated (LengthMismatch, and
-    NonFiniteInput for values that are not finite real numbers; bools
-    pass) before any is scored from one sort (_scored), and each
-    validated copy goes once its column is scored.  Their untied
-    columns share one sorted score vector: the kept one up to
-    _CACHED_SCORES_MAX_N values, past that one for this call, dropped
-    before the bin rows are built so as not to raise the peak.
+    NonFiniteInput for values that are not finite real numbers, ragged
+    rows, or more than one axis longer than 1; bools pass) before any
+    is scored from one sort (_scored), and each validated copy goes once
+    its column is scored.  Their untied columns share one sorted score
+    vector: the kept one up to _CACHED_SCORES_MAX_N values, past that
+    one for this call.
     """
     out, fresh = list(columns), []
     for i, (col, want) in enumerate(zip(columns, binned)):
@@ -291,6 +272,8 @@ def _prepared(columns, binned) -> list:
                                      "real numbers, not ragged rows") from None
             if col.dtype.kind not in "biuf":
                 raise NonFiniteInput(f"input vectors must hold real numbers, not {col.dtype}")
+            if sum(length > 1 for length in col.shape) > 1:
+                raise NonFiniteInput(f"input vectors must be flat columns, not {col.shape}")
             out[i] = col.astype(np.float64, copy=False).ravel()
             fresh.append(i)
     del col  # a validated copy goes once its column is scored
@@ -300,28 +283,22 @@ def _prepared(columns, binned) -> list:
     if not all(np.isfinite(out[i]).all() for i in fresh):
         raise NonFiniteInput("input vectors hold NaN or infinite values")
     untied = _untied_scores if n <= _CACHED_SCORES_MAX_N else functools.cache(_untied_vector)
-    cut = []
     for i in fresh:
-        out[i], ids, counts = _scored(out[i], binned[i], untied)
-        if ids is not None:
-            cut.append((i, ids, counts))
-    del untied
-    for i, ids, counts in cut:
-        out[i].bins = (counts, np.argsort(ids, kind="stable"))
+        out[i] = _scored(out[i], binned[i], untied)
     return out
 
 
-def _scored(x: np.ndarray, binned: bool, untied):
-    """(scores, ids, counts): normal_ppf of the copula ranks of the
-    validated column x and, if binned, its N_BINS bin ids and counts
-    (None and None if not), all from one sort of x.
+def _scored(x: np.ndarray, binned: bool, untied) -> NormalScores:
+    """normal_ppf of the copula ranks of the validated column x,
+    carrying, if binned, its N_BINS bins, all from one sort of x.
 
     The bins are cut on the sorted raw values.  A cut reads only the
     order and the ties of a column, which the scores keep (see
     TestScoresKeepTheirOrder), so the bins are a cut of the scores too.
-    A column of n distinct values takes its sorted scores, which depend
-    on n alone, from untied(n); any other column runs the inverse CDF
-    on its own ranks.
+    Each bin's rows are its run of the order, sorted in place: the sort
+    of x reorders only equal values, which share a bin, so the rows are
+    the same on every CPU.  A column of n distinct values takes its
+    sorted scores from untied(n); any other column ranks its own.
     """
     n = x.shape[0]
     order = np.argsort(x)
@@ -341,7 +318,11 @@ def _scored(x: np.ndarray, binned: bool, untied):
     scores[order] = sorted_scores
     scores.prepared = True
     scores.flags.writeable = False
-    return scores, None if counts is None else _level_ids(order, counts), counts
+    if binned:
+        for end, count in zip(np.cumsum(counts).tolist(), counts.tolist()):
+            order[end - count:end].sort()
+        scores.bins = (counts, order)
+    return scores
 
 
 # ---------------------------------------------------------------------------

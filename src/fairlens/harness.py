@@ -214,8 +214,14 @@ def cmd_table(rho_pairs=None, n: int = 10**6, seed: int = 7,
     if seed + len(pairs) > 1 << 64:
         raise ConfigError(f"pair k runs on seed + k, which leaves [0, 2^64) "
                           f"for seed {seed} and {len(pairs)} pairs")
-    configs = [RunConfig(rho1=rho1, rho2=rho2, n=n, seed=seed + k, test=test)
-               for k, (rho1, rho2) in enumerate(pairs)]
+    configs = []
+    for k, pair in enumerate(pairs):
+        try:
+            rho1, rho2 = pair
+        except (TypeError, ValueError):
+            raise ConfigError(f"each rho pair must be two items (rho1, rho2), "
+                              f"got {shown(pair)}") from None
+        configs.append(RunConfig(rho1=rho1, rho2=rho2, n=n, seed=seed + k, test=test))
     cells = []
     for cfg in configs:
         for outcome in cmd_audit(cfg).verdicts:

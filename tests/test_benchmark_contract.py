@@ -86,18 +86,18 @@ def test_audit_above_the_floor_ranks_once_and_samples_no_table():
 
 def test_audit_sorts_each_full_column_once(monkeypatch):
     """A traced audit at n = 5e5 fully sorts each of its three columns
-    once, in check_axioms; every other full-length order it needs is
-    read off those sorts.  The two stable sorts of the conditioning
-    bins' uint8 ids are counted apart."""
+    once, in check_axioms; every other full-length order it needs, the
+    conditioning bins' rows among them, is read off those sorts, so no
+    other full-length array is argsorted."""
     n = 500_000
-    full, bin_ids = [], []
+    full, other = [], []
     argsort = np.argsort
 
     def counting(a, *args, **kwargs):
         if a.shape == (n,) and a.dtype == np.float64:
             full.append(kwargs.get("kind"))
         elif a.shape == (n,):
-            bin_ids.append((a.dtype, kwargs.get("kind")))
+            other.append((a.dtype, kwargs.get("kind")))
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counting)
@@ -105,7 +105,7 @@ def test_audit_sorts_each_full_column_once(monkeypatch):
         harness.cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=n, seed=5,
                                     test=TestConfig(seed=5)))
     assert full == [None] * 3
-    assert bin_ids == [(np.dtype(np.uint8), "stable")] * 2
+    assert other == []
 
 
 def test_reproduction_draws_its_normals_once():

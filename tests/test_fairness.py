@@ -156,7 +156,6 @@ def _assert_level_ids(pair, want):
     np.testing.assert_array_equal(ids, want)
     np.testing.assert_array_equal(
         counts, np.bincount(want, minlength=counts.shape[0]))
-    assert ids.dtype == np.min_scalar_type(counts.shape[0] - 1)
 
 
 def prepared(x, binned=False):
@@ -170,11 +169,19 @@ def audit_scored(x):
     return prepared(x, True)
 
 
+def _ids(rows, counts):
+    """The level id of each row, in the column's own order, from the
+    rows of the levels one after another and the level counts."""
+    ids = np.empty(rows.shape[0], dtype=np.intp)
+    ids[rows] = np.repeat(np.arange(counts.shape[0]), counts)
+    return ids
+
+
 def bin_ids(scores):
     """(ids, counts) of the bins a prepared column carries, the ids in
     the column's own order."""
     counts, rows = scores.bins
-    return fairness._level_ids(rows, counts), counts
+    return _ids(rows, counts), counts
 
 
 def level_ids(x, levels):
@@ -182,7 +189,7 @@ def level_ids(x, levels):
     _prepared makes at N_BINS."""
     order = np.argsort(x)
     counts = fairness._level_counts(x[order], levels)
-    return fairness._level_ids(order, counts), counts
+    return _ids(order, counts), counts
 
 
 class TestOneSortPerColumn:
@@ -203,6 +210,18 @@ class TestOneSortPerColumn:
                           quantile_level_ids(want_scores, fairness.N_BINS))
         for levels in (64, 32, fairness.N_BINS):
             _assert_level_ids(level_ids(x, levels), quantile_level_ids(x, levels))
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @pytest.mark.parametrize("n", [500, 50_000])
+    def test_rows_ascend_within_each_bin(self, n, kind):
+        """Every per-bin sum depends on the order of the bin's rows: the
+        rows a column carries are those of bin 0, then bin 1, and so on,
+        each bin's in ascending order, the order a mask selects them in."""
+        x = _order_inputs(kind, n)
+        _, rows = audit_scored(x).bins
+        ids = quantile_level_ids(x, fairness.N_BINS)
+        want = np.concatenate([np.flatnonzero(ids == k) for k in range(ids.max() + 1)])
+        np.testing.assert_array_equal(rows, want)
 
     def test_scores_are_read_only_and_views_carry_no_ids(self):
         scores = audit_scored(_order_inputs("distinct", 500))
@@ -305,7 +324,7 @@ class TestQuantileByIndex:
 
 
 class TestScoresKeepTheirOrder:
-    """_scored cuts the bin ids on the raw values, and they must
+    """_scored cuts the bins on the raw values, and they must
     equal a cut of the scores, so normal_ppf of the sorted ranks must
     keep their order and ties.  Ranks over n + 1 lie on the grid
     k / (2 (n + 1)); one step of that grid at MAX_N raises normal_ppf
@@ -335,7 +354,8 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      pytest.param(1 + 2j, id="complex"),
                                      pytest.param("1.5", id="strings"),
-                                     pytest.param([[1.0, 2.0], [3.0]], id="ragged")])
+                                     pytest.param([[1.0, 2.0], [3.0]], id="ragged"),
+                                     pytest.param((2500, 2), id="two-columns")])
     @pytest.mark.parametrize("check", [
         lambda a, b, c: check_independence(a, b, FAST),
         lambda a, b, c: check_separation(a, b, c, FAST),
@@ -344,18 +364,28 @@ class TestNonFiniteInput:
     ], ids=["independence", "separation", "sufficiency", "check_axioms"])
     def test_rejected(self, check, bad):
         """One value that is not finite, a column that is not real
-        numbers, even where each value converts to a float, or a column
-        whose rows differ in length."""
+        numbers, even where each value converts to a float, a column
+        whose rows differ in length, or two columns of 2,500 values
+        that would flatten to one of 5,000."""
         rng = np.random.default_rng(9)
         a, b, c = rng.normal(size=(3, 5000))
         if isinstance(bad, float):
             a[1234] = bad
         elif isinstance(bad, list):
             a = bad + [0.0] * 4998
+        elif isinstance(bad, tuple):
+            a = rng.normal(size=bad)
         else:
             a = np.full(5000, bad)
         with pytest.raises(NonFiniteInput):
             check(a, b, c)
+
+    @pytest.mark.parametrize("shape", [(5000, 1), (1, 5000)])
+    def test_one_column_of_any_orientation_is_accepted(self, shape):
+        """A column with one axis longer than 1 is read as that axis."""
+        a, b, c = np.random.default_rng(9).normal(size=(3, 5000))
+        want = fairness.check_axioms(a, b, c, FAST)
+        assert fairness.check_axioms(a.reshape(shape), b, c, FAST) == want
 
 
 class TestValidateOnce:
@@ -847,11 +877,10 @@ class TestCheckAxioms:
 
     def test_concurrent_audits_agree_with_one_at_a_time(self):
         """Four audits at once, each with its worker, on a short switch
-        interval: the threads share the scored columns and the level
-        cache, and every audit still gives the verdicts of a lone run."""
+        interval: the threads share the untied score cache, and every
+        audit still gives the verdicts of a lone run."""
         cols = [np.random.default_rng(70 + k).normal(size=(3, 4000)) for k in range(4)]
         want = [fairness.check_axioms(*c, FAST) for c in cols]
-        fairness._level_starts.cache_clear()
         got = [None] * len(cols)
 
         def audit(k):
@@ -989,13 +1018,13 @@ class TestScoresCacheAndCuts:
         one into bins, and nothing inside the bins."""
         ds = simulate(make_example_model(0.1, 0.9), 10_000, seed=3)
         lengths = []
-        original = fairness._level_ids
+        original = fairness._level_counts
 
-        def counting(order, counts):
-            lengths.append(order.shape[0])
-            return original(order, counts)
+        def counting(xs, n_levels):
+            lengths.append(xs.shape[0])
+            return original(xs, n_levels)
 
-        monkeypatch.setattr(fairness, "_level_ids", counting)
+        monkeypatch.setattr(fairness, "_level_counts", counting)
         check_separation(ds.x1, ds.d, ds.y, FAST)
         assert lengths == [10_000]
 

@@ -203,13 +203,13 @@ class TestCmdAudit:
         conditioning bins of y and of the price, and nothing else."""
         n = 500_000
         lengths = []
-        level_ids = fairness._level_ids
+        level_counts = fairness._level_counts
 
-        def counting(order, counts):
-            lengths.append(order.shape[0])
-            return level_ids(order, counts)
+        def counting(xs, n_levels):
+            lengths.append(xs.shape[0])
+            return level_counts(xs, n_levels)
 
-        monkeypatch.setattr(fairness, "_level_ids", counting)
+        monkeypatch.setattr(fairness, "_level_counts", counting)
         cmd_audit(RunConfig(rho1=0.1, rho2=0.9, n=n, seed=5,
                             test=TestConfig(seed=5)))
         assert lengths == [n, n]
@@ -350,6 +350,17 @@ class TestCmdTable:
                            r"and 2 pairs"):
             cmd_table(rho_pairs=[(0.0, 0.0)] * 2, n=1000, seed=last)
         assert len(cmd_table(rho_pairs=[(0.0, 0.0)], n=1000, seed=last)) == 3
+
+    @pytest.mark.parametrize("pairs", [[(0.1,)], [None], [(0.1, 0.2, 0.3)],
+                                       [(0.0, 0.0), 0.5]])
+    def test_malformed_pair_refused_before_any_audit(self, monkeypatch, pairs):
+        """A pair that is not two items used to raise ValueError or
+        TypeError, after the audits of the pairs before it."""
+        audits = []
+        monkeypatch.setattr(harness, "cmd_audit", audits.append)
+        with pytest.raises(ConfigError, match="each rho pair must be two items"):
+            cmd_table(rho_pairs=pairs, n=1000)
+        assert audits == []
 
     def test_csv_shape(self):
         cells = cmd_table(n=2 * 10**4, seed=11, test=QUICK_TEST)
