@@ -29,8 +29,13 @@ EXIT_DISAGREEMENT = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main exits 2 on it; subparsers share the class
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairlens",
         description="Gaussian insurance-pricing model with fairness-axiom audits")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -52,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--functional", choices=harness.FUNCTIONALS)
     audit.add_argument("--out", dest="output_path")
     audit.add_argument("--format", dest="output_format", choices=harness.OUTPUT_FORMATS)
+    audit.set_defaults(run=_run_audit)
 
     reproduce = sub.add_parser("reproduce", help="reproduce reported numbers")
     rsub = reproduce.add_subparsers(dest="target", required=True)
@@ -59,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="E[X1^2 | Y=0, D=0] vs E[X1^2 | Y=0]")
     sep.add_argument("--n", type=int, default=10**7)
     sep.add_argument("--seed", type=int, default=1)
+    sep.set_defaults(run=_run_reproduce)
 
     table = sub.add_parser("table", help="regime grid verification")
     table.add_argument("--pairs",
@@ -69,6 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--out", dest="output_path")
     table.add_argument("--format", dest="output_format",
                        choices=harness.OUTPUT_FORMATS, default="csv")
+    table.set_defaults(run=_run_table)
     return parser
 
 
@@ -119,13 +127,11 @@ def _run_reproduce(args) -> int:
 def _parse_pairs(text: str):
     pairs = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad rho pair {chunk!r}")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
+        try:  # not two items, or one that is not a float
+            rho1, rho2 = map(float, chunk.split(","))
         except ValueError:
             raise ConfigError(f"bad rho pair {chunk!r}") from None
+        pairs.append((rho1, rho2))
     return pairs
 
 
@@ -144,19 +150,13 @@ def _run_table(args) -> int:
     print(harness.format_table(cells))
     if args.output_path:
         harness.emit_table(cells, args.output_format, args.output_path)
-    disagreements = [c for c in cells if not c["agree"]]
-    return EXIT_DISAGREEMENT if disagreements else EXIT_OK
+    return EXIT_OK if all(c["agree"] for c in cells) else EXIT_DISAGREEMENT
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "audit":
-            return _run_audit(args)
-        if args.command == "reproduce":
-            return _run_reproduce(args)
-        if args.command == "table":
-            return _run_table(args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except ConfigError as exc:
         print(f"fairlens: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -166,7 +166,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"fairlens: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

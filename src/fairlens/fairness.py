@@ -170,10 +170,19 @@ class FairnessVerdict:
         return cls(**{**raw, "axiom": Axiom(raw["axiom"])})
 
 
-def _verdict_from_p(p: float, alpha: float, n_used: int) -> str:
-    if p < alpha:
-        return VIOLATED
-    return HOLDS if n_used >= POWER_GUARD_N else INCONCLUSIVE
+def _statistical_verdict(kind: str, statistic: float, p: Optional[float], n: int,
+                         cfg: TestConfig) -> FairnessVerdict:
+    """The one place a check's p on n observations becomes a verdict:
+    VIOLATED when p < alpha, HOLDS when p >= alpha on at least
+    POWER_GUARD_N observations, INCONCLUSIVE otherwise or when p is None
+    (a check that could not run)."""
+    if p is not None and p < cfg.alpha:
+        verdict = VIOLATED
+    else:
+        verdict = HOLDS if p is not None and n >= POWER_GUARD_N else INCONCLUSIVE
+    return FairnessVerdict(
+        axiom=Axiom(kind), statistic=statistic, p_value=p, analytic_criterion=None,
+        verdict=verdict, alpha=cfg.alpha, n_used=n, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +394,7 @@ def check_independence(prices, d, cfg: TestConfig) -> FairnessVerdict:
         raise TooFewSamples(f"need >= 100 observations, got {n}")
     r = _correlation(np.asarray(prices), np.asarray(d))
     p = math.erfc(abs(r) * math.sqrt(0.5 * (n - 1)))
-    return FairnessVerdict(
-        axiom=Axiom(INDEPENDENCE), statistic=r, p_value=p,
-        analytic_criterion=None,
-        verdict=_verdict_from_p(p, cfg.alpha, n),
-        alpha=cfg.alpha, n_used=n, seed=cfg.seed)
+    return _statistical_verdict(INDEPENDENCE, r, p, n, cfg)
 
 
 def check_separation(prices, d, y, cfg: TestConfig) -> FairnessVerdict:
@@ -433,9 +438,7 @@ def check_axioms(prices, d, y, cfg: TestConfig) -> tuple:
         try:
             return check(*columns, cfg)
         except (TooFewSamples, EmptyBin):
-            return FairnessVerdict(
-                axiom=Axiom(kind), statistic=0.0, p_value=None, analytic_criterion=None,
-                verdict=INCONCLUSIVE, alpha=cfg.alpha, n_used=n, seed=cfg.seed)
+            return _statistical_verdict(kind, 0.0, None, n, cfg)
 
     separation = []
 
@@ -498,9 +501,4 @@ def _conditional_check(a, b, given, cfg: TestConfig, axiom: str) -> FairnessVerd
         sums.append(_bin_moment_sums(ak, bk))
     s1, q1, s2, q2 = (math.fsum(column) for column in zip(*sums))
     stat = _gcm_z(s1, q1, n) ** 2 + _gcm_z(s2, q2, n) ** 2
-    p = math.exp(-0.5 * stat)
-    return FairnessVerdict(
-        axiom=Axiom(axiom), statistic=stat, p_value=p,
-        analytic_criterion=None,
-        verdict=_verdict_from_p(p, cfg.alpha, n),
-        alpha=cfg.alpha, n_used=n, seed=cfg.seed)
+    return _statistical_verdict(axiom, stat, math.exp(-0.5 * stat), n, cfg)

@@ -17,9 +17,9 @@ from .streams import standard_normals
 def sample(rho1: float, rho2: float, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """n rows of (x1, x2, d) with deterministic, stream-partitioned normals.
 
-    The caller checks the pair (``model.valid_rho_pair``) and n; the
-    scale of Z is written as that predicate writes it, so a valid pair
-    always gets a positive scale.  Identical arguments give
+    The caller checks the pair (``model.require_valid_rho_pair``) and
+    n; the scale of Z is written as that check writes it, so a valid
+    pair always gets a positive scale.  Identical arguments give
     byte-identical output, and ``sample(rho1, rho2, k, ...)`` equals the
     first k rows of ``sample(rho1, rho2, n, ...)`` for k <= n.
     """

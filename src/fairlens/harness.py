@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,6 +39,8 @@ DEFAULT_TABLE_PAIRS = ((0.3, 0.5), (0.3, 0.0), (0.0, 0.5), (0.0, 0.0))
 FUNCTIONALS = tuple(model.PRICE_IS_X1)
 
 OUTPUT_FORMATS = ("csv", "json")
+
+_YES_NO = {HOLDS: "YES", VIOLATED: "NO", INCONCLUSIVE: "INCONCLUSIVE"}  # table cells
 
 # the flat --config keys, in report order: test_seed is TestConfig.seed,
 # alpha and n_permutations are its other fields, and the rest are
@@ -76,13 +79,13 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            model.require_valid_rho_pair(self.rho1, self.rho2)
+            rho1, rho2 = model.require_valid_rho_pair(self.rho1, self.rho2)
         except NotPositiveDefinite as exc:
             raise ConfigError(str(exc)) from None
         # frozen fields: rho is stored as a float and a numpy integer as
         # an int, values a report writes and reads back unchanged
-        object.__setattr__(self, "rho1", float(self.rho1))
-        object.__setattr__(self, "rho2", float(self.rho2))
+        object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "rho2", rho2)
         object.__setattr__(self, "n", check_integer(self.n, "n"))
         if not 10**3 <= self.n <= MAX_N:
             raise ConfigError(f"n must be in [1000, {MAX_N}], got {shown(self.n)}")
@@ -95,6 +98,8 @@ class RunConfig:
                               f"got {shown(self.output_format)}")
         if self.functional not in FUNCTIONALS:
             raise ConfigError(f"functional must be one of {FUNCTIONALS}")
+        if not isinstance(self.test, TestConfig):
+            raise ConfigError(f"test must be a TestConfig, got {shown(self.test)}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,10 @@ def cmd_table(rho_pairs=None, n: int = 10**6, seed: int = 7,
     One row per (pair, axiom): the analytic verdict, the statistical
     verdict from an audit at sample size n, and an agreement flag.
     """
-    pairs = tuple(rho_pairs) if rho_pairs is not None else DEFAULT_TABLE_PAIRS
+    try:
+        pairs = tuple(rho_pairs) if rho_pairs is not None else DEFAULT_TABLE_PAIRS
+    except TypeError:
+        raise ConfigError(f"rho_pairs must be iterable, got {shown(rho_pairs)}") from None
     test = test if test is not None else TestConfig()
     # pair k runs on seed + k; every pair's configuration is checked
     # before the first audit runs
@@ -217,6 +225,8 @@ def cmd_table(rho_pairs=None, n: int = 10**6, seed: int = 7,
     configs = []
     for k, pair in enumerate(pairs):
         try:
+            if isinstance(pair, (Mapping, AbstractSet)):  # it would unpack its keys
+                raise TypeError
             rho1, rho2 = pair
         except (TypeError, ValueError):
             raise ConfigError(f"each rho pair must be two items (rho1, rho2), "
@@ -229,19 +239,11 @@ def cmd_table(rho_pairs=None, n: int = 10**6, seed: int = 7,
                 "rho1": cfg.rho1,
                 "rho2": cfg.rho2,
                 "axiom": outcome.axiom,
-                "analytic": _yes_no(outcome.analytic.verdict),
-                "statistical": _yes_no(outcome.statistical.verdict),
+                "analytic": _YES_NO[outcome.analytic.verdict],
+                "statistical": _YES_NO[outcome.statistical.verdict],
                 "agree": outcome.agree,
             })
     return cells
-
-
-def _yes_no(verdict: str) -> str:
-    if verdict == HOLDS:
-        return "YES"
-    if verdict == VIOLATED:
-        return "NO"
-    return "INCONCLUSIVE"
 
 
 def format_table(cells: list[dict]) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, LengthMismatch, NotPositiveDefinite
 from .gaussian import sample
-from .streams import check_integer, shown, standard_normals
+from .streams import check_integer, check_seed, shown, standard_normals
 
 FLOAT_FMT = "%.17g"
 
@@ -42,46 +42,39 @@ PRICE_IS_X1 = {
 }
 
 
-def valid_rho_pair(rho1: float, rho2: float) -> bool:
-    """Two real numbers with 1 - rho1^2 - rho2^2 > 0: the covariance is
-    positive definite.
+def require_valid_rho_pair(rho1: float, rho2: float) -> tuple[float, float]:
+    """The pair as floats if it is two real numbers with
+    1 - rho1^2 - rho2^2 > 0 (the covariance is positive definite), else
+    NotPositiveDefinite.  The one validity rule for the config, the
+    model, the dataset and the oracles.
 
     Anything but a real number (a string, None, a complex, a Decimal, a
     bool) is refused before arithmetic could raise TypeError on it.
     The rule implies |rho1|, |rho2| < 1, which is checked first so that
-    a huge value is refused rather than overflowing its square; NaN
-    fails the comparisons.  The one validity rule for the config, the
-    model, the dataset and the oracles.
+    a huge value is refused rather than overflowing its square or
+    float(); NaN fails the comparisons.
     """
-    return (all(isinstance(rho, numbers.Real) and not isinstance(rho, bool)
+    if not (all(isinstance(rho, numbers.Real) and not isinstance(rho, bool)
                 for rho in (rho1, rho2))
             and abs(rho1) < 1.0 and abs(rho2) < 1.0
-            and 1.0 - rho1**2 - rho2**2 > 0.0)
-
-
-def require_valid_rho_pair(rho1: float, rho2: float) -> None:
-    """Raise NotPositiveDefinite unless valid_rho_pair(rho1, rho2)."""
-    if not valid_rho_pair(rho1, rho2):
+            and 1.0 - rho1**2 - rho2**2 > 0.0):
         raise NotPositiveDefinite(f"(rho1, rho2)=({shown(rho1)}, {shown(rho2)}) "
                                   "are not two reals with 1 - rho1^2 - rho2^2 > 0")
+    return float(rho1), float(rho2)
 
 
 @dataclass(frozen=True)
 class PortfolioModel:
-    """Cov(X1, D) = rho1 and Cov(X2, D) = rho2; simulate adds the response law.
-
-    Raises NotPositiveDefinite unless valid_rho_pair(rho1, rho2), checked
-    before the pair is stored as floats: float() overflows on an int past
-    the largest float.
-    """
+    """Cov(X1, D) = rho1 and Cov(X2, D) = rho2, as the floats
+    require_valid_rho_pair returns; simulate adds the response law."""
 
     rho1: float
     rho2: float
 
     def __post_init__(self):
-        require_valid_rho_pair(self.rho1, self.rho2)
-        object.__setattr__(self, "rho1", float(self.rho1))
-        object.__setattr__(self, "rho2", float(self.rho2))
+        rho1, rho2 = require_valid_rho_pair(self.rho1, self.rho2)
+        object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "rho2", rho2)
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ class SimulatedDataset:
 
     The rho pair is checked as PortfolioModel checks it and stored as
     floats, so write_csv's sidecar holds JSON numbers that read back
-    equal.
+    equal; the seed is checked as the generator key checks it.
     """
 
     x1: np.ndarray
@@ -108,9 +101,10 @@ class SimulatedDataset:
                 raise LengthMismatch("dataset columns have unequal lengths")
         if n < 1:
             raise ValueError("dataset must hold at least one row")
-        require_valid_rho_pair(self.rho1, self.rho2)
-        object.__setattr__(self, "rho1", float(self.rho1))
-        object.__setattr__(self, "rho2", float(self.rho2))
+        rho1, rho2 = require_valid_rho_pair(self.rho1, self.rho2)
+        object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "rho2", rho2)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     @property
     def n(self) -> int:
@@ -160,9 +154,12 @@ def write_csv(dataset: SimulatedDataset, path) -> None:
 
 
 def read_csv(path) -> SimulatedDataset:
-    """Inverse of write_csv."""
+    """Inverse of write_csv.  The sidecar's n must count the rows read
+    (LengthMismatch); SimulatedDataset checks its other values as read."""
     path = Path(path)
     x1, x2, d, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
     meta = json.loads(Path(str(path) + ".meta.json").read_text())
-    return SimulatedDataset(x1=x1, x2=x2, d=d, y=y, seed=int(meta["seed"]),
-                            rho1=float(meta["rho1"]), rho2=float(meta["rho2"]))
+    if meta["n"] != x1.shape[0]:
+        raise LengthMismatch(f"sidecar n {shown(meta['n'])} != {x1.shape[0]} rows read")
+    return SimulatedDataset(x1=x1, x2=x2, d=d, y=y, seed=meta["seed"],
+                            rho1=meta["rho1"], rho2=meta["rho2"])

@@ -75,8 +75,8 @@ def _posterior_weight_and_variance(x, rho1: float, rho2: float):
 def x1_given_y0_x2_d0(rho1: float, rho2: float, x2: float) -> tuple[float, float]:
     """(mean, variance) of the normal law of X1 given (Y=0, X2=x2, D=0)."""
     require_valid_rho_pair(rho1, rho2)
-    # valid_rho_pair's rule: a real number, not a bool, compared before
-    # any arithmetic, so a huge int is refused rather than overflowing
+    # as require_valid_rho_pair: a real number, not a bool, compared
+    # before any arithmetic, so a huge int is refused, not overflowed
     if (isinstance(x2, bool) or not isinstance(x2, numbers.Real)
             or not abs(x2) <= sys.float_info.max):
         raise ValueError(f"x2 must be a finite real number, got {shown(x2)}")

@@ -1183,3 +1183,28 @@ class TestVerdictSerialization:
                             "n_used", "seed", "source"}
         assert raw["axiom"] == "independence"
         assert raw["source"] == "statistical"
+
+
+class TestStatisticalVerdict:
+    """_statistical_verdict is where every check's p becomes a verdict."""
+
+    GUARD = fairness.POWER_GUARD_N
+
+    @pytest.mark.parametrize("p,n,want", [
+        (0.0, 100, VIOLATED),
+        (0.0099, GUARD - 1, VIOLATED),
+        (0.01, GUARD, HOLDS),
+        (0.01, GUARD - 1, INCONCLUSIVE),
+        (0.5, 10**7, HOLDS),
+        (None, GUARD, INCONCLUSIVE),
+        (None, 0, INCONCLUSIVE),
+    ])
+    def test_rule(self, p, n, want):
+        """VIOLATED below alpha at any n, HOLDS from alpha up on at
+        least POWER_GUARD_N observations, INCONCLUSIVE otherwise and for
+        a check that could not run."""
+        v = fairness._statistical_verdict(fairness.SEPARATION, 1.5, p, n, FAST)
+        assert v == fairness.FairnessVerdict(
+            axiom=fairness.Axiom(fairness.SEPARATION), statistic=1.5, p_value=p,
+            analytic_criterion=None, verdict=want, alpha=FAST.alpha, n_used=n,
+            seed=FAST.seed, source="statistical")

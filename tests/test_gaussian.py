@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fairlens import NotPositiveDefinite, PortfolioModel
 from fairlens.gaussian import sample
-from fairlens.model import valid_rho_pair
+from fairlens.model import require_valid_rho_pair
 from fairlens.streams import standard_normals
 
 from brute_force import condition, log_density, slice_rejection_moments
@@ -30,7 +30,7 @@ def random_pd_instance(rng):
 
 class TestConstruction:
     def test_reference_covariance_is_valid(self):
-        assert valid_rho_pair(RHO1, RHO2)
+        assert require_valid_rho_pair(RHO1, RHO2) == (RHO1, RHO2)
         PortfolioModel(RHO1, RHO2)  # does not raise
         assert sample(RHO1, RHO2, 5, seed=1).shape == (5, 3)
 

@@ -144,6 +144,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(rho1=0.1, rho2=0.9, functional="fitted")
 
+    @pytest.mark.parametrize("test", ["x", None, {"alpha": 0.01}],
+                             ids=["str", "none", "dict"])
+    def test_test_config_checked(self, test):
+        """A test that is not a TestConfig used to pass, and cmd_audit
+        simulated the whole portfolio before an AttributeError."""
+        with pytest.raises(ConfigError, match="test must be a TestConfig"):
+            RunConfig(rho1=0.1, rho2=0.9, test=test)
+
     def test_config_from_dict_unknown_key(self):
         # the checker's ranks, detrending, level count and bin count are
         # not options
@@ -352,15 +360,24 @@ class TestCmdTable:
         assert len(cmd_table(rho_pairs=[(0.0, 0.0)], n=1000, seed=last)) == 3
 
     @pytest.mark.parametrize("pairs", [[(0.1,)], [None], [(0.1, 0.2, 0.3)],
-                                       [(0.0, 0.0), 0.5]])
+                                       [(0.0, 0.0), 0.5], [{0.1: 1, 0.2: 2}],
+                                       [{0.1, 0.2}]])
     def test_malformed_pair_refused_before_any_audit(self, monkeypatch, pairs):
         """A pair that is not two items used to raise ValueError or
-        TypeError, after the audits of the pairs before it."""
+        TypeError, after the audits of the pairs before it; a mapping or
+        a set of two used to audit its keys."""
         audits = []
         monkeypatch.setattr(harness, "cmd_audit", audits.append)
         with pytest.raises(ConfigError, match="each rho pair must be two items"):
             cmd_table(rho_pairs=pairs, n=1000)
         assert audits == []
+
+    @pytest.mark.parametrize("pairs", [5, 0.5, object()], ids=["int", "float", "object"])
+    def test_pairs_that_are_not_iterable_refused(self, monkeypatch, pairs):
+        """rho_pairs=5 used to raise TypeError from tuple()."""
+        monkeypatch.setattr(harness, "cmd_audit", pytest.fail)
+        with pytest.raises(ConfigError, match="rho_pairs must be iterable"):
+            cmd_table(rho_pairs=pairs, n=1000)
 
     def test_csv_shape(self):
         cells = cmd_table(n=2 * 10**4, seed=11, test=QUICK_TEST)
@@ -501,9 +518,8 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_bin_count_is_not_an_option(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", "--rho1", "0.1", "--rho2", "0.9", "--bins", "6"])
-        assert exc.value.code == 2
+        assert main(["audit", "--rho1", "0.1", "--rho2", "0.9", "--bins", "6"]) == 2
+        assert "unrecognized arguments: --bins 6" in capsys.readouterr().err
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"rho1": 0.1, "rho2": 0.9,
                                         "n_bins_y": 20}))
@@ -611,10 +627,38 @@ class TestCli:
         assert main(["table"]) == 0
         assert calls == [{"rho_pairs": None, "test": TestConfig()}]
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--permutations", "199"])
-        assert exc.value.code == 2
+        assert main(["table", "--permutations", "199"]) == 2
         assert "unrecognized arguments: --permutations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--rho1", "0.1", "--rho2", "0.9", "--n", "1e4"],
+        ["audit", "--rho1", "x", "--rho2", "0.9"],
+        ["audit", "--rho1", "0.1", "--rho2", "0.9", "--format", "xml"],
+        ["audit", "--rho1"],
+        ["--bogus"],
+        [],
+        ["reproduce"],
+        ["reproduce", "separation-moments", "--seed", "1.5"],
+        ["table", "--n", "ten"],
+        ["plot"],
+    ], ids=["float-n", "text-rho", "bad-choice", "missing-value", "unknown-flag",
+            "no-subcommand", "no-target", "float-seed", "text-n", "bad-subcommand"])
+    def test_argparse_refusal_exits_two(self, argv, capsys):
+        """Every refusal of argparse leaves through main with code 2 and
+        the config-error line; it used to raise SystemExit and print
+        argparse's usage."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("fairlens: config error:")
+        assert "usage:" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["audit", "--help"],
+                                      ["reproduce", "separation-moments", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fairlens")
 
     def test_table_bad_pair_exits_two(self):
         assert main(["table", "--pairs", "0.5;0.9"]) == 2

@@ -251,6 +251,36 @@ class TestSerialization:
         back = read_csv(path)
         assert (back.rho1, back.rho2) == (0.0, float(rho2))
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 3.7, True],
+                             ids=["negative", "past-64-bits", "float", "bool"])
+    def test_dataset_seed_checked(self, seed):
+        """A dataset's seed is one 64-bit word of the generator key, as
+        simulate's is: -1 used to pass and reach the sidecar."""
+        x = np.array([0.5, -1.0, 2.0])
+        with pytest.raises(ConfigError, match="seed must be"):
+            SimulatedDataset(x1=x, x2=x, d=x, y=x, seed=seed, rho1=0.1, rho2=0.9)
+
+    @pytest.mark.parametrize("key,value,error", [
+        ("seed", 3.7, ConfigError),
+        ("seed", -4, ConfigError),
+        ("n", 999, LengthMismatch),
+        ("n", 9, LengthMismatch),
+    ])
+    def test_sidecar_values_checked(self, tmp_path, key, value, error):
+        """The sidecar's seed reaches the dataset unconverted (3.7 used
+        to read as 3, and -4 passed), and its n must count the rows
+        read (999 against 10 rows used to pass)."""
+        ds = simulate(make_example_model(0.1, 0.9), 10, seed=5)
+        path = tmp_path / "draws.csv"
+        write_csv(ds, path)
+        sidecar = tmp_path / "draws.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, key: value}))
+        with pytest.raises(error):
+            read_csv(path)
+        sidecar.write_text(json.dumps(meta))
+        assert read_csv(path).seed == 5
+
     def test_csv_bytes_match_savetxt(self, tmp_path):
         """Block-wise formatting writes np.savetxt's bytes, over a row
         count that is not a multiple of the block and extreme values."""
