@@ -197,8 +197,6 @@ def _sorted_ranks(new_block: np.ndarray, n: int) -> np.ndarray:
     (start + 1) + (count - 1) / 2, an exact half-integer, so the ranks
     divided by n + 1 equal scipy's rankdata(x) / (n + 1) byte for byte.
     """
-    if new_block.all():
-        return np.arange(1.0, n + 1.0)
     starts = np.flatnonzero(np.concatenate(([True], new_block)))
     counts = np.diff(starts, append=n)
     return np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch, NotPositiveDefinite
+from .errors import (ConfigError, LengthMismatch, NonFiniteInput, NotPositiveDefinite,
+                     TooFewSamples)
 from .gaussian import sample
 from .streams import check_integer, check_seed, shown, standard_normals
 
@@ -95,12 +96,14 @@ class SimulatedDataset:
     rho2: float
 
     def __post_init__(self):
+        columns = (self.x1, self.x2, self.d, self.y)
+        if not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns):
+            raise NonFiniteInput("dataset columns must be 1-d numpy arrays")
         n = self.x1.shape[0]
-        for name in ("x2", "d", "y"):
-            if getattr(self, name).shape[0] != n:
-                raise LengthMismatch("dataset columns have unequal lengths")
+        if any(c.shape[0] != n for c in columns):
+            raise LengthMismatch("dataset columns have unequal lengths")
         if n < 1:
-            raise ValueError("dataset must hold at least one row")
+            raise TooFewSamples("dataset must hold at least one row")
         rho1, rho2 = require_valid_rho_pair(self.rho1, self.rho2)
         object.__setattr__(self, "rho1", rho1)
         object.__setattr__(self, "rho2", rho2)
@@ -154,11 +157,18 @@ def write_csv(dataset: SimulatedDataset, path) -> None:
 
 
 def read_csv(path) -> SimulatedDataset:
-    """Inverse of write_csv.  The sidecar's n must count the rows read
-    (LengthMismatch); SimulatedDataset checks its other values as read."""
+    """Inverse of write_csv.  The sidecar must be a JSON object with n,
+    seed, rho1 and rho2 (ConfigError), whose n counts the rows read
+    (LengthMismatch); SimulatedDataset checks the other values."""
     path = Path(path)
     x1, x2, d, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
-    meta = json.loads(Path(str(path) + ".meta.json").read_text())
+    sidecar = Path(str(path) + ".meta.json")
+    try:
+        meta = json.loads(sidecar.read_bytes())
+    except ValueError:  # not UTF-8 or not JSON
+        meta = None
+    if not isinstance(meta, dict) or not {"n", "seed", "rho1", "rho2"} <= meta.keys():
+        raise ConfigError(f"sidecar {sidecar}: not a JSON object with n, seed, rho1, rho2")
     if meta["n"] != x1.shape[0]:
         raise LengthMismatch(f"sidecar n {shown(meta['n'])} != {x1.shape[0]} rows read")
     return SimulatedDataset(x1=x1, x2=x2, d=d, y=y, seed=meta["seed"],

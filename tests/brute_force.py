@@ -1,10 +1,9 @@
 """Brute-force oracles that cross-check the package's closed forms.
 
 None of these is on the audit path: they are the independent
-references (grid integration, slice rejection, the exact O(n^2)
-distance correlation, the generic permutation p-value, the conditional
-checks' moment statistic by its definition, scipy's ranks, quantile
-levels from scipy's minimum ranks, the Gaussian log density and
+references (grid integration, slice rejection, the conditional checks'
+moment statistic by its definition, scipy's ranks, quantile levels
+from scipy's minimum ranks, the Gaussian log density and
 Schur-complement conditioning, and the closed-form X2 posterior
 density and Var(Y | X1, D) of the portfolio model, and the Monte Carlo
 moments summed over whole chunks) that the tests hold the fast code
@@ -13,21 +12,17 @@ against.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import stats as sps
 
 from fairlens import fairness, oracles
-from fairlens.errors import ConfigError, EmptyBin, LengthMismatch
+from fairlens.errors import EmptyBin, LengthMismatch
 from fairlens.model import require_valid_rho_pair
 from fairlens.oracles import _posterior_weight_and_variance
 from fairlens.streams import _bit_generator, normal_ppf, standard_normals
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-# permutation sub-stream of permutation_pvalue, apart from the checkers'
-_STREAM_GENERIC = 0xFA00
 
 
 # ---------------------------------------------------------------------------
@@ -99,39 +94,14 @@ def slice_rejection_moments(draws_fn, slice_columns, slice_values, target_column
                          n_accepted=int(n))
 
 
+def generator(seed: int, stream: int) -> np.random.Generator:
+    """A numpy Generator on its own (seed, stream) Philox key."""
+    return np.random.Generator(_bit_generator(seed, stream))
+
+
 # ---------------------------------------------------------------------------
-# exact distance correlation and the generic permutation p-value
+# the conditional checks' moment statistic by its definition
 # ---------------------------------------------------------------------------
-
-def distance_correlation(a, b) -> float:
-    """Empirical distance correlation of two 1-d samples, in [0, 1].
-
-    The plain V-statistic with double centering, evaluated exactly in
-    row chunks so no n x n matrix is materialized.
-    """
-    a, b = _flat_pair(a, b)
-    n = a.shape[0]
-    if n < 4:
-        raise LengthMismatch("need at least 4 observations")
-    row_a = _abs_row_means(a)
-    row_b = _abs_row_means(b)
-    mu_a = float(row_a.mean())
-    mu_b = float(row_b.mean())
-    s_ab = s_aa = s_bb = 0.0
-    chunk = max(1, (1 << 22) // n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        A = (np.abs(a[lo:hi, None] - a[None, :])
-             - row_a[lo:hi, None] - row_a[None, :] + mu_a)
-        B = (np.abs(b[lo:hi, None] - b[None, :])
-             - row_b[lo:hi, None] - row_b[None, :] + mu_b)
-        s_ab += float(np.vdot(A, B))
-        s_aa += float(np.vdot(A, A))
-        s_bb += float(np.vdot(B, B))
-    if s_aa <= 0.0 or s_bb <= 0.0:
-        return 0.0
-    return math.sqrt(max(s_ab, 0.0) / math.sqrt(s_aa * s_bb))
-
 
 def _flat_pair(a, b):
     """a and b as flat float64 arrays of one length; this module's own
@@ -140,41 +110,6 @@ def _flat_pair(a, b):
     if a.shape != b.shape:
         raise LengthMismatch("input vectors have unequal lengths")
     return a, b
-
-
-def _abs_row_means(x: np.ndarray) -> np.ndarray:
-    """Row means of the pairwise |x_i - x_j| matrix, via sorting."""
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    csum = np.cumsum(xs)
-    ranks = np.arange(1, n + 1)
-    sums_sorted = xs * (2 * ranks - n) - 2 * csum + csum[-1]
-    out = np.empty(n)
-    out[order] = sums_sorted / n
-    return out
-
-
-def generator(seed: int, stream: int) -> np.random.Generator:
-    """A numpy Generator on its own (seed, stream) Philox key."""
-    return np.random.Generator(_bit_generator(seed, stream))
-
-
-def permutation_pvalue(statistic_fn: Callable, a, b, n_permutations: int,
-                       seed: int) -> float:
-    """p = (1 + #{permuted statistic >= observed}) / (n_permutations + 1).
-
-    Permutations are applied to b only; deterministic in seed.
-    """
-    if n_permutations < 99:
-        raise ConfigError("n_permutations must be >= 99")
-    a, b = _flat_pair(a, b)
-    observed = statistic_fn(a, b)
-    rng = generator(seed, _STREAM_GENERIC)
-    exceed = 0
-    for _ in range(n_permutations):
-        exceed += statistic_fn(a, b[rng.permutation(b.shape[0])]) >= observed
-    return (1 + exceed) / (n_permutations + 1)
 
 
 def residualize(v: np.ndarray, g: np.ndarray) -> np.ndarray:

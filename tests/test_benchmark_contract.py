@@ -68,9 +68,9 @@ def test_rebound_names_exist_and_are_restored(tmp_path):
 
 
 def test_audit_above_the_floor_ranks_once_and_samples_no_table():
-    """At n = 5e5 no level table of an audit is sampled (no table is, at
-    any n), and each of the three columns is scored once for both
-    conditional checks.  The ranks come from numpy's argsort, so
+    """At n = 5e5 an audit runs no null span (every p is a closed-form
+    tail), and its three columns are scored once for all three checks,
+    with one normal_ppf call.  The ranks come from numpy's argsort, so
     scipy's rankdata never runs."""
     n = 500_000
     tracer = spans.Tracer()

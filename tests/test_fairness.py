@@ -1,5 +1,6 @@
-"""Normal scores and bins, moment statistics, axiom checkers, and the
-brute-force distance correlation and permutation references."""
+"""Normal scores and bins, moment statistics and axiom checkers, held
+against the brute-force references of the conditional checks, ranks and
+quantile levels."""
 
 import json
 import math
@@ -26,29 +27,9 @@ from fairlens.harness import MAX_N
 from fairlens.streams import normal_ppf
 
 from brute_force import (conditional_check_reference, copula_ranks,
-                         distance_correlation, permutation_pvalue,
                          quantile_level_ids, residualize)
 
 FAST = TestConfig(alpha=0.01, n_permutations=199, seed=5)
-
-
-def brute_force_dcor(a, b):
-    """Literal double-loop definition of the empirical distance correlation."""
-    n = len(a)
-    A = np.empty((n, n))
-    B = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            A[i, j] = abs(a[i] - a[j])
-            B[i, j] = abs(b[i] - b[j])
-    A = A - A.mean(axis=0) - A.mean(axis=1)[:, None] + A.mean()
-    B = B - B.mean(axis=0) - B.mean(axis=1)[:, None] + B.mean()
-    dcov2 = np.vdot(A, B) / n**2
-    dvar_a = np.vdot(A, A) / n**2
-    dvar_b = np.vdot(B, B) / n**2
-    if dvar_a <= 0 or dvar_b <= 0:
-        return 0.0
-    return np.sqrt(max(dcov2, 0.0) / np.sqrt(dvar_a * dvar_b))
 
 
 class TestTestConfig:
@@ -88,40 +69,6 @@ class TestTestConfig:
         for too_many in (fairness.MAX_PERMUTATIONS + 1, 99999999999999999999):
             with pytest.raises(ConfigError, match="n_permutations"):
                 TestConfig(n_permutations=too_many)
-
-
-class TestDistanceCorrelation:
-    def test_perfect_linear_dependence(self):
-        x = np.arange(1.0, 101.0)
-        assert distance_correlation(x, x) == pytest.approx(1.0, abs=1e-12)
-        assert distance_correlation(x, 3 * x - 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_independent_samples_small_statistic(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=10**4)
-        b = rng.normal(size=10**4)
-        assert distance_correlation(a, b) < 0.05
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(5, 40))
-    def test_matches_double_loop_oracle(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=n)
-        b = 0.5 * a + rng.normal(size=n)
-        assert distance_correlation(a, b) == pytest.approx(
-            brute_force_dcor(a, b), abs=1e-10)
-
-    def test_matches_oracle_on_model_draws(self):
-        ds = simulate(make_example_model(0.1, 0.9), 1500, seed=9)
-        got = distance_correlation(ds.x1, ds.d)
-        assert got == pytest.approx(brute_force_dcor(ds.x1, ds.d), abs=1e-10)
-        assert got == pytest.approx(0.1, abs=0.06)
-
-    def test_length_validation(self):
-        with pytest.raises(LengthMismatch):
-            distance_correlation([1, 2, 3], [1, 2])
-        with pytest.raises(LengthMismatch):
-            distance_correlation([1, 2, 3], [1, 2, 3])
 
 
 def _order_inputs(kind, n):
@@ -432,43 +379,6 @@ class TestValidateOnce:
                 assert got.tobytes() == want.tobytes()
 
 
-class TestPermutationPvalue:
-    def test_strong_dependence_hits_floor(self):
-        x = np.arange(100.0)
-        p = permutation_pvalue(distance_correlation, x, x, 999, seed=3)
-        assert p == pytest.approx(1.0 / 1000.0)
-
-    def test_all_permutations_at_least_observed(self):
-        # constant statistic: every permuted value ties with the observed
-        p = permutation_pvalue(lambda a, b: 0.0, np.arange(50.0),
-                               np.arange(50.0), 99, seed=3)
-        assert p == 1.0
-
-    def test_deterministic_in_seed(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=80), rng.normal(size=80)
-        p1 = permutation_pvalue(distance_correlation, a, b, 199, seed=11)
-        p2 = permutation_pvalue(distance_correlation, a, b, 199, seed=11)
-        assert p1 == p2
-
-    def test_uniform_under_null(self):
-        """Rejection rate of the permutation p at 5% stays near 5%."""
-        rng = np.random.default_rng(42)
-        rejections = 0
-        reps = 200
-        for _ in range(reps):
-            a = rng.normal(size=60)
-            b = rng.normal(size=60)
-            stat = lambda u, v: abs(np.corrcoef(u, v)[0, 1])
-            rejections += permutation_pvalue(stat, a, b, 99, seed=7) < 0.05
-        assert 0.02 <= rejections / reps <= 0.10
-
-    def test_minimum_permutations(self):
-        with pytest.raises(ConfigError):
-            permutation_pvalue(distance_correlation, np.arange(10.0),
-                               np.arange(10.0), 50, seed=0)
-
-
 def _fresh_stdout(code, **env):
     """The last stdout line of code run in a fresh interpreter, with this
     fairlens first on its path and the environment updated by env, where
@@ -501,8 +411,8 @@ class TestScipyLoadsOnlyWhereNeeded:
     p-values."""
 
     def test_import_and_a_sampled_check_load_no_scipy(self):
-        """A 500-point independence check, which a sampled null once
-        decided."""
+        """Importing fairlens and running a 500-point independence
+        check, whose p is the closed-form erfc tail."""
         assert _scipy_modules_after("""
             import fairlens
             from fairlens import fairness, model
@@ -587,11 +497,11 @@ class TestResidualsDoNotDependOnTheBlasKernel:
 
 
 class TestTailKernels:
-    """The closed-form tails the checkers take: independence's one
-    squared z has the chi-square tail with 1 df, erfc(sqrt(q / 2)), and
-    a conditional check's z1^2 + z2^2 the tail with 2 df, exp(-q / 2),
-    which is also Fisher's tail for a single p-value.  Both against
-    scipy's chi-square law from the bulk down to p near 1e-300."""
+    """The closed-form tails the checkers take: independence's squared
+    z, q = (n - 1) r^2, has the chi-square tail with 1 df,
+    erfc(sqrt(q / 2)), and a conditional check's q = z1^2 + z2^2 the
+    tail with 2 df, exp(-q / 2).  Both are held against scipy's
+    chi-square law from the bulk down to p near 1e-300."""
 
     def test_one_weight_takes_the_exact_tail(self):
         """Over effects from none to p near 1e-304, the independence p
@@ -1030,16 +940,17 @@ class TestScoresCacheAndCuts:
 
 
 class TestSpectralNull:
-    """The closed-form null that took the place of the level table's
-    spectral law: each check's p is a function of the data alone, and
-    uniform, or its statistic chi-square, under the null."""
+    """Each check's p is a closed-form tail of its statistic: a
+    function of the data alone, uniform under the null, and for a
+    conditional check the tail of a chi-square statistic with 2 df.
+    The ids keep the names of the level-table tests these replace."""
 
     @pytest.mark.parametrize("n", [500, 43_773, 43_774])
     def test_no_table_is_sampled_at_any_n(self, n):
-        """A 500-point pair, and pairs on either side of the bound below
-        which a level table's null used to be sampled, give one p
-        whatever the test seed and the permutation count, and not one on
-        the grid 1 / (B + 1) of B sampled tables."""
+        """A 500-point pair and 43,773- and 43,774-point pairs each give
+        one p whatever the test seed and the permutation count, and not
+        one on the grid 1 / (B + 1) a null of B permutations would
+        give."""
         rng = np.random.default_rng(12)
         a, b = rng.normal(size=(2, n))
         ps = {check_independence(a, b, TestConfig(n_permutations=perms, seed=seed)).p_value
@@ -1183,6 +1094,13 @@ class TestVerdictSerialization:
                             "n_used", "seed", "source"}
         assert raw["axiom"] == "independence"
         assert raw["source"] == "statistical"
+
+    def test_unknown_axiom_kind_refused(self, reference_model):
+        ds = simulate(reference_model, 10**4, seed=50)
+        raw = check_independence(ds.x1, ds.d, FAST).to_dict()
+        assert fairness.FairnessVerdict.from_dict(raw).axiom.kind == "independence"
+        with pytest.raises(ValueError, match="unknown axiom kind 'parity'"):
+            fairness.FairnessVerdict.from_dict({**raw, "axiom": "parity"})
 
 
 class TestStatisticalVerdict:

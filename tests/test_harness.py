@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairlens import ConfigError, RunConfig, TestConfig, cmd_audit, fairness, harness
+from fairlens import (ConfigError, QuadratureError, RunConfig, TestConfig, cmd_audit,
+                      fairness, harness)
 from fairlens.cli import main
 from fairlens.fairness import HOLDS, INCONCLUSIVE, VIOLATED
 from fairlens.harness import (AuditReport, cmd_reproduce_separation,
@@ -420,6 +421,17 @@ class TestEmission:
         assert parsed["version"] == report.version
         assert len((tmp_path / "r.csv").read_text().splitlines()) == 4
 
+    def test_unknown_format_is_a_config_error(self, tmp_path):
+        """Both renderers refuse a format other than json and csv, and
+        emit_table writes no file."""
+        report = AuditReport(config=quick_config(), verdicts=(),
+                             reproduction_numbers={}, timestamp="t")
+        with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+            harness.render_report(report, "xml")
+        with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+            harness.emit_table([], "xml", tmp_path / "t.xml")
+        assert not (tmp_path / "t.xml").exists()
+
     def test_determinism_modulo_timestamp(self):
         cfg = quick_config()
         a = cmd_audit(cfg)
@@ -659,6 +671,17 @@ class TestCli:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: fairlens")
+
+    def test_library_error_exits_two_without_a_traceback(self, monkeypatch, capsys):
+        """A FairlensError that is not a ConfigError, here a quadrature
+        that does not converge, leaves main with code 2 and one line."""
+        def fail(cfg):
+            raise QuadratureError("quadrature did not converge")
+        monkeypatch.setattr(harness, "cmd_audit", fail)
+        assert main(["audit", "--rho1", "0.1", "--rho2", "0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "fairlens: quadrature did not converge\n"
+        assert "Traceback" not in captured.err + captured.out
 
     def test_table_bad_pair_exits_two(self):
         assert main(["table", "--pairs", "0.5;0.9"]) == 2

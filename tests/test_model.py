@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import fairlens
-from fairlens import (ConfigError, LengthMismatch, NotPositiveDefinite,
-                      PortfolioModel, RunConfig, TestConfig, cmd_audit,
+from fairlens import (ConfigError, LengthMismatch, NonFiniteInput,
+                      NotPositiveDefinite, PortfolioModel, RunConfig,
+                      TestConfig, TooFewSamples, cmd_audit,
                       make_example_model, simulate)
 from fairlens.harness import report_to_dict
 from fairlens.model import PRICE_IS_X1, SimulatedDataset, read_csv, write_csv
@@ -110,6 +111,26 @@ class TestSimulate:
         with pytest.raises(LengthMismatch):
             SimulatedDataset(x1=np.zeros(3), x2=np.zeros(3), d=np.zeros(2),
                              y=np.zeros(3), seed=0, rho1=0.1, rho2=0.9)
+
+    @pytest.mark.parametrize("column", [
+        pytest.param([0.0, 1.0, 2.0], id="list"),
+        pytest.param([0.0], id="list-of-another-length"),
+        pytest.param(np.zeros((3, 1)), id="two-d"),
+        pytest.param(np.float64(0.0), id="scalar"),
+    ])
+    @pytest.mark.parametrize("slot", ["x1", "d"])
+    def test_column_not_a_flat_array_rejected(self, column, slot):
+        """A column that is not a 1-d numpy array is refused before the
+        lengths are compared: a list used to raise AttributeError, and a
+        (3, 1) column passed."""
+        columns = {name: np.zeros(3) for name in ("x1", "x2", "d", "y")}
+        with pytest.raises(NonFiniteInput, match="1-d numpy arrays"):
+            SimulatedDataset(**{**columns, slot: column}, seed=0, rho1=0.1, rho2=0.9)
+
+    def test_empty_dataset_rejected(self):
+        x = np.zeros(0)
+        with pytest.raises(TooFewSamples):
+            SimulatedDataset(x1=x, x2=x, d=x, y=x, seed=0, rho1=0.1, rho2=0.9)
 
     def test_columns_independent_of_blas_kernel(self):
         """The draws have the same bytes under two OpenBLAS kernels, one
@@ -218,6 +239,10 @@ class TestPricing:
             RunConfig(rho1=0.1, rho2=0.9, functional="subset:x3")
 
 
+# the sidecar of simulate(make_example_model(0.1, 0.9), 10, seed=5)
+SIDECAR = {"n": 10, "seed": 5, "rho1": 0.1, "rho2": 0.9}
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         m = make_example_model(0.1, 0.9)
@@ -280,6 +305,35 @@ class TestSerialization:
             read_csv(path)
         sidecar.write_text(json.dumps(meta))
         assert read_csv(path).seed == 5
+
+    @pytest.mark.parametrize("text", [
+        *(pytest.param(json.dumps({k: v for k, v in SIDECAR.items() if k != key}).encode(),
+                       id=f"no-{key}") for key in SIDECAR),
+        pytest.param(b"n = 10", id="not-json"),
+        pytest.param(b"", id="empty"),
+        pytest.param(b"\xff", id="not-utf8"),
+        pytest.param(b"[1, 2]", id="array"),
+        pytest.param(b'"n"', id="string"),
+        pytest.param(b"null", id="null"),
+    ])
+    def test_malformed_sidecar_is_a_config_error(self, tmp_path, text):
+        """A sidecar that is not a JSON object with n, seed, rho1 and
+        rho2 is refused with its path named, where it used to raise
+        KeyError, JSONDecodeError or TypeError."""
+        path = tmp_path / "draws.csv"
+        write_csv(simulate(make_example_model(0.1, 0.9), 10, seed=5), path)
+        sidecar = tmp_path / "draws.csv.meta.json"
+        sidecar.write_bytes(text)
+        with pytest.raises(ConfigError) as info:
+            read_csv(path)
+        assert str(sidecar) in str(info.value)
+
+    def test_missing_sidecar_is_an_io_error(self, tmp_path):
+        path = tmp_path / "draws.csv"
+        write_csv(simulate(make_example_model(0.1, 0.9), 10, seed=5), path)
+        (tmp_path / "draws.csv.meta.json").unlink()
+        with pytest.raises(FileNotFoundError):
+            read_csv(path)
 
     def test_csv_bytes_match_savetxt(self, tmp_path):
         """Block-wise formatting writes np.savetxt's bytes, over a row
